@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain error (invalid weight,
-p <= n, precondition or I/O failures).  Data goes to stdout, diagnostics to
+p <= n, precondition or I/O failures, iteration too deep for the
+interpreter's recursion limit).  Data goes to stdout, diagnostics to
 stderr.  Output is byte-identical for identical inputs and flags; only the
 ``enumerate`` subcommand is parallel (``--jobs``), and its output does not
 depend on the job count.
@@ -178,6 +179,10 @@ def run(argv) -> int:
                 return 2
     except (ValueError, OSError) as exc:
         print(f"lvweights: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("lvweights: error: iteration too deep for the interpreter's "
+              "recursion limit", file=sys.stderr)
         return 2
     return 0
 

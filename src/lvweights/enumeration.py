@@ -4,23 +4,53 @@ Every distinguished weight is anti-symmetric (entry i equals minus entry
 n+1-i), so the search space is the lattice of weakly decreasing nonnegative
 free coordinates x_1 >= ... >= x_h >= 0 with h = floor(n/2); the mirror
 half and the middle zero (odd n) are forced.  No proven entry bound exists,
-so the default bound is the largest entry of the scaled-staircase family
-and its sufficiency is cross-checked against the count recursion by the
-test suite (with one automatic bound escalation).
+so the default bound is the largest entry of the scaled-staircase family.
+That bound is the one unproven assumption of the enumeration; the test
+suite checks it against the count recursion on its grid.
 
-The scan partitions the leading-coordinate range across worker processes;
-workers are independent and side-effect free, and the merged result is
-sorted, so output is identical for any degree of parallelism.
+Candidates come from a congruence sieve, not a scan of the whole box.  The
+box splits into cells by gap pattern: each gap between consecutive free
+coordinates is capped to 0, 1 or >= 2, and so is the middle gap (2*x_h for
+even n, x_h against the middle zero for odd n).  Within one cell:
+
+* The maximal clumps are fixed.  ``phi`` removes selected values column by
+  column; that can split a clump but never merge two, because distinct
+  clumps stay >= 2 apart.
+* ``phi`` appends a value v only to a row ending in v or v +- 1, so every
+  row stays inside one clump.
+* Rows are created only in column 1, so the row order and the column
+  sizes, and with them the column correction, depend only on the cell.
+* So every row sum is +-len(row) * t_c + const, where t_c is the top of
+  the row's clump (the sign is - in the mirrored half).
+* len(row) <= n < p is invertible mod p, so each row pins t_c mod p.  If
+  two rows of one clump disagree, or a mirrored clump disagrees with its
+  original, no weight of the cell passes the first division by p.
+* The clump that straddles zero has no free top: its row sums are concrete
+  and must be divisible by p.
+
+Each cell is compiled once per call by running ``phi`` and the column
+correction on its least weight.  Only clump tops of the right residue are
+then generated (step p, clumps >= 2 apart, leading coordinate <= bound),
+and every candidate still goes through the full depth test.  The sieve
+skips only weights whose first division by p is not integral, so the
+result is exactly that of a scan of the whole box.
+
+With ``jobs`` > 1, each worker process takes an interleaved slice of every
+cell's candidates; one cell can hold most of them, so whole cells would not
+balance.  Workers are independent and side-effect free, and the merged
+result is sorted, so output is identical for any degree of parallelism.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import Weight, validate_weight
-from .lv_algorithm import _lv_mu
+from .lv_algorithm import _lv_mu, apply_E_inverse, phi
 from .modular_iteration import ModularContext, _bounded_depth, distinguished_depth
 
 __all__ = [
@@ -125,72 +155,159 @@ def _root_distinguished(w: Weight, k: int, p: int, memo: dict) -> bool:
     return True
 
 
-def _scan(n: int, k: int, p: int, bound: int, x1_lo: int, x1_hi: int) -> list[Weight]:
-    """All distinguished weights whose leading coordinate lies in
-    [x1_lo, x1_hi]."""
-    h = n // 2
-    memo: dict = {}
-    found: list[Weight] = []
-    coords = [0] * h
+def _cell_minima(n: int, bound: int):
+    """Free coordinates of the least weight of every gap-pattern cell whose
+    least weight fits in the box.
 
-    def descend(pos: int, cap: int):
-        if pos == h:
-            w = _mirror(tuple(coords), n)
+    A cell is fixed by its capped gaps, each of 0, 1 or >= 2, so its least
+    weight has every gap in {0, 1, 2}.  The least bottom coordinate is 0 or
+    1 for even n (middle gap 2*x_h capped to 0 or >= 2) and 0, 1 or 2 for
+    odd n (middle gap x_h against the middle zero).
+    """
+    h = n // 2
+    bottoms = (0, 1) if n % 2 == 0 else (0, 1, 2)
+
+    def up(coords: tuple[int, ...]):
+        if len(coords) == h:
+            yield coords
+            return
+        for g in (0, 1, 2):
+            top = coords[0] + g
+            if top > bound:
+                return
+            yield from up((top,) + coords)
+
+    for b in bottoms:
+        if b <= bound:
+            yield from up((b,))
+
+
+def _compile_cell(least: tuple[int, ...], n: int, p: int):
+    """The congruence system of one cell, or None when the cell holds no
+    weight whose first division by p is integral.
+
+    Returns ``(clumps, center)``: ``center`` is the concrete middle of every
+    weight of the cell (the clump that straddles zero and its mirror, or
+    the middle zero), and each free clump, top to bottom, is
+    ``(residue, offsets, lowest)``: the residue its top must have mod p,
+    the offsets of its coordinates below that top, and the top's value in
+    the cell's least weight (its smallest possible value).
+    """
+    # Free clumps split at gaps of 2; the bottom run belongs to the clump
+    # that straddles zero when the middle gap is below 2.
+    runs = [[least[0]]]
+    for a, b in zip(least, least[1:]):
+        if a - b >= 2:
+            runs.append([])
+        runs[-1].append(b)
+    middle_gap = 2 * least[-1] if n % 2 == 0 else least[-1]
+    tail = tuple(runs.pop()) if middle_gap < 2 else ()
+    clump_of = {}
+    for c, run in enumerate(runs):
+        for v in run:
+            clump_of[v] = (c, 1)
+            clump_of[-v] = (c, -1)
+    residues: list[int | None] = [None] * len(runs)
+    x = phi(_mirror(least, n))
+    for row, corrected in zip(x, apply_E_inverse(x)):
+        s = sum(corrected)
+        if row[0] not in clump_of:
+            # A row of the straddling clump (or the middle zero): concrete.
+            if s % p:
+                return None
+            continue
+        # Moving the clump top by d moves this row sum by sign*len(row)*d,
+        # and len(row) <= n < p is invertible mod p.
+        c, sign = clump_of[row[0]]
+        r = (runs[c][0] - s * pow(sign * len(row), -1, p)) % p
+        if residues[c] is None:
+            residues[c] = r
+        elif residues[c] != r:
+            return None
+    clumps = tuple(
+        (r, tuple(run[0] - v for v in run), run[0])
+        for r, run in zip(residues, runs)
+    )
+    return clumps, _mirror(tail, n)
+
+
+def _cell_weights(clumps, center: Weight, p: int, hi: int,
+                  skip: int = 0, stride: int = 1):
+    """The weights of a compiled cell with leading coordinate <= hi, built
+    from the center outwards.
+
+    Every clump top runs down its residue class mod p.  Only every
+    ``stride``-th top of the outermost clump is taken, from the ``skip``-th
+    on, so that ``stride`` callers with distinct ``skip`` share a cell.
+    """
+    if not clumps:
+        if skip == 0:
+            yield center
+        return
+    (r, offsets, lowest), inner = clumps[0], clumps[1:]
+    t = hi - (hi - r) % p - skip * p
+    while t >= lowest:
+        head = tuple(t - o for o in offsets)
+        tail = tuple(-v for v in reversed(head))
+        if inner:
+            # The next clump's top sits at least 2 below this clump's bottom.
+            for w in _cell_weights(inner, center, p, t - offsets[-1] - 2):
+                yield head + w + tail
+        else:
+            yield head + center + tail
+        t -= stride * p
+
+
+def _scan_slice(args) -> list[Weight]:
+    """Distinguished weights among one of ``step`` interleaved slices of
+    the sieved candidates."""
+    cells, k, p, bound, start, step = args
+    memo: dict = {}
+    found = []
+    for i, (clumps, center) in enumerate(cells):
+        # Rotating the slice per cell spreads cells with one top evenly.
+        skip = (start - i) % step
+        for w in _cell_weights(clumps, center, p, bound, skip, step):
             if _root_distinguished(w, k, p, memo):
                 found.append(w)
-            return
-        lo, hi = (x1_lo, min(cap, x1_hi)) if pos == 0 else (0, cap)
-        for v in range(hi, lo - 1, -1):
-            coords[pos] = v
-            descend(pos + 1, v)
-
-    descend(0, bound)
     return found
 
 
-def _scan_args(args) -> list[Weight]:
-    return _scan(*args)
-
-
-def _chunk_ranges(bound: int, h: int, pieces: int) -> list[tuple[int, int]]:
-    """Split [0, bound] into contiguous leading-coordinate ranges of roughly
-    equal candidate mass (mass of x1 grows like (x1+1)^(h-1))."""
-    weights = [(x + 1) ** max(h - 1, 0) for x in range(bound + 1)]
-    total = sum(weights)
-    target = total / pieces
-    ranges = []
-    acc, lo = 0, 0
-    for x in range(bound + 1):
-        acc += weights[x]
-        if acc >= target and len(ranges) < pieces - 1:
-            ranges.append((lo, x))
-            lo, acc = x + 1, 0
-    if lo <= bound:
-        ranges.append((lo, bound))
-    return ranges
+# Below this many sieved candidates a worker pool costs more than it saves.
+_POOL_MIN_CANDIDATES = 2_000
 
 
 def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     """All anti-symmetric weights with entries in [-bound, bound] whose
     distinguished depth is <= k, sorted lexicographically descending.
 
-    ``jobs`` > 1 splits the scan across processes; the result is identical
-    for any jobs value.
+    ``jobs`` > 1 splits the candidates across up to that many processes
+    (never more than the CPU count); the result is identical for any jobs
+    value.
     """
-    h = box.n // 2
-    if h == 0:
-        # Lengths 0 and 1 admit a single candidate each.
-        return [_mirror((), box.n)]
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     n, k, p, bound = box.n, box.k, box.p, box.bound
-    candidates = math.comb(bound + h, h)
-    if jobs <= 1 or candidates < 50_000:
-        found = _scan(n, k, p, bound, 0, bound)
+    if n < 2:
+        # Lengths 0 and 1 admit a single candidate each.
+        return [_mirror((), n)]
+    cells = [
+        cell for least in _cell_minima(n, bound)
+        if (cell := _compile_cell(least, n, p)) is not None
+    ]
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        sieved = (w for cell in cells for w in _cell_weights(*cell, p, bound))
+        seen = sum(1 for _ in islice(sieved, _POOL_MIN_CANDIDATES))
+        if seen < _POOL_MIN_CANDIDATES:
+            workers = 1
+    if workers == 1:
+        found = _scan_slice((cells, k, p, bound, 0, 1))
     else:
-        ranges = _chunk_ranges(bound, h, jobs * 8)
-        tasks = [(n, k, p, bound, lo, hi) for lo, hi in ranges]
+        tasks = [(cells, k, p, bound, i, workers) for i in range(workers)]
         found = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_args, tasks):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_scan_slice, tasks):
                 found.extend(part)
     found.sort(reverse=True)
     return found

@@ -98,22 +98,14 @@ def _best_time(fn, repeats=5):
 
 @pytest.fixture(scope="module")
 def grid_results():
-    """(n, k, p) -> enumerated weights, with the x p bound escalation.
-
-    A count mismatch at the default bound retries once with bound * p
-    before the consuming test fails.
-    """
+    """(n, k, p) -> weights enumerated at the default bound, and the count
+    the recursion gives; the consuming tests compare the two."""
     t0 = time.perf_counter()
     results = {}
     for n, k, p in GRID:
-        expected = count_distinguished(n, k)
-        bound = default_bound(n, k, p)
-        weights = enumerate_distinguished(SearchBox(n, k, bound, p), jobs=JOBS)
-        if len(weights) != expected:
-            weights = enumerate_distinguished(
-                SearchBox(n, k, bound * p, p), jobs=JOBS
-            )
-        results[(n, k, p)] = (weights, expected)
+        box = SearchBox(n, k, default_bound(n, k, p), p)
+        weights = enumerate_distinguished(box, jobs=JOBS)
+        results[(n, k, p)] = (weights, count_distinguished(n, k))
     return results, time.perf_counter() - t0
 
 

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import lvweights.enumeration as enumeration
+from lvweights import ModularContext, rho_family
 from lvweights.cli import run
 
 
@@ -71,6 +73,16 @@ class TestCheckCommand:
         assert code == 0
         assert out == "3\n"
 
+    def test_too_deep_exits_2(self, capout):
+        # Depth 600 recurses past the interpreter's limit.
+        w = rho_family(2, 600, ModularContext(13))
+        code, out, err = capout(
+            "check", "--weight", f"{w[0]},{w[1]}", "--prime", "13",
+            "--cap", "600",
+        )
+        assert (code, out) == (2, "")
+        assert "too deep" in err
+
 
 class TestCountCoeff:
     def test_count(self, capout):
@@ -120,6 +132,42 @@ class TestEnumerateCommand:
                               "--k", "1")
         assert code == 2
         assert "exceed" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_rejects_nonpositive_jobs(self, capout, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", no_pool)
+        code, out, err = capout("enumerate", "--n", "4", "--prime", "5",
+                                "--k", "1", "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert "jobs must be >= 1" in err
+
+    def test_jobs_clamped_to_cpu_count(self, capout, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        argv = ("enumerate", "--n", "4", "--prime", "5", "--k", "2")
+        _, serial, _ = capout(*argv)
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(enumeration, "_POOL_MIN_CANDIDATES", 0)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        code, out, _ = capout(*argv, "--jobs", "100000")
+        assert (code, out) == (0, serial)
+        assert sizes == [2]
 
 
 class TestFamiliesCommand:

@@ -1,5 +1,10 @@
+import itertools
+import math
+import random
+
 import pytest
 
+import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
     ScatterRecord,
@@ -10,6 +15,7 @@ from lvweights import (
     distinguished_depth,
     enumerate_distinguished,
     generate_family_set,
+    lv_p,
     reverse_negate,
     scatter_records,
     write_scatter_csv,
@@ -81,6 +87,87 @@ class TestEnumerate:
         seq = enumerate_distinguished(box, jobs=1)
         par = enumerate_distinguished(box, jobs=2)
         assert seq == par
+
+
+def brute_enumerate(n, k, bound, p):
+    """Differential oracle: every anti-symmetric weight in the box, tested
+    one by one with the public depth function."""
+    ctx = ModularContext(p)
+    mid = (0,) if n % 2 else ()
+    found = []
+    for coords in itertools.combinations_with_replacement(
+        range(bound, -1, -1), n // 2
+    ):
+        w = coords + mid + tuple(-c for c in reversed(coords))
+        if distinguished_depth(w, ctx, k) is not None:
+            found.append(w)
+    return sorted(found, reverse=True)
+
+
+def _oracle_boxes():
+    """Seeded small boxes, then fixed ones: p = n + 1, and odd n with
+    distinguished weights whose last free coordinate is 0 or 1."""
+    rng = random.Random(20250519)
+    boxes = []
+    while len(boxes) < 24:
+        n = rng.randint(2, 8)
+        k = rng.randint(0, 3)
+        p = rng.choice([q for q in (3, 5, 7, 11, 13) if q > n])
+        h = n // 2
+        # The largest bound whose box holds at most 2000 points.
+        fit = 0
+        while math.comb(fit + 1 + h, h) <= 2000:
+            fit += 1
+        bound = min(default_bound(n, k, p), rng.randint(fit // 2, fit))
+        if (n, k, bound, p) not in boxes:
+            boxes.append((n, k, bound, p))
+    boxes += [(2, 3, default_bound(2, 3, 3), 3), (4, 2, 18, 5),
+              (6, 1, 5, 7), (3, 3, 60, 5), (5, 2, 10, 7), (7, 2, 8, 11)]
+    return boxes
+
+
+class TestSieveAgainstOracle:
+    """The congruence sieve skips only candidates that fail the first
+    division by p, so it must find exactly what the brute scan finds."""
+
+    @pytest.mark.parametrize("n,k,bound,p", _oracle_boxes())
+    def test_matches_brute_scan(self, n, k, bound, p, monkeypatch):
+        expected = brute_enumerate(n, k, bound, p)
+        box = SearchBox(n, k, bound, p)
+        assert enumerate_distinguished(box, jobs=1) == expected
+        # Force the pool even for boxes this small.
+        monkeypatch.setattr(enumeration, "_POOL_MIN_CANDIDATES", 0)
+        assert enumerate_distinguished(box, jobs=2) == expected
+
+    @pytest.mark.parametrize("n,k,bound,p", _oracle_boxes())
+    def test_candidates_pass_first_division(self, n, k, bound, p):
+        # The sieve is tight: it yields each box point at most once, and
+        # only points whose first division by p is integral.
+        ctx = ModularContext(p)
+        cells = [
+            cell for least in enumeration._cell_minima(n, bound)
+            if (cell := enumeration._compile_cell(least, n, p)) is not None
+        ]
+        sieved = [w for cell in cells
+                  for w in enumeration._cell_weights(*cell, p, bound)]
+        assert len(set(sieved)) == len(sieved)
+        for w in sieved:
+            assert reverse_negate(w) == w and 0 <= w[0] <= bound, w
+            assert lv_p(w, ctx) is not None, w
+
+    def test_boxes_cover_small_middle_coordinates(self):
+        # Odd lengths whose last free coordinate is 0 or 1 sit in the cells
+        # whose clump straddles the middle zero.
+        last = {
+            w[len(w) // 2 - 1]
+            for n, k, bound, p in _oracle_boxes() if n % 2 and k
+            for w in brute_enumerate(n, k, bound, p)
+        }
+        assert {0, 1} <= last
+
+    def test_rejects_nonpositive_jobs(self):
+        with pytest.raises(ValueError, match="jobs"):
+            enumerate_distinguished(SearchBox(2, 1, 5, 5), jobs=0)
 
 
 class TestClosedFamily:
