@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain error (invalid weight,
-p <= n, precondition or I/O failures, iteration too deep for the
+p <= n, precondition or I/O failures, an ``iterate`` trace too deep for the
 interpreter's recursion limit).  Data goes to stdout, diagnostics to
 stderr.  Output is byte-identical for identical inputs and flags; only the
 ``enumerate`` subcommand is parallel (``--jobs``), and its output does not

@@ -7,7 +7,10 @@ satisfies
                   and != (1,...,1), of sum_{m=0}^{k-1} prod_i count(l_i, m),
 
 where (l_1, ..., l_a) are the part multiplicities of alpha and
-count(0, k) = count(1, k) = 1.  Growth is Theta(k^floor(n/2)) with leading
+count(0, k) = count(1, k) = 1.  The product depends only on the multiset of
+multiplicities >= 2, so the partitions of n are grouped by that multiset
+once per n, and the sum runs over the groups, each term weighted by its
+number of partitions.  Growth is Theta(k^floor(n/2)) with leading
 coefficient a_{floor((n+1)/2)} / floor(n/2)!, where a_i are the telephone
 numbers.  Everything is exact: unbounded ints and reduced fractions, no
 floating point.
@@ -59,7 +62,8 @@ class CountTable:
 
     def __init__(self):
         self._counts: dict[tuple[int, int], int] = {}
-        # Per multiplicity vector, prefix sums of prod_i count(l_i, m).
+        # Per sorted multiplicity multiset (entries >= 2), prefix sums of
+        # prod_i count(l_i, m).
         self._msums: dict[tuple[int, ...], list[int]] = {}
 
     def count(self, n: int, k: int) -> int:
@@ -71,27 +75,39 @@ class CountTable:
         hit = self._counts.get(key)
         if hit is not None:
             return hit
-        full = (n,)  # multiplicity vector of (1, ..., 1)
-        single = tuple([0] * (n - 1) + [1])  # multiplicity vector of (n)
         total = 1 + k
-        for alpha in partitions_mult(n):
-            if alpha.mult == full or alpha.mult == single:
-                continue
-            total += self._msum(alpha.mult, k)
+        for mults, size in _multiplicity_groups(n):
+            total += size * self._msum(mults, k)
         self._counts[key] = total
         return total
 
-    def _msum(self, mult: tuple[int, ...], k: int) -> int:
+    def _msum(self, mults: tuple[int, ...], k: int) -> int:
         """sum_{m=0}^{k-1} prod_i count(l_i, m), built incrementally."""
-        sums = self._msums.setdefault(mult, [0])
+        sums = self._msums.setdefault(mults, [0])
         while len(sums) <= k:
             m = len(sums) - 1
             prod = 1
-            for l in mult:
-                if l >= 2:  # counts for lengths 0 and 1 are 1
-                    prod *= self.count(l, m)
+            for l in mults:
+                prod *= self.count(l, m)
             sums.append(sums[-1] + prod)
         return sums[k]
+
+
+@cache
+def _multiplicity_groups(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The partitions of n other than (n) and (1, ..., 1), grouped by the
+    sorted multiset of their part multiplicities >= 2 (counts for lengths 0
+    and 1 are 1): ``(multiset, number of partitions)`` pairs, in order of
+    first appearance."""
+    full = (n,)  # multiplicity vector of (1, ..., 1)
+    single = tuple([0] * (n - 1) + [1])  # multiplicity vector of (n)
+    groups: dict[tuple[int, ...], int] = {}
+    for alpha in partitions_mult(n):
+        if alpha.mult == full or alpha.mult == single:
+            continue
+        mults = tuple(sorted(l for l in alpha.mult if l >= 2))
+        groups[mults] = groups.get(mults, 0) + 1
+    return tuple(groups.items())
 
 
 _TABLE = CountTable()

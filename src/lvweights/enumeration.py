@@ -390,43 +390,69 @@ def closed_family(
     """
     if n not in FAMILY_IDS:
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
-    w, depth = _family_weight(n, family_id, tuple(params), ctx.p)
-    actual = distinguished_depth(w, ctx, cap=depth)
+    params = tuple(params)
+    w, depth = _family_weight(n, family_id, params, ctx.p)
+    _check_family_depth(
+        family_id, params, depth, distinguished_depth(w, ctx, cap=depth)
+    )
+    return w
+
+
+def _check_family_depth(family_id, params, depth, actual) -> None:
     if actual != depth:
         raise ValueError(
-            f"family {family_id} params {tuple(params)}: expected depth "
+            f"family {family_id} params {params}: expected depth "
             f"{depth}, iteration gives {actual}"
         )
-    return w
+
+
+def _family_params(n: int, max_k: int):
+    """(family id, params) of every member for n in {2, 3, 4} whose stated
+    depth is <= max_k."""
+    if n == 2:
+        for m in range(max_k + 1):
+            yield "A", (m,)
+    elif n == 3:
+        for m in range(max_k + 1):
+            yield "A", (m,)
+        for m in range(max_k):
+            yield "B", (m,)
+    else:
+        for m in range(max_k + 1):
+            yield "F1", (m,)
+        for m in range(max_k):
+            yield "F2", (m,)
+        for total in range(1, max_k + 1):  # depth m + k + 1 = total
+            for k in range(total):
+                yield "F3", (total - 1 - k, k)
+        for total in range(1, max_k + 1):  # depth m + k = total, m >= 1
+            for m in range(1, total + 1):
+                yield "F4", (m, total - m)
 
 
 def generate_family_set(n: int, ctx: ModularContext, max_k: int) -> list[Weight]:
     """Every family member whose stated depth is <= max_k, deduplicated and
-    sorted descending."""
+    sorted descending.
+
+    Each member is forward-verified as in ``closed_family``, but against one
+    depth memo for the whole call at cap ``max_k``: a stated depth d <= max_k
+    is confirmed at cap max_k exactly when it is at cap d, and every member
+    divides down to smaller members, so each chain is walked once.
+    """
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
-    weights: set[Weight] = set()
-    if n == 2:
-        for m in range(max_k + 1):
-            weights.add(closed_family(2, "A", (m,), ctx))
-    elif n == 3:
-        for m in range(max_k + 1):
-            weights.add(closed_family(3, "A", (m,), ctx))
-        for m in range(max_k):
-            weights.add(closed_family(3, "B", (m,), ctx))
-    elif n == 4:
-        for m in range(max_k + 1):
-            weights.add(closed_family(4, "F1", (m,), ctx))
-        for m in range(max_k):
-            weights.add(closed_family(4, "F2", (m,), ctx))
-        for total in range(1, max_k + 1):  # depth m + k + 1 = total
-            for k in range(total):
-                weights.add(closed_family(4, "F3", (total - 1 - k, k), ctx))
-        for total in range(1, max_k + 1):  # depth m + k = total, m >= 1
-            for m in range(1, total + 1):
-                weights.add(closed_family(4, "F4", (m, total - m), ctx))
-    else:
+    if n not in FAMILY_IDS:
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
+    ctx.check_length(n)
+    memo: dict = {}
+    weights: set[Weight] = set()
+    for family_id, params in _family_params(n, max_k):
+        w, depth = _family_weight(n, family_id, params, ctx.p)
+        _check_family_depth(
+            family_id, params, depth,
+            _bounded_depth(validate_weight(w), max_k, ctx.p, memo),
+        )
+        weights.add(w)
     return sorted(weights, reverse=True)
 
 
@@ -436,11 +462,19 @@ def scatter_records(
     weights, ctx: ModularContext, cap: int
 ) -> list[ScatterRecord]:
     """One record per weight: its leading floor(n/2) coordinates and its
-    minimal depth.  Raises if some weight is not distinguished within cap."""
+    minimal depth.  Raises if some weight is not distinguished within cap.
+
+    All weights share one depth memo (one cap, one p), so a chain that
+    several weights divide down to is walked once.
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    memo: dict = {}
     records = []
     for w in weights:
         w = validate_weight(w)
-        depth = distinguished_depth(w, ctx, cap)
+        ctx.check_length(len(w))
+        depth = _bounded_depth(w, cap, ctx.p, memo)
         if depth is None:
             raise ValueError(
                 f"weight {w} is not distinguished within cap {cap}"

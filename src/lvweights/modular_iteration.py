@@ -48,7 +48,12 @@ STATUS_EXHAUSTED = "exhausted"
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin; exact for anything we will ever see."""
+    """Miller-Rabin on the first 12 prime bases (2 to 37).
+
+    Exact below 318,665,857,834,031,151,167,461 (about 3.19e23): the least
+    composite that passes all 12 bases is that number itself, which this
+    function wrongly accepts.  Above the bound a composite may pass.
+    """
     if p < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -187,38 +192,72 @@ def _bounded_depth(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
     not happen within ``cap`` levels (non-integral division, a stuck nonzero
     singleton, or a longer chain).
 
-    Every sequence is evaluated against the same ``cap``, so memo entries
-    are exact whenever they are <= cap; the provisional None breaks cycles,
-    which can never reach all zeros anyway.
+    Every sequence is evaluated against the same ``cap`` and ``p``, so memo
+    entries are exact whenever they are <= cap.  A sequence on the stack is
+    memoized as a provisional None, which breaks cycles (a cycle never
+    reaches all zeros).  The search keeps its own stack, so a deep chain
+    does not hit the interpreter's recursion limit.
     """
     v = memo.get(seq, _MISS)
     if v is not _MISS:
         return v
-    memo[seq] = None
-    d = _depth_uncached(seq, cap, p, memo)
-    memo[seq] = d
-    return d
-
-
-def _depth_uncached(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
-    if not any(seq):
-        return 0
-    if len(seq) == 1 or cap <= 0:
-        return None
+    # The sequence being expanded, its remaining lv components and its
+    # deepest child so far; expanded ancestors wait on the stack.  Children
+    # are divided and settled in order, and the first one that fails
+    # settles its parent as None.
+    node = parts = None
     worst = 0
-    for part in _lv_mu(seq):
-        child = []
-        for e in part:
-            d, r = divmod(e, p)
-            if r:
-                return None
-            child.append(d)
-        cd = _bounded_depth(tuple(child), cap, p, memo)
-        if cd is None or cd >= cap:
-            return None
-        if cd > worst:
-            worst = cd
-    return worst + 1
+    stack = []
+    while True:
+        if seq is not None:  # open seq: settle it at once or expand it
+            if not any(seq):
+                v = memo[seq] = 0
+            elif len(seq) == 1 or cap <= 0:
+                v = memo[seq] = None
+            else:
+                if node is not None:
+                    stack.append((node, parts, worst))
+                memo[seq] = None
+                node, parts, worst = seq, iter(_lv_mu(seq)), 0
+                v = _MISS
+            seq = None
+            if node is None:
+                return v
+        if v is not _MISS:  # fold in the depth of the child just settled
+            if v is None or v >= cap:
+                v = None
+            else:
+                if v > worst:
+                    worst = v
+                v = _MISS
+        if v is _MISS:
+            for part in parts:
+                child = []
+                for e in part:
+                    d, r = divmod(e, p)
+                    if r:
+                        break
+                    child.append(d)
+                else:
+                    child = tuple(child)
+                    cd = memo.get(child, _MISS)
+                    if cd is _MISS:
+                        seq = child
+                        break
+                    if cd is not None and cd < cap:
+                        if cd > worst:
+                            worst = cd
+                        continue
+                v = None
+                break
+            else:
+                v = worst + 1
+            if seq is not None:
+                continue  # open the unsettled child first
+        memo[node] = v
+        if not stack:
+            return v
+        node, parts, worst = stack.pop()
 
 
 def distinguished_depth(w, ctx: ModularContext, cap: int) -> int | None:

@@ -73,11 +73,21 @@ class TestCheckCommand:
         assert code == 0
         assert out == "3\n"
 
+    def test_deep_chain(self, capout):
+        # The depth search keeps its own stack, so depth 600 is answered.
+        w = rho_family(2, 600, ModularContext(13))
+        code, out, _ = capout(
+            "check", "--weight", f"{w[0]},{w[1]}", "--prime", "13",
+            "--cap", "600",
+        )
+        assert (code, out) == (0, "600\n")
+
     def test_too_deep_exits_2(self, capout):
-        # Depth 600 recurses past the interpreter's limit.
+        # ``check`` answers depth 600 (above), but the trace ``iterate``
+        # builds for the same weight recurses past the interpreter's limit.
         w = rho_family(2, 600, ModularContext(13))
         code, out, err = capout(
-            "check", "--weight", f"{w[0]},{w[1]}", "--prime", "13",
+            "iterate", "--weight", f"{w[0]},{w[1]}", "--prime", "13",
             "--cap", "600",
         )
         assert (code, out) == (2, "")

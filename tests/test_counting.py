@@ -43,6 +43,26 @@ class TestPartitionsMult:
             partitions_mult(-1)
 
 
+def per_partition_counts(max_n, max_k):
+    """Differential oracle: the count recursion summed partition by
+    partition, as a table ``c[n][k]`` for n <= max_n and k <= max_k."""
+    c = [[1] * (max_k + 1), [1] * (max_k + 1)]
+    for n in range(2, max_n + 1):
+        row = [1 + k for k in range(max_k + 1)]
+        for alpha in partitions_mult(n):
+            if alpha.parts in ((n,), (1,) * n):
+                continue
+            msum = 0
+            for k in range(1, max_k + 1):
+                prod = 1  # prod_i count(l_i, k - 1)
+                for l in alpha.mult:
+                    prod *= c[l][k - 1]
+                msum += prod
+                row[k] += msum
+        c.append(row)
+    return c
+
+
 class TestCountDistinguished:
     def test_spot_values(self):
         assert count_distinguished(4, 2) == 11
@@ -71,6 +91,13 @@ class TestCountDistinguished:
         for n in range(2, 9):
             vals = [count_distinguished(n, k) for k in range(15)]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_grouped_sum_matches_per_partition_sum(self):
+        expected = per_partition_counts(14, 25)
+        table = CountTable()
+        for n in range(15):
+            for k in range(26):
+                assert table.count(n, k) == expected[n][k], (n, k)
 
     def test_fresh_table_matches_shared(self):
         table = CountTable()

@@ -17,6 +17,7 @@ from lvweights import (
     generate_family_set,
     lv_p,
     reverse_negate,
+    rho_family,
     scatter_records,
     write_scatter_csv,
     write_scatter_svg,
@@ -239,6 +240,69 @@ class TestGenerateFamilySet:
     def test_members_antisymmetric(self):
         for w in generate_family_set(4, ModularContext(5), 8):
             assert reverse_negate(w) == w
+
+
+class TestSharedDepthMemo:
+    """One depth memo per call must give what a fresh check per member or
+    per weight gives."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_family_set_matches_closed_family(self, n, p):
+        ctx = ModularContext(p)
+        members = {}  # every member with parameters <= 6, by stated family
+        for family_id in enumeration.FAMILY_IDS[n]:
+            arity = enumeration._FAMILY_ARITY[family_id]
+            low = 1 if family_id == "F4" else 0  # F4 requires m >= 1
+            for params in itertools.product(range(7), repeat=arity):
+                if params[0] >= low:
+                    members[family_id, params] = closed_family(
+                        n, family_id, params, ctx
+                    )
+        for max_k in range(7):
+            expected = {
+                w for w in members.values()
+                if distinguished_depth(w, ctx, max_k) is not None
+            }
+            assert generate_family_set(n, ctx, max_k) == sorted(
+                expected, reverse=True
+            ), (n, p, max_k)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scatter_depths_do_not_depend_on_order(self, n, p):
+        ctx = ModularContext(p)
+        weights = generate_family_set(n, ctx, 6)
+        # A fresh memo per weight.
+        expected = {w: distinguished_depth(w, ctx, 6) for w in weights}
+        shuffled = list(weights)
+        random.Random(n * p).shuffle(shuffled)
+        for order in (sorted(weights), sorted(weights, reverse=True), shuffled):
+            records = scatter_records(order, ctx, cap=6)
+            assert records == [
+                ScatterRecord(w[: n // 2], expected[w]) for w in order
+            ]
+
+    @pytest.mark.parametrize(
+        "bad", [(2, 1, -1, -2), rho_family(4, 7, ModularContext(5))]
+    )
+    def test_scatter_still_rejects_a_non_distinguished_weight(self, bad):
+        # Neither a weight that never reaches zeros nor one deeper than the
+        # cap passes, wherever it sits in the list.
+        ctx = ModularContext(5)
+        weights = generate_family_set(4, ctx, 6)
+        assert distinguished_depth(bad, ctx, 6) is None
+        for at in (0, len(weights) // 2, len(weights)):
+            with pytest.raises(ValueError, match="not distinguished"):
+                scatter_records(weights[:at] + [bad] + weights[at:], ctx, cap=6)
+
+    def test_scatter_rejects_negative_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            scatter_records([(0, 0)], ModularContext(5), cap=-1)
+
+    def test_scatter_checks_the_prime_against_the_length(self):
+        with pytest.raises(ValueError, match="exceed"):
+            scatter_records([(0, 0, 0, 0, 0)], ModularContext(5), cap=3)
 
 
 class TestScatter:

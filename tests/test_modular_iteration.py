@@ -17,6 +17,7 @@ from lvweights import (
     trace_to_json,
 )
 from lvweights.modular_iteration import (
+    _is_prime,
     STATUS_EXHAUSTED,
     STATUS_EXPANDED,
     STATUS_NONINTEGRAL,
@@ -43,6 +44,19 @@ class TestModularContext:
     def test_length_guard(self):
         with pytest.raises(ValueError, match="exceed"):
             lv_p((1, 0, -1), ModularContext(3))
+
+    def test_rejects_strong_pseudoprime_to_bases_up_to_31(self):
+        # 149491 * 747451 * 34233211 is a strong probable prime to every
+        # prime base from 2 to 31; only base 37 exposes it.
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert not _is_prime(3825123056546413051)
+        with pytest.raises(ValueError, match="prime"):
+            ModularContext(3825123056546413051)
+
+    def test_documented_limit(self):
+        # The docstring's bound: the least composite all 12 bases accept.
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert _is_prime(318665857834031151167461)
 
 
 class TestLvP:
