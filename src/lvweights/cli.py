@@ -1,11 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain error (invalid weight,
-p <= n, precondition or I/O failures, an ``iterate`` trace too deep for the
-interpreter's recursion limit).  Data goes to stdout, diagnostics to
-stderr.  Output is byte-identical for identical inputs and flags; only the
-``enumerate`` subcommand is parallel (``--jobs``), and its output does not
-depend on the job count.
+p <= n, precondition or I/O failures, or a RecursionError from any call).
+Data goes to stdout, diagnostics to stderr.  Output is byte-identical for
+identical inputs and flags; only the ``enumerate`` subcommand is parallel
+(``--jobs``), and its output does not depend on the job count.
 """
 
 from __future__ import annotations
@@ -16,10 +15,11 @@ import sys
 from .core import format_weight, omega_to_json, parse_weight
 from .counting import count_distinguished, leading_coefficient
 from .enumeration import (
+    ScatterRecord,
     SearchBox,
+    _family_depths,
     default_bound,
     enumerate_distinguished,
-    generate_family_set,
     scatter_records,
     write_scatter_csv,
     write_scatter_svg,
@@ -109,13 +109,14 @@ def _weight_arg(args):
     return parse_weight(args.weight, sort=args.sort)
 
 
-def _emit_weights(weights, args, ctx, cap) -> None:
+def _emit_weights(weights, args, p, make_records) -> None:
+    """Print ``weights``, or with --csv/--svg write ``make_records()``."""
     if args.csv or args.svg:
-        records = scatter_records(weights, ctx, cap)
+        records = make_records()
         if args.csv:
             write_scatter_csv(records, args.csv, ncoords=args.n // 2)
         if args.svg:
-            write_scatter_svg(records, args.svg, ctx.p)
+            write_scatter_svg(records, args.svg, p)
     else:
         for w in weights:
             print(format_weight(w))
@@ -145,7 +146,8 @@ def run(argv) -> int:
                 bound = default_bound(args.n, args.k, args.prime)
             box = SearchBox(args.n, args.k, bound, args.prime)
             weights = enumerate_distinguished(box, jobs=args.jobs)
-            _emit_weights(weights, args, ctx, args.k)
+            _emit_weights(weights, args, ctx.p,
+                          lambda: scatter_records(weights, ctx, args.k))
         elif args.command == "count":
             print(count_distinguished(args.n, args.k))
         elif args.command == "coeff":
@@ -153,8 +155,13 @@ def run(argv) -> int:
             print(f"{c.numerator}/{c.denominator}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)
-            weights = generate_family_set(args.n, ctx, args.max_k)
-            _emit_weights(weights, args, ctx, args.max_k)
+            # Each depth is already checked equal to the iterated depth at
+            # cap max_k, which is what scatter_records would compute.
+            depths = _family_depths(args.n, ctx, args.max_k)
+            weights = sorted(depths, reverse=True)
+            _emit_weights(weights, args, ctx.p, lambda: [
+                ScatterRecord(w[: args.n // 2], depths[w]) for w in weights
+            ])
         elif args.command == "verify":
             failed = False
             checks = [

@@ -8,12 +8,15 @@ satisfies
 
 where (l_1, ..., l_a) are the part multiplicities of alpha and
 count(0, k) = count(1, k) = 1.  The product depends only on the multiset of
-multiplicities >= 2, so the partitions of n are grouped by that multiset
-once per n, and the sum runs over the groups, each term weighted by its
-number of partitions.  Growth is Theta(k^floor(n/2)) with leading
-coefficient a_{floor((n+1)/2)} / floor(n/2)!, where a_i are the telephone
-numbers.  Everything is exact: unbounded ints and reduced fractions, no
-floating point.
+multiplicities >= 2, so the sum runs over groups of partitions with one
+multiset, each term weighted by its number of partitions.  The groups of
+every length up to n come from one pass over part sizes and their
+multiplicities, and a ``CountTable`` fills count(l, m) length by length,
+so each product reads shorter rows already filled.  Growth is
+Theta(k^floor(n/2)) with leading coefficient a_{floor((n+1)/2)} /
+floor(n/2)!, where a_i are the telephone numbers; its recursion runs on
+integers and only the result is a fraction.  Everything is exact:
+unbounded ints and reduced fractions, no floating point.
 """
 
 from __future__ import annotations
@@ -55,59 +58,82 @@ def partitions_mult(n: int) -> tuple[PartitionMult, ...]:
 class CountTable:
     """Memoized evaluation of the count recursion.
 
-    Holds one dict per quantity; not safe for concurrent mutation, so either
-    confine a table to one thread or give each thread its own (results are
-    identical either way, the functions are deterministic).
+    Holds ``rows[l][m] = count(l, m)`` for every length 2 <= l <= n asked
+    so far.  A query (n, k) extends rows 2, ..., n in increasing order to
+    length k + 1, level by level: every multiplicity of a counted partition
+    of l is below l, so each factor of a product term is a row already
+    filled, read as a plain list entry.  Successive differences give the
+    rows one level at a time, count(l, m + 1) - count(l, m) = 1 +
+    sum over groups of size * prod_i count(l_i, m).
+
+    Not safe for concurrent mutation, so either confine a table to one
+    thread or give each thread its own (results are identical either way,
+    the functions are deterministic).
     """
 
     def __init__(self):
-        self._counts: dict[tuple[int, int], int] = {}
-        # Per sorted multiplicity multiset (entries >= 2), prefix sums of
-        # prod_i count(l_i, m).
-        self._msums: dict[tuple[int, ...], list[int]] = {}
+        self._rows: list[list[int]] = [[], []]  # lengths 0 and 1: never read
 
     def count(self, n: int, k: int) -> int:
         if n < 0 or k < 0:
             raise ValueError("n and k must be >= 0")
         if n <= 1:
             return 1
-        key = (n, k)
-        hit = self._counts.get(key)
-        if hit is not None:
-            return hit
-        total = 1 + k
-        for mults, size in _multiplicity_groups(n):
-            total += size * self._msum(mults, k)
-        self._counts[key] = total
-        return total
-
-    def _msum(self, mults: tuple[int, ...], k: int) -> int:
-        """sum_{m=0}^{k-1} prod_i count(l_i, m), built incrementally."""
-        sums = self._msums.setdefault(mults, [0])
-        while len(sums) <= k:
-            m = len(sums) - 1
-            prod = 1
-            for l in mults:
-                prod *= self.count(l, m)
-            sums.append(sums[-1] + prod)
-        return sums[k]
+        rows = self._rows
+        while len(rows) <= n:
+            rows.append([1])  # count(l, 0) = 1
+        if len(rows[n]) > k:
+            return rows[n][k]
+        groups = _multiplicity_groups(n)
+        for l in range(2, n + 1):
+            row = rows[l]
+            if len(row) > k:
+                continue
+            # Each group as its size and the rows of its multiplicities.
+            terms = [(size, [rows[m] for m in mults])
+                     for mults, size in groups[l]]
+            for m in range(len(row) - 1, k):
+                step = 1
+                for size, factors in terms:
+                    for factor in factors:
+                        size *= factor[m]
+                    step += size
+                row.append(row[-1] + step)
+        return rows[n][k]
 
 
 @cache
-def _multiplicity_groups(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The partitions of n other than (n) and (1, ..., 1), grouped by the
-    sorted multiset of their part multiplicities >= 2 (counts for lengths 0
-    and 1 are 1): ``(multiset, number of partitions)`` pairs, in order of
-    first appearance."""
-    full = (n,)  # multiplicity vector of (1, ..., 1)
-    single = tuple([0] * (n - 1) + [1])  # multiplicity vector of (n)
-    groups: dict[tuple[int, ...], int] = {}
-    for alpha in partitions_mult(n):
-        if alpha.mult == full or alpha.mult == single:
-            continue
-        mults = tuple(sorted(l for l in alpha.mult if l >= 2))
-        groups[mults] = groups.get(mults, 0) + 1
-    return tuple(groups.items())
+def _multiplicity_groups(
+    n: int,
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """For each length l = 0, ..., n, the partitions of l other than (l) and
+    (1, ..., 1), grouped by the sorted multiset of their part multiplicities
+    >= 2 (counts for lengths 0 and 1 are 1): ``(multiset, number of
+    partitions)`` pairs, none for l < 2.
+
+    Walks part sizes 1, ..., n and the multiplicity of each, adding one
+    size at a time to the groups of every length at once, so no partition
+    is built on its own.  (l) falls in group () and (1, ..., 1) in group
+    (l,), and both are then taken out.
+    """
+    # groups[l] maps multiset -> partitions of l with the sizes added so far.
+    groups: list[dict[tuple[int, ...], int]] = [{(): 1}]
+    groups += [{} for _ in range(n)]
+    for size in range(1, n + 1):
+        for l in range(n, size - 1, -1):  # descending: read sizes < size only
+            into = groups[l]
+            for mult in range(1, l // size + 1):
+                for mults, num in groups[l - size * mult].items():
+                    if mult >= 2:
+                        mults = tuple(sorted((*mults, mult)))
+                    into[mults] = into.get(mults, 0) + num
+    out = [(), ()]
+    for l in range(2, n + 1):
+        groups[l][()] -= 1  # (l)
+        groups[l][(l,)] -= 1  # (1, ..., 1)
+        out.append(tuple((mults, num)
+                         for mults, num in groups[l].items() if num))
+    return tuple(out)
 
 
 _TABLE = CountTable()
@@ -133,23 +159,29 @@ def leading_coefficient(n: int) -> Rational:
     """Leading coefficient of the k^floor(n/2) growth law, as an exact
     reduced fraction.
 
-    Computed twice -- by the even/odd recursion from the base values
-    (1, 1, 1, 2, 1) and by the closed form a_{floor((n+1)/2)} / floor(n/2)!
-    -- and cross-checked; a mismatch would mean a regression and raises.
+    Computed twice -- by the even/odd recursion and by the closed form
+    a_{floor((n+1)/2)} / floor(n/2)! -- and cross-checked; a mismatch would
+    mean a regression and raises.  The recursion for the coefficients b_j
+    (base values 1, 1, 1, 2, 1; b_j = 2(b_{j-2} + b_{j-4}) / j for even j,
+    2(b_{j-2} + b_{j-3} + b_{j-4}) / (j - 1) for odd j) runs on the integers
+    B_j = b_j * floor(j/2)!, where it divides nothing: B = 1, 1, 1, 2, 2,
+    then B_j = B_{j-2} + (t-1) B_{j-4} for j = 2t and B_j = B_{j-2} +
+    B_{j-3} + (t-1) B_{j-4} for j = 2t + 1.  Only the result is reduced.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    b = [Fraction(1), Fraction(1), Fraction(1), Fraction(2), Fraction(1)]
+    b = [1, 1, 1, 2, 2]
     for j in range(5, n + 1):
+        t = j // 2
         if j % 2 == 0:
-            b.append(2 * (b[j - 2] + b[j - 4]) / j)
+            b.append(b[j - 2] + (t - 1) * b[j - 4])
         else:
-            b.append(2 * (b[j - 2] + b[j - 3] + b[j - 4]) / (j - 1))
-    recursive = b[n]
-    closed = Fraction(telephone((n + 1) // 2), factorial(n // 2))
-    if recursive != closed:
+            b.append(b[j - 2] + b[j - 3] + (t - 1) * b[j - 4])
+    closed = telephone((n + 1) // 2)
+    if b[n] != closed:
         raise RuntimeError(
             f"leading coefficient mismatch at n={n}: "
-            f"recursion {recursive} vs closed form {closed}"
+            f"recursion {b[n]} vs closed form {closed} "
+            f"(both over {n // 2}!)"
         )
-    return closed
+    return Fraction(b[n], factorial(n // 2))

@@ -430,14 +430,18 @@ def _family_params(n: int, max_k: int):
                 yield "F4", (m, total - m)
 
 
-def generate_family_set(n: int, ctx: ModularContext, max_k: int) -> list[Weight]:
-    """Every family member whose stated depth is <= max_k, deduplicated and
-    sorted descending.
+def _family_depths(
+    n: int, ctx: ModularContext, max_k: int
+) -> dict[Weight, int]:
+    """Every family member whose stated depth is <= max_k, mapped to that
+    depth once iteration has confirmed it.
 
     Each member is forward-verified as in ``closed_family``, but against one
     depth memo for the whole call at cap ``max_k``: a stated depth d <= max_k
     is confirmed at cap max_k exactly when it is at cap d, and every member
-    divides down to smaller members, so each chain is walked once.
+    divides down to smaller members, so each chain is walked once.  The
+    confirmed depth is therefore the one ``scatter_records`` gives at cap
+    ``max_k``.
     """
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
@@ -445,15 +449,21 @@ def generate_family_set(n: int, ctx: ModularContext, max_k: int) -> list[Weight]
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
     ctx.check_length(n)
     memo: dict = {}
-    weights: set[Weight] = set()
+    depths: dict[Weight, int] = {}
     for family_id, params in _family_params(n, max_k):
         w, depth = _family_weight(n, family_id, params, ctx.p)
         _check_family_depth(
             family_id, params, depth,
             _bounded_depth(validate_weight(w), max_k, ctx.p, memo),
         )
-        weights.add(w)
-    return sorted(weights, reverse=True)
+        depths[w] = depth
+    return depths
+
+
+def generate_family_set(n: int, ctx: ModularContext, max_k: int) -> list[Weight]:
+    """Every family member whose stated depth is <= max_k, deduplicated,
+    forward-verified and sorted descending."""
+    return sorted(_family_depths(n, ctx, max_k), reverse=True)
 
 
 # Scatter export ---------------------------------------------------------------

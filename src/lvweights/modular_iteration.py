@@ -17,6 +17,7 @@ over weights freely.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import OmegaElement, PartitionMult, Weight, validate_weight
@@ -165,23 +166,46 @@ def iterate(w, ctx: ModularContext, cap: int) -> IterationTrace:
         raise ValueError(f"cap must be >= 0, got {cap}")
     w = validate_weight(w)
     ctx.check_length(len(w))
-    return _build(w, 0, cap, ctx.p)
+    return _build(w, cap, ctx.p)
 
 
-def _build(seq: Weight, depth: int, budget: int, p: int) -> IterationTrace:
-    if not any(seq):
-        return IterationTrace(seq, STATUS_ZEROS, depth)
-    if len(seq) == 1:
-        return IterationTrace(seq, STATUS_TERMINAL_SHORT, depth)
-    if budget == 0:
-        return IterationTrace(seq, STATUS_EXHAUSTED, depth)
-    divided = _divided(_lv_mu(seq), p)
-    if divided is None:
-        return IterationTrace(seq, STATUS_NONINTEGRAL, depth)
-    children = tuple(
-        _build(child, depth + 1, budget - 1, p) for child in divided
-    )
-    return IterationTrace(seq, STATUS_EXPANDED, depth, children)
+def _build(seq: Weight, cap: int, p: int) -> IterationTrace:
+    """The trace of ``seq`` down to ``cap`` levels, built on an explicit
+    stack so a deep chain does not hit the interpreter's recursion limit."""
+    # Expanded nodes whose children are not all built yet: (seq, depth,
+    # the children still to build, the children built so far).
+    stack: list[tuple[Weight, int, Iterator[Weight], list]] = []
+    depth = 0
+    while True:
+        node = None
+        if not any(seq):
+            node = IterationTrace(seq, STATUS_ZEROS, depth)
+        elif len(seq) == 1:
+            node = IterationTrace(seq, STATUS_TERMINAL_SHORT, depth)
+        elif depth == cap:
+            node = IterationTrace(seq, STATUS_EXHAUSTED, depth)
+        else:
+            divided = _divided(_lv_mu(seq), p)
+            if divided is None:
+                node = IterationTrace(seq, STATUS_NONINTEGRAL, depth)
+            else:
+                stack.append((seq, depth, iter(divided), []))
+        # Hand the finished node to its parent, closing every parent whose
+        # last child it was, until some parent has a child left to build.
+        while True:
+            if node is not None:
+                if not stack:
+                    return node
+                stack[-1][3].append(node)
+            parent, pdepth, rest, built = stack[-1]
+            seq = next(rest, None)
+            if seq is not None:
+                depth = pdepth + 1
+                break
+            stack.pop()
+            node = IterationTrace(
+                parent, STATUS_EXPANDED, pdepth, tuple(built)
+            )
 
 
 _MISS = object()
@@ -324,17 +348,33 @@ def rho_family(n: int, m: int, ctx: ModularContext) -> Weight:
 
 # JSON trace form ------------------------------------------------------------
 
-def _trace_dict(t: IterationTrace) -> dict:
-    d: dict = {"seq": list(t.seq), "status": t.status}
-    if t.status == STATUS_EXPANDED:
-        d["children"] = [_trace_dict(c) for c in t.children]
-    return d
-
-
 def trace_to_json(t: IterationTrace) -> str:
     """Compact JSON: {"seq":[...],"status":"...","children":[...]};
-    children present only on expanded nodes."""
-    return json.dumps(_trace_dict(t), separators=(",", ":"))
+    children present only on expanded nodes.
+
+    Written on an explicit stack, because ``json.dumps`` recurses once per
+    level and fails on a deep trace; the bytes are those of ``json.dumps``
+    with separators (",", ":") on the nested dicts.
+    """
+    out: list[str] = []
+    todo: list = [t]  # nodes to write and literal text, next item last
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        seq = json.dumps(list(item.seq), separators=(",", ":"))
+        out.append(f'{{"seq":{seq},"status":{json.dumps(item.status)}')
+        if item.status != STATUS_EXPANDED:
+            out.append("}")
+            continue
+        out.append(',"children":[')
+        todo.append("]}")
+        for i in range(len(item.children) - 1, -1, -1):
+            todo.append(item.children[i])
+            if i:
+                todo.append(",")
+    return "".join(out)
 
 
 def _trace_from_dict(d: dict, depth: int) -> IterationTrace:
@@ -345,4 +385,7 @@ def _trace_from_dict(d: dict, depth: int) -> IterationTrace:
 
 
 def trace_from_json(text: str) -> IterationTrace:
+    """Inverse of ``trace_to_json``.  Reads with ``json.loads``, which
+    recurses once per level, so a trace nested deeper than the
+    interpreter's recursion limit raises ``RecursionError``."""
     return _trace_from_dict(json.loads(text), 0)

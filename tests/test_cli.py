@@ -2,8 +2,16 @@ import json
 
 import pytest
 
+import lvweights.cli as cli
 import lvweights.enumeration as enumeration
-from lvweights import ModularContext, rho_family
+from lvweights import (
+    ModularContext,
+    generate_family_set,
+    rho_family,
+    scatter_records,
+    write_scatter_csv,
+    write_scatter_svg,
+)
 from lvweights.cli import run
 
 
@@ -57,6 +65,18 @@ class TestIterateCommand:
         assert code == 2
         assert "exceed" in err
 
+    def test_deep_chain(self, capout):
+        # The trace is built and written on explicit stacks.  json.loads
+        # cannot read a trace this deep, so count its expanded nodes.
+        w = rho_family(2, 600, ModularContext(13))
+        code, out, _ = capout(
+            "iterate", "--weight", f"{w[0]},{w[1]}", "--prime", "13",
+            "--cap", "600",
+        )
+        assert code == 0
+        assert out.count('"status":"expanded"') == 600
+        assert out.count('"status":"zeros"') == 1
+
 
 class TestCheckCommand:
     def test_not_distinguished(self, capout):
@@ -82,13 +102,15 @@ class TestCheckCommand:
         )
         assert (code, out) == (0, "600\n")
 
-    def test_too_deep_exits_2(self, capout):
-        # ``check`` answers depth 600 (above), but the trace ``iterate``
-        # builds for the same weight recurses past the interpreter's limit.
-        w = rho_family(2, 600, ModularContext(13))
+    def test_too_deep_exits_2(self, capout, monkeypatch):
+        # No known CLI path recurses per level any more; the guard still
+        # turns a RecursionError from any call into exit 2.
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "iterate", too_deep)
         code, out, err = capout(
-            "iterate", "--weight", f"{w[0]},{w[1]}", "--prime", "13",
-            "--cap", "600",
+            "iterate", "--weight", "1,-1", "--prime", "13",
         )
         assert (code, out) == (2, "")
         assert "too deep" in err
@@ -198,6 +220,27 @@ class TestFamiliesCommand:
         )
         assert code == 0
         assert csv.read_text() == "x1,depth\n6,2\n1,1\n0,0\n"
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_files_match_scatter_records(self, capout, tmp_path, n, p):
+        # The CLI writes its records from the verified family depths; the
+        # public path recomputes every depth with scatter_records.
+        ctx = ModularContext(p)
+        for max_k in range(7):
+            csv, svg = tmp_path / "fam.csv", tmp_path / "fam.svg"
+            code, out, _ = capout(
+                "families", "--n", str(n), "--prime", str(p),
+                "--max-k", str(max_k), "--csv", str(csv), "--svg", str(svg),
+            )
+            assert (code, out) == (0, "")
+            records = scatter_records(
+                generate_family_set(n, ctx, max_k), ctx, max_k
+            )
+            write_scatter_csv(records, tmp_path / "ref.csv", ncoords=n // 2)
+            write_scatter_svg(records, tmp_path / "ref.svg", p)
+            assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 class TestVerifyCommand:

@@ -9,6 +9,7 @@ from lvweights import (
     partitions_mult,
     telephone,
 )
+from lvweights.counting import _multiplicity_groups
 
 # Closed polynomials for n = 1..6 that the recursion must reproduce.
 POLYNOMIALS = {
@@ -63,6 +64,49 @@ def per_partition_counts(max_n, max_k):
     return c
 
 
+def grouped_partitions(n):
+    """Differential oracle for ``_multiplicity_groups(n)[n]``: the
+    partitions of n other than (n) and (1, ..., 1), counted by the sorted
+    multiset of their multiplicities >= 2."""
+    groups = {}
+    for alpha in partitions_mult(n):
+        if alpha.parts in ((n,), (1,) * n):
+            continue
+        mults = tuple(sorted(l for l in alpha.mult if l >= 2))
+        groups[mults] = groups.get(mults, 0) + 1
+    return groups
+
+
+def fraction_coefficients(n):
+    """Differential oracle for ``leading_coefficient``: the even/odd
+    recursion on reduced fractions, from the base values 1, 1, 1, 2, 1,
+    as the list of its values for 0, ..., n."""
+    b = [Fraction(1), Fraction(1), Fraction(1), Fraction(2), Fraction(1)]
+    for j in range(5, n + 1):
+        if j % 2 == 0:
+            b.append(2 * (b[j - 2] + b[j - 4]) / j)
+        else:
+            b.append(2 * (b[j - 2] + b[j - 3] + b[j - 4]) / (j - 1))
+    return b[: n + 1]
+
+
+class TestMultiplicityGroups:
+    def test_matches_grouped_partitions(self):
+        groups = _multiplicity_groups(22)
+        assert groups[:2] == ((), ())
+        for n in range(2, 23):
+            assert dict(groups[n]) == grouped_partitions(n), n
+            assert dict(_multiplicity_groups(n)[n]) == grouped_partitions(n)
+
+    def test_multiplicities_below_length(self):
+        # The count table reads each factor from a row already filled.
+        for n, groups in enumerate(_multiplicity_groups(30)):
+            for mults, size in groups:
+                assert size > 0
+                assert mults == tuple(sorted(mults))
+                assert all(2 <= l < n for l in mults), (n, mults)
+
+
 class TestCountDistinguished:
     def test_spot_values(self):
         assert count_distinguished(4, 2) == 11
@@ -98,6 +142,18 @@ class TestCountDistinguished:
         for n in range(15):
             for k in range(26):
                 assert table.count(n, k) == expected[n][k], (n, k)
+
+    def test_query_order_does_not_matter(self):
+        # Rows 2..10 grow past rows 11..24, then all rows grow again.
+        shared = CountTable()
+        for n, k in [(24, 5), (10, 40), (24, 100)]:
+            assert shared.count(n, k) == CountTable().count(n, k), (n, k)
+        # Every smaller query is answered from the filled rows.
+        fresh = CountTable()
+        for n in range(25):
+            assert shared.count(n, 37) == fresh.count(n, 37), n
+        for n, k in [(24, 5), (10, 40)]:
+            assert shared.count(n, k) == per_partition_counts(n, k)[n][k]
 
     def test_fresh_table_matches_shared(self):
         table = CountTable()
@@ -149,6 +205,10 @@ class TestLeadingCoefficient:
     def test_odd_case(self):
         # a_4 / 3! = 10/6, cross-checked against the odd recursion inside.
         assert leading_coefficient(7) == Fraction(5, 3)
+
+    def test_matches_fraction_recursion(self):
+        for n, expected in enumerate(fraction_coefficients(400)):
+            assert leading_coefficient(n) == expected, n
 
     def test_both_paths_agree_up_to_60(self):
         # leading_coefficient raises internally on any mismatch.

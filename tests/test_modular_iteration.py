@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from lvweights import (
     SearchBox,
     distinguished_depth,
     enumerate_distinguished,
+    generate_family_set,
     iterate,
     lv_p,
     refinement_chain,
@@ -16,7 +19,10 @@ from lvweights import (
     trace_from_json,
     trace_to_json,
 )
+from lvweights.lv_algorithm import _lv_mu
 from lvweights.modular_iteration import (
+    IterationTrace,
+    _divided,
     _is_prime,
     STATUS_EXHAUSTED,
     STATUS_EXPANDED,
@@ -26,6 +32,48 @@ from lvweights.modular_iteration import (
 )
 
 GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
+
+
+def recursive_build(seq, depth, budget, p):
+    """Reference trace builder: one recursive call per level."""
+    if not any(seq):
+        return IterationTrace(seq, STATUS_ZEROS, depth)
+    if len(seq) == 1:
+        return IterationTrace(seq, STATUS_TERMINAL_SHORT, depth)
+    if budget == 0:
+        return IterationTrace(seq, STATUS_EXHAUSTED, depth)
+    divided = _divided(_lv_mu(seq), p)
+    if divided is None:
+        return IterationTrace(seq, STATUS_NONINTEGRAL, depth)
+    children = tuple(
+        recursive_build(child, depth + 1, budget - 1, p) for child in divided
+    )
+    return IterationTrace(seq, STATUS_EXPANDED, depth, children)
+
+
+def trace_dict(t):
+    """Reference JSON form: nested dicts for ``json.dumps``."""
+    d = {"seq": list(t.seq), "status": t.status}
+    if t.status == STATUS_EXPANDED:
+        d["children"] = [trace_dict(c) for c in t.children]
+    return d
+
+
+def branchy_cases():
+    """(weight, p, cap) with multi-branch, deep, exhausted and non-integral
+    traces: family members at and below their depth, and rho_family chains
+    up to depth 50."""
+    cases = []
+    for n in (2, 3, 4):
+        for p in (5, 7):
+            for w in generate_family_set(n, ModularContext(p), 6):
+                cases += [(w, p, 6), (w, p, 2)]
+    for n in (2, 3, 5, 6):
+        for m in (0, 1, 7, 50):
+            w = rho_family(n, m, ModularContext(13))
+            cases += [(w, 13, m), (w, 13, max(m - 1, 0))]
+    cases += [(w, 7, 4) for w in [(7, -7), (8, 1, -9), (14, 7, 0, -21)]]
+    return cases
 
 weights = st.lists(st.integers(-30, 30), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -113,6 +161,28 @@ class TestIterate:
     def test_rejects_negative_cap(self):
         with pytest.raises(ValueError):
             iterate((0,), ModularContext(5), cap=-1)
+
+    def test_matches_recursive_build(self):
+        for w, p, cap in branchy_cases():
+            assert iterate(w, ModularContext(p), cap) == recursive_build(
+                w, 0, cap, p
+            ), (w, p, cap)
+
+    @given(weights, st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_random_matches_recursive_build(self, w, cap):
+        assert iterate(w, ModularContext(7), cap) == recursive_build(
+            w, 0, cap, 7
+        )
+
+    def test_deep_chain(self):
+        ctx = ModularContext(13)
+        node = iterate(rho_family(2, 600, ctx), ctx, cap=600)
+        for depth in range(600):
+            assert (node.status, node.depth) == (STATUS_EXPANDED, depth)
+            (node,) = node.children
+        assert (node.seq, node.status) == ((0, 0), STATUS_ZEROS)
+        assert node.depth == 600
 
     @given(weights, st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
@@ -348,3 +418,18 @@ class TestTraceJson:
     def test_children_omitted_on_leaves(self):
         t = iterate((0, 0), ModularContext(5), cap=2)
         assert trace_to_json(t) == '{"seq":[0,0],"status":"zeros"}'
+
+    def test_matches_json_dumps(self):
+        for w, p, cap in branchy_cases():
+            t = iterate(w, ModularContext(p), cap)
+            assert trace_to_json(t) == json.dumps(
+                trace_dict(t), separators=(",", ":")
+            ), (w, p, cap)
+
+    @given(weights, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_random_matches_json_dumps(self, w, cap):
+        t = iterate(w, ModularContext(7), cap)
+        assert trace_to_json(t) == json.dumps(
+            trace_dict(t), separators=(",", ":")
+        )
