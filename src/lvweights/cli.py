@@ -17,10 +17,9 @@ from .counting import count_distinguished, leading_coefficient
 from .enumeration import (
     ScatterRecord,
     SearchBox,
+    _enumerate_depths,
     _family_depths,
     default_bound,
-    enumerate_distinguished,
-    scatter_records,
     write_scatter_csv,
     write_scatter_svg,
 )
@@ -109,10 +108,14 @@ def _weight_arg(args):
     return parse_weight(args.weight, sort=args.sort)
 
 
-def _emit_weights(weights, args, p, make_records) -> None:
-    """Print ``weights``, or with --csv/--svg write ``make_records()``."""
+def _emit_weights(depths, args, p) -> None:
+    """Print the weights of ``{weight: depth}`` sorted descending, or with
+    --csv/--svg write their scatter records.  Each depth was found by the
+    search at the command's cap, so it is the one ``scatter_records``
+    gives."""
+    weights = sorted(depths, reverse=True)
     if args.csv or args.svg:
-        records = make_records()
+        records = [ScatterRecord(w[: args.n // 2], depths[w]) for w in weights]
         if args.csv:
             write_scatter_csv(records, args.csv, ncoords=args.n // 2)
         if args.svg:
@@ -145,9 +148,7 @@ def run(argv) -> int:
             if bound is None:
                 bound = default_bound(args.n, args.k, args.prime)
             box = SearchBox(args.n, args.k, bound, args.prime)
-            weights = enumerate_distinguished(box, jobs=args.jobs)
-            _emit_weights(weights, args, ctx.p,
-                          lambda: scatter_records(weights, ctx, args.k))
+            _emit_weights(_enumerate_depths(box, args.jobs), args, ctx.p)
         elif args.command == "count":
             print(count_distinguished(args.n, args.k))
         elif args.command == "coeff":
@@ -155,13 +156,7 @@ def run(argv) -> int:
             print(f"{c.numerator}/{c.denominator}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)
-            # Each depth is already checked equal to the iterated depth at
-            # cap max_k, which is what scatter_records would compute.
-            depths = _family_depths(args.n, ctx, args.max_k)
-            weights = sorted(depths, reverse=True)
-            _emit_weights(weights, args, ctx.p, lambda: [
-                ScatterRecord(w[: args.n // 2], depths[w]) for w in weights
-            ])
+            _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
             failed = False
             checks = [

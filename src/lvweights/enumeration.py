@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import Weight, validate_weight
-from .lv_algorithm import _lv_mu, apply_E_inverse, phi
+from .lv_algorithm import _correct_columns, _lv_mu, _phi_rows, maximal_clumps
 from .modular_iteration import ModularContext, _bounded_depth, distinguished_depth
 
 __all__ = [
@@ -118,41 +118,21 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
     return coords + mid + tuple(-c for c in reversed(coords))
 
 
-def _root_distinguished(w: Weight, k: int, p: int, memo: dict) -> bool:
-    """Depth-within-k test for a candidate, without memoizing the candidate
-    itself (roots never repeat; their post-division children do)."""
+def _root_depth(w: Weight, k: int, p: int, memo: dict) -> int | None:
+    """Distinguished depth of a candidate within k, or None, without
+    memoizing the candidate itself (roots never repeat; their post-division
+    children do)."""
     if not any(w):
-        return True
-    if k == 0 or len(w) == 1:
-        return False
-    n = len(w)
-    prev = w[0]
-    for v in w[1:]:
-        if prev - v < 2:
-            break
-        prev = v
-    else:
-        # Single-column case: subtract the staircase, then divide.
-        top = n - 1
-        child = []
-        for i, v in enumerate(w):
-            d, r = divmod(v - top + 2 * i, p)
-            if r:
-                return False
-            child.append(d)
-        cd = _bounded_depth(tuple(child), k, p, memo)
-        return cd is not None and cd < k
-    for part in _lv_mu(w):
-        child = []
-        for e in part:
-            d, r = divmod(e, p)
-            if r:
-                return False
-            child.append(d)
-        cd = _bounded_depth(tuple(child), k, p, memo)
+        return 0
+    if (mu := _lv_mu(w, 1, p)) is None:
+        return None
+    worst = 0
+    for child in mu:
+        cd = _bounded_depth(child, k, p, memo)
         if cd is None or cd >= k:
-            return False
-    return True
+            return None
+        worst = max(worst, cd)
+    return worst + 1
 
 
 def _cell_minima(n: int, bound: int):
@@ -195,30 +175,28 @@ def _compile_cell(least: tuple[int, ...], n: int, p: int):
     """
     # Free clumps split at gaps of 2; the bottom run belongs to the clump
     # that straddles zero when the middle gap is below 2.
-    runs = [[least[0]]]
-    for a, b in zip(least, least[1:]):
-        if a - b >= 2:
-            runs.append([])
-        runs[-1].append(b)
+    runs = list(maximal_clumps(least))
     middle_gap = 2 * least[-1] if n % 2 == 0 else least[-1]
-    tail = tuple(runs.pop()) if middle_gap < 2 else ()
+    tail = runs.pop() if middle_gap < 2 else ()
     clump_of = {}
     for c, run in enumerate(runs):
         for v in run:
             clump_of[v] = (c, 1)
             clump_of[-v] = (c, -1)
     residues: list[int | None] = [None] * len(runs)
-    x = phi(_mirror(least, n))
-    for row, corrected in zip(x, apply_E_inverse(x)):
-        s = sum(corrected)
-        if row[0] not in clump_of:
+    rows = _phi_rows(_mirror(least, n), 1)
+    firsts = [row[0] for row in rows]
+    _correct_columns(rows)
+    for first, row in zip(firsts, rows):
+        s = sum(row)
+        if first not in clump_of:
             # A row of the straddling clump (or the middle zero): concrete.
             if s % p:
                 return None
             continue
         # Moving the clump top by d moves this row sum by sign*len(row)*d,
         # and len(row) <= n < p is invertible mod p.
-        c, sign = clump_of[row[0]]
+        c, sign = clump_of[first]
         r = (runs[c][0] - s * pow(sign * len(row), -1, p)) % p
         if residues[c] is None:
             residues[c] = r
@@ -258,18 +236,19 @@ def _cell_weights(clumps, center: Weight, p: int, hi: int,
         t -= stride * p
 
 
-def _scan_slice(args) -> list[Weight]:
-    """Distinguished weights among one of ``step`` interleaved slices of
-    the sieved candidates."""
+def _scan_slice(args) -> dict[Weight, int]:
+    """Distinguished weights, mapped to their depths, among one of ``step``
+    interleaved slices of the sieved candidates."""
     cells, k, p, bound, start, step = args
     memo: dict = {}
-    found = []
+    found = {}
     for i, (clumps, center) in enumerate(cells):
         # Rotating the slice per cell spreads cells with one top evenly.
         skip = (start - i) % step
         for w in _cell_weights(clumps, center, p, bound, skip, step):
-            if _root_distinguished(w, k, p, memo):
-                found.append(w)
+            depth = _root_depth(w, k, p, memo)
+            if depth is not None:
+                found[w] = depth
     return found
 
 
@@ -285,12 +264,18 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     (never more than the CPU count); the result is identical for any jobs
     value.
     """
+    return sorted(_enumerate_depths(box, jobs), reverse=True)
+
+
+def _enumerate_depths(box: SearchBox, jobs: int) -> dict[Weight, int]:
+    """``enumerate_distinguished``'s weights mapped to the depths the scan
+    found, which are those ``scatter_records`` gives at cap k."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     n, k, p, bound = box.n, box.k, box.p, box.bound
     if n < 2:
         # Lengths 0 and 1 admit a single candidate each.
-        return [_mirror((), n)]
+        return {_mirror((), n): 0}
     cells = [
         cell for least in _cell_minima(n, bound)
         if (cell := _compile_cell(least, n, p)) is not None
@@ -302,14 +287,12 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
         if seen < _POOL_MIN_CANDIDATES:
             workers = 1
     if workers == 1:
-        found = _scan_slice((cells, k, p, bound, 0, 1))
-    else:
-        tasks = [(cells, k, p, bound, i, workers) for i in range(workers)]
-        found = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_slice, tasks):
-                found.extend(part)
-    found.sort(reverse=True)
+        return _scan_slice((cells, k, p, bound, 0, 1))
+    tasks = [(cells, k, p, bound, i, workers) for i in range(workers)]
+    found = {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_scan_slice, tasks):
+            found.update(part)
     return found
 
 

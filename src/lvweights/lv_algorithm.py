@@ -13,6 +13,13 @@ from 0 (``base=0``) flips the parity used by the selection and placement
 rules and is needed for the single-clump commutation argument; everything
 else is shared.
 
+Each stage has one kernel on mutable rows, ``_phi_rows``,
+``_correct_columns`` and ``_row_sums``, which ``phi``, ``apply_E_inverse``
+and ``kappa`` call after validating.  ``_lv_mu`` chains the three (a
+single-column diagram is a staircase shift) and divides by p; it is behind
+``lv``, ``lv_p``, the depth search and the enumeration's root test, whose
+sieve compile calls ``_phi_rows`` and ``_correct_columns`` itself.
+
 ``apply_E`` is the entrywise inverse of the column correction and, together
 with ``phi_inverse``, supports round-trip testing.  All functions are pure
 and operate on immutable values.
@@ -194,32 +201,47 @@ def apply_E_inverse(x: Diagram) -> Diagram:
     consecutive differences >= 2 (always true for ``phi`` images); violations
     are rejected naming the offending column.
     """
-    x = validate_diagram(x)
-    rows = [list(r) for r in x]
-    ncols = max((len(r) for r in rows), default=0)
-    for j in range(ncols):
-        idx = [i for i in range(len(rows)) if len(rows[i]) > j]
-        for a, b in zip(idx, idx[1:]):
-            if rows[a][j] - rows[b][j] < 2:
+    rows = [list(r) for r in validate_diagram(x)]
+    _correct_columns(rows)
+    return tuple(tuple(r) for r in rows)
+
+
+def _correct_columns(rows: list[list[int]]) -> None:
+    """``apply_E_inverse`` in place.  A gap below 2 leaves a corrected
+    entry smaller than the one under it, so the check runs in the
+    correction pass; the error quotes the entries as given."""
+    col, j = rows, 0
+    while col := [row for row in col if len(row) > j]:
+        shift = 1 - len(col)
+        above = col[0][j] + shift
+        for row in col:
+            v = row[j] + shift
+            if v > above:
                 raise ValueError(
                     f"column {j + 1} gap below 2: "
-                    f"{rows[a][j]} then {rows[b][j]}"
+                    f"{above - shift + 2} then {v - shift}"
                 )
-        c = len(idx)
-        for t, i in enumerate(idx):
-            rows[i][j] += 2 * t - (c - 1)
-    return tuple(tuple(r) for r in rows)
+            row[j] = above = v
+            shift += 2
+        j += 1
 
 
 def kappa(x: Diagram) -> OmegaElement:
     """Group rows by length: mu_i is the sorted row sums of length-i rows."""
-    x = validate_diagram(x)
-    s = max((len(r) for r in x), default=0)
+    return OmegaElement(_row_sums([r for r in validate_diagram(x) if r]))
+
+
+def _row_sums(rows, p: int = 1) -> tuple[Weight, ...] | None:
+    """``kappa`` of nonempty rows with every row sum divided by p, or None
+    when some row sum is not divisible by p."""
+    s = max(map(len, rows), default=0)
     buckets: list[list[int]] = [[] for _ in range(s)]
-    for row in x:
-        if row:
-            buckets[len(row) - 1].append(sum(row))
-    return OmegaElement(tuple(dom(b) for b in buckets))
+    for row in rows:
+        q, r = divmod(sum(row), p)
+        if r:
+            return None
+        buckets[len(row) - 1].append(q)
+    return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
 
 
 def lv(w, base: int = 1) -> OmegaElement:
@@ -234,8 +256,10 @@ def lv(w, base: int = 1) -> OmegaElement:
     return OmegaElement(_lv_mu(w, base))
 
 
-def _lv_mu(entries: Weight, base: int = 1) -> tuple[Weight, ...]:
-    """Raw component tuple of ``lv`` without validation or wrapping.
+def _lv_mu(entries: Weight, base: int = 1,
+           p: int = 1) -> tuple[Weight, ...] | None:
+    """Components of ``lv`` divided by p, without validation or wrapping;
+    None when some entry is not divisible by p.
 
     Fast path: when all consecutive gaps are >= 2 every clump is a
     singleton, the diagram is a single column, and the whole map collapses
@@ -253,17 +277,14 @@ def _lv_mu(entries: Weight, base: int = 1) -> tuple[Weight, ...]:
         prev = v
     else:
         top = n - 1
-        return (tuple(v - top + 2 * i for i, v in enumerate(entries)),)
-
+        out = []
+        for v in entries:
+            q, r = divmod(v - top, p)
+            if r:
+                return None
+            out.append(q)
+            top -= 2
+        return (tuple(out),)
     rows = _phi_rows(entries, base)
-    ncols = max(len(r) for r in rows)
-    for j in range(ncols):
-        idx = [i for i in range(len(rows)) if len(rows[i]) > j]
-        c = len(idx)
-        for t, i in enumerate(idx):
-            rows[i][j] += 2 * t - (c - 1)
-    s = ncols
-    buckets: list[list[int]] = [[] for _ in range(s)]
-    for row in rows:
-        buckets[len(row) - 1].append(sum(row))
-    return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
+    _correct_columns(rows)
+    return _row_sums(rows, p)

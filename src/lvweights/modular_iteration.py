@@ -128,20 +128,6 @@ class RefinementChain:
     levels: tuple[tuple[PartitionMult, ...], ...]
 
 
-def _divided(mu: tuple[Weight, ...], p: int) -> tuple[Weight, ...] | None:
-    """Entrywise quotient by p, or None if some entry is not divisible."""
-    out = []
-    for part in mu:
-        q = []
-        for e in part:
-            d, r = divmod(e, p)
-            if r:
-                return None
-            q.append(d)
-        out.append(tuple(q))
-    return tuple(out)
-
-
 def lv_p(w, ctx: ModularContext) -> OmegaElement | None:
     """Forward map followed by entrywise division by p.
 
@@ -150,7 +136,7 @@ def lv_p(w, ctx: ModularContext) -> OmegaElement | None:
     """
     w = validate_weight(w)
     ctx.check_length(len(w))
-    divided = _divided(_lv_mu(w), ctx.p)
+    divided = _lv_mu(w, 1, ctx.p)
     return None if divided is None else OmegaElement(divided)
 
 
@@ -172,40 +158,33 @@ def iterate(w, ctx: ModularContext, cap: int) -> IterationTrace:
 def _build(seq: Weight, cap: int, p: int) -> IterationTrace:
     """The trace of ``seq`` down to ``cap`` levels, built on an explicit
     stack so a deep chain does not hit the interpreter's recursion limit."""
-    # Expanded nodes whose children are not all built yet: (seq, depth,
-    # the children still to build, the children built so far).
-    stack: list[tuple[Weight, int, Iterator[Weight], list]] = []
-    depth = 0
+    # Expanded nodes whose children are not all built yet, above a holder
+    # for the root: (seq, the children still to build, the children built).
+    stack: list[tuple[Weight, Iterator[Weight], list]] = [((), iter(()), [])]
     while True:
-        node = None
+        depth = len(stack) - 1
+        divided = None
         if not any(seq):
-            node = IterationTrace(seq, STATUS_ZEROS, depth)
+            status = STATUS_ZEROS
         elif len(seq) == 1:
-            node = IterationTrace(seq, STATUS_TERMINAL_SHORT, depth)
+            status = STATUS_TERMINAL_SHORT
         elif depth == cap:
-            node = IterationTrace(seq, STATUS_EXHAUSTED, depth)
+            status = STATUS_EXHAUSTED
+        elif (divided := _lv_mu(seq, 1, p)) is None:
+            status = STATUS_NONINTEGRAL
+        if divided is None:
+            stack[-1][2].append(IterationTrace(seq, status, depth))
         else:
-            divided = _divided(_lv_mu(seq), p)
-            if divided is None:
-                node = IterationTrace(seq, STATUS_NONINTEGRAL, depth)
-            else:
-                stack.append((seq, depth, iter(divided), []))
-        # Hand the finished node to its parent, closing every parent whose
-        # last child it was, until some parent has a child left to build.
-        while True:
-            if node is not None:
-                if not stack:
-                    return node
-                stack[-1][3].append(node)
-            parent, pdepth, rest, built = stack[-1]
-            seq = next(rest, None)
-            if seq is not None:
-                depth = pdepth + 1
-                break
-            stack.pop()
-            node = IterationTrace(
-                parent, STATUS_EXPANDED, pdepth, tuple(built)
-            )
+            stack.append((seq, iter(divided), []))
+        # Close every node whose last child is built, until some node has a
+        # child left to build or the root is done.
+        while (seq := next(stack[-1][1], None)) is None:
+            if len(stack) == 1:
+                return stack[0][2][0]
+            parent, _, built = stack.pop()
+            stack[-1][2].append(IterationTrace(
+                parent, STATUS_EXPANDED, len(stack) - 1, tuple(built)
+            ))
 
 
 _MISS = object()
@@ -225,63 +204,40 @@ def _bounded_depth(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
     v = memo.get(seq, _MISS)
     if v is not _MISS:
         return v
-    # The sequence being expanded, its remaining lv components and its
-    # deepest child so far; expanded ancestors wait on the stack.  Children
-    # are divided and settled in order, and the first one that fails
-    # settles its parent as None.
-    node = parts = None
-    worst = 0
-    stack = []
+    # Expanded sequences not yet settled, innermost last: [seq, its
+    # remaining divided lv components, its deepest child so far].
+    stack: list[list] = []
     while True:
-        if seq is not None:  # open seq: settle it at once or expand it
-            if not any(seq):
-                v = memo[seq] = 0
-            elif len(seq) == 1 or cap <= 0:
-                v = memo[seq] = None
-            else:
-                if node is not None:
-                    stack.append((node, parts, worst))
-                memo[seq] = None
-                node, parts, worst = seq, iter(_lv_mu(seq)), 0
-                v = _MISS
-            seq = None
-            if node is None:
-                return v
-        if v is not _MISS:  # fold in the depth of the child just settled
+        if not any(seq):  # settle seq at once or expand it
+            v = memo[seq] = 0
+        elif (len(seq) == 1 or cap <= 0
+              or (mu := _lv_mu(seq, 1, p)) is None):
+            v = memo[seq] = None
+        else:
+            memo[seq] = None
+            stack.append([seq, iter(mu), 0])
+            v = 0
+        # Fold v into the innermost expanded sequence and read on through
+        # its settled children; settle it once a child fails or none is
+        # left, and stop at an unsettled child.
+        while stack:
+            node = stack[-1]
             if v is None or v >= cap:
                 v = None
             else:
-                if v > worst:
-                    worst = v
-                v = _MISS
-        if v is _MISS:
-            for part in parts:
-                child = []
-                for e in part:
-                    d, r = divmod(e, p)
-                    if r:
+                if v > node[2]:
+                    node[2] = v
+                seq = next(node[1], None)
+                if seq is not None:
+                    v = memo.get(seq, _MISS)
+                    if v is _MISS:
                         break
-                    child.append(d)
-                else:
-                    child = tuple(child)
-                    cd = memo.get(child, _MISS)
-                    if cd is _MISS:
-                        seq = child
-                        break
-                    if cd is not None and cd < cap:
-                        if cd > worst:
-                            worst = cd
-                        continue
-                v = None
-                break
-            else:
-                v = worst + 1
-            if seq is not None:
-                continue  # open the unsettled child first
-        memo[node] = v
-        if not stack:
+                    continue
+                v = node[2] + 1
+            memo[node[0]] = v
+            stack.pop()
+        else:
             return v
-        node, parts, worst = stack.pop()
 
 
 def distinguished_depth(w, ctx: ModularContext, cap: int) -> int | None:
@@ -377,15 +333,51 @@ def trace_to_json(t: IterationTrace) -> str:
     return "".join(out)
 
 
-def _trace_from_dict(d: dict, depth: int) -> IterationTrace:
-    children = tuple(
-        _trace_from_dict(c, depth + 1) for c in d.get("children", ())
-    )
-    return IterationTrace(tuple(d["seq"]), d["status"], depth, children)
+_decode = json.JSONDecoder().raw_decode
+
+
+def _expect(text: str, i: int, token: str) -> int:
+    """The offset just past ``token``, which must start at offset i."""
+    if not text.startswith(token, i):
+        raise ValueError(f"trace: expected {token!r} at offset {i}")
+    return i + len(token)
 
 
 def trace_from_json(text: str) -> IterationTrace:
-    """Inverse of ``trace_to_json``.  Reads with ``json.loads``, which
-    recurses once per level, so a trace nested deeper than the
-    interpreter's recursion limit raises ``RecursionError``."""
-    return _trace_from_dict(json.loads(text), 0)
+    """Inverse of ``trace_to_json``: reads exactly the compact form it
+    writes, and raises ``ValueError`` on any other text.
+
+    Read on an explicit stack, so a trace of any depth is read; only each
+    ``seq`` and ``status`` value goes through the JSON decoder.
+    """
+    # Expanded nodes still open, above a holder for the finished root.
+    stack: list[tuple] = [((), "", [])]
+    i = 0
+    while True:
+        seq, i = _decode(text, _expect(text, i, '{"seq":'))
+        status, i = _decode(text, _expect(text, i, ',"status":'))
+        if not (isinstance(seq, list) and isinstance(status, str)
+                and all(type(v) is int for v in seq)):
+            raise ValueError(f"trace: bad seq or status before offset {i}")
+        if text.startswith(',"children":[', i):
+            i += 13
+            stack.append((tuple(seq), status, []))
+            if not text.startswith("]", i):
+                continue
+        else:
+            i = _expect(text, i, "}")
+            leaf = IterationTrace(tuple(seq), status, len(stack) - 1)
+            stack[-1][2].append(leaf)
+        # Close every node whose child list ends here, until a sibling
+        # follows or the root is done.
+        while len(stack) > 1 and not text.startswith(",", i):
+            i = _expect(text, i, "]}")
+            seq, status, children = stack.pop()
+            stack[-1][2].append(
+                IterationTrace(seq, status, len(stack) - 1, tuple(children))
+            )
+        if len(stack) == 1:
+            if i != len(text):
+                raise ValueError(f"trace: extra text at offset {i}")
+            return stack[0][2][0]
+        i = _expect(text, i, ",")

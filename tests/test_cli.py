@@ -6,6 +6,8 @@ import lvweights.cli as cli
 import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
+    SearchBox,
+    enumerate_distinguished,
     generate_family_set,
     rho_family,
     scatter_records,
@@ -200,6 +202,34 @@ class TestEnumerateCommand:
         code, out, _ = capout(*argv, "--jobs", "100000")
         assert (code, out) == (0, serial)
         assert sizes == [2]
+
+    @pytest.mark.parametrize("n,k,bound,p", [
+        (2, 3, 200, 5), (3, 2, 60, 5), (4, 2, 60, 7), (5, 2, 20, 7),
+        (6, 1, 12, 7),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_files_match_scatter_records(self, capout, tmp_path, monkeypatch,
+                                         n, k, bound, p, jobs):
+        # The CLI writes the depths its scan found; the public path
+        # recomputes every depth with scatter_records.  The pool runs even
+        # for boxes this small, so its merged depths are compared too.
+        monkeypatch.setattr(enumeration, "_POOL_MIN_CANDIDATES", 0)
+        csv, svg = tmp_path / "pts.csv", tmp_path / "pts.svg"
+        code, out, _ = capout(
+            "enumerate", "--n", str(n), "--prime", str(p), "--k", str(k),
+            "--bound", str(bound), "--jobs", str(jobs),
+            "--csv", str(csv), "--svg", str(svg),
+        )
+        assert (code, out) == (0, "")
+        box = SearchBox(n, k, bound, p)
+        records = scatter_records(
+            enumerate_distinguished(box), ModularContext(p), k
+        )
+        assert len({r.depth for r in records}) > 1
+        write_scatter_csv(records, tmp_path / "ref.csv", ncoords=n // 2)
+        write_scatter_svg(records, tmp_path / "ref.svg", p)
+        assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
 class TestFamiliesCommand:

@@ -1,20 +1,26 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lvweights.enumeration as enumeration
 from lvweights import (
+    ModularContext,
     OmegaElement,
     apply_E,
     apply_E_inverse,
+    generate_family_set,
     kappa,
     lv,
+    lv_p,
     maximal_clumps,
     phi,
     phi_inverse,
     reverse_negate,
     reverse_negate_omega,
 )
-from lvweights.core import diagram_column
+from lvweights.core import diagram_column, dom
 
 GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
 GOLDEN_PHI = ((46, 45, 46), (1,), (-1,), (-45, -46, -46))
@@ -24,6 +30,37 @@ GOLDEN_OMEGA = ((0, 0), (), (132, -132))
 weights = st.lists(st.integers(-50, 50), max_size=8).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def reference_lv(w, base):
+    """``lv`` transcribed from its definition, sharing no kernel with the
+    library past ``phi``: add 2t - (c - 1) to the t-th entry (from 0) of
+    every column of size c, then let mu_i be ``dom`` of the row sums of the
+    length-i rows."""
+    x = phi(w, base)
+    ncols = max((len(r) for r in x), default=0)
+    sizes = [len(diagram_column(x, j)) for j in range(1, ncols + 1)]
+    seen = [0] * ncols  # entries of each column met so far, top down
+    sums = {}
+    for row in x:
+        total = 0
+        for j, v in enumerate(row):
+            total += v + 2 * seen[j] - (sizes[j] - 1)
+            seen[j] += 1
+        sums.setdefault(len(row), []).append(total)
+    return tuple(dom(sums.get(i, ())) for i in range(1, ncols + 1))
+
+
+def reference_lv_p(w, p):
+    """``reference_lv`` divided by p by hand, or None."""
+    mu = reference_lv(w, 1)
+    if any(e % p for part in mu for e in part):
+        return None
+    return tuple(tuple(e // p for e in part) for part in mu)
+
+
+def single_column(w):
+    return all(a - b >= 2 for a, b in zip(w, w[1:]))
 
 
 def clump_weights():
@@ -138,9 +175,18 @@ class TestApplyEInverse:
     def test_two_rows(self):
         assert apply_E_inverse(((3,), (1,))) == ((2,), (2,))
 
-    def test_rejects_small_gap_naming_column(self):
-        with pytest.raises(ValueError, match="column 2"):
-            apply_E_inverse(((5, 3), (1, 2)))
+    @pytest.mark.parametrize("gap", [1, 0, -1])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_rejects_small_gap_naming_column(self, gap, column):
+        # The check sees corrected entries; the message must quote the
+        # entries as given.
+        if column == 1:
+            x, a = ((5,), (5 - gap,)), 5
+        else:
+            x, a = ((5, 3), (1, 3 - gap)), 3
+        message = f"column {column} gap below 2: {a} then {a - gap}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_E_inverse(x)
 
     @given(weights, st.sampled_from([0, 1]))
     def test_round_trips_on_phi_images(self, w, base):
@@ -158,6 +204,7 @@ class TestKappa:
 
     def test_mixed_lengths(self):
         assert kappa(((2, 2), (5,), (1, 0))).mu == ((5,), (4, 1))
+        assert kappa(((1, 0), (5,), (2, 2))).mu == ((5,), (4, 1))
 
     def test_empty(self):
         assert kappa(()).mu == ()
@@ -198,6 +245,11 @@ class TestLv:
         # Guards the fused single-column fast path inside lv.
         assert lv(w, base) == kappa(apply_E_inverse(phi(w, base)))
 
+    @given(st.one_of(weights, clump_weights()), st.sampled_from([0, 1]))
+    @settings(max_examples=300)
+    def test_matches_reference(self, w, base):
+        assert lv(w, base).mu == reference_lv(w, base)
+
     @given(weights, st.sampled_from([0, 1]))
     def test_output_validity_and_sums(self, w, base):
         o = lv(w, base)
@@ -229,6 +281,51 @@ class TestLv:
             mu = lv(w, base).mu
             assert mu not in seen, (w, seen[mu])
             seen[mu] = w
+
+
+class TestLvPAgainstReference:
+    """``lv_p`` against ``reference_lv`` divided by hand, on both paths of
+    the map and with both outcomes."""
+
+    @pytest.mark.parametrize("n,bound,p", [(4, 60, 5), (5, 40, 7),
+                                           (6, 30, 7), (7, 16, 11)])
+    def test_integral_on_sieved_candidates(self, n, bound, p):
+        # The sieve yields exactly the box points whose first division by
+        # p is integral.
+        ctx = ModularContext(p)
+        sieved = [
+            w for least in enumeration._cell_minima(n, bound)
+            if (cell := enumeration._compile_cell(least, n, p)) is not None
+            for w in enumeration._cell_weights(*cell, p, bound)
+        ]
+        assert {single_column(w) for w in sieved} == {True, False}
+        for w in sieved:
+            expected = reference_lv_p(w, p)
+            assert expected is not None, w
+            assert lv_p(w, ctx).mu == expected, w
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_integral_on_family_members(self, n, p):
+        ctx = ModularContext(p)
+        members = generate_family_set(n, ctx, 4)
+        assert {single_column(w) for w in members} == {True, False}
+        for w in members:
+            expected = reference_lv_p(w, p)
+            assert expected is not None, w
+            assert lv_p(w, ctx).mu == expected, w
+
+    @given(weights, st.sampled_from([11, 13]))
+    @settings(max_examples=300)
+    def test_random_weights(self, w, p):
+        got = lv_p(w, ModularContext(p))
+        assert (None if got is None else got.mu) == reference_lv_p(w, p)
+
+    def test_none_on_both_paths(self):
+        # (5, 2, -1) is one column and (3, 3, 1) is not; neither divides.
+        ctx = ModularContext(11)
+        for w in [(5, 2, -1), (3, 3, 1)]:
+            assert lv_p(w, ctx) is None and reference_lv_p(w, 11) is None
 
 
 def _sorted_column_diagrams():

@@ -12,6 +12,7 @@ from lvweights import (
     enumerate_distinguished,
     generate_family_set,
     iterate,
+    lv,
     lv_p,
     refinement_chain,
     reverse_negate,
@@ -19,10 +20,8 @@ from lvweights import (
     trace_from_json,
     trace_to_json,
 )
-from lvweights.lv_algorithm import _lv_mu
 from lvweights.modular_iteration import (
     IterationTrace,
-    _divided,
     _is_prime,
     STATUS_EXHAUSTED,
     STATUS_EXPANDED,
@@ -35,18 +34,20 @@ GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
 
 
 def recursive_build(seq, depth, budget, p):
-    """Reference trace builder: one recursive call per level."""
+    """Reference trace builder: one recursive call per level, dividing the
+    public ``lv`` by hand."""
     if not any(seq):
         return IterationTrace(seq, STATUS_ZEROS, depth)
     if len(seq) == 1:
         return IterationTrace(seq, STATUS_TERMINAL_SHORT, depth)
     if budget == 0:
         return IterationTrace(seq, STATUS_EXHAUSTED, depth)
-    divided = _divided(_lv_mu(seq), p)
-    if divided is None:
+    mu = lv(seq).mu
+    if any(e % p for part in mu for e in part):
         return IterationTrace(seq, STATUS_NONINTEGRAL, depth)
     children = tuple(
-        recursive_build(child, depth + 1, budget - 1, p) for child in divided
+        recursive_build(tuple(e // p for e in part), depth + 1, budget - 1, p)
+        for part in mu
     )
     return IterationTrace(seq, STATUS_EXPANDED, depth, children)
 
@@ -414,6 +415,44 @@ class TestTraceJson:
     def test_round_trip(self):
         t = iterate(GOLDEN_WEIGHT, ModularContext(11), cap=5)
         assert trace_from_json(trace_to_json(t)) == t
+
+    def test_round_trip_branchy(self):
+        for w, p, cap in branchy_cases():
+            t = iterate(w, ModularContext(p), cap)
+            assert trace_from_json(trace_to_json(t)) == t, (w, p, cap)
+
+    def test_round_trip_empty_children(self):
+        leaf = IterationTrace((), STATUS_EXPANDED, 1)
+        t = IterationTrace((2, -2), STATUS_EXPANDED, 0, (leaf,))
+        assert trace_from_json(trace_to_json(t)) == t
+
+    def test_reads_deep_trace(self):
+        # Compared as bytes: dataclass == recurses once per level too.
+        ctx = ModularContext(13)
+        s = trace_to_json(iterate(rho_family(2, 900, ctx), ctx, 900))
+        assert trace_to_json(trace_from_json(s)) == s
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "{}",
+        "[]",
+        '{"seq":[1,0],"status":"zeros"} ',
+        '{"seq":[1,0], "status":"zeros"}',
+        '{"status":"zeros","seq":[1,0]}',
+        '{"seq":[true],"status":"zeros"}',
+        '{"seq":[1.5],"status":"zeros"}',
+        '{"seq":"10","status":"zeros"}',
+        '{"seq":[1,0],"status":3}',
+        '{"seq":[1,0],"status":"expanded","children":[',
+        '{"seq":[1,0],"status":"expanded","children":[{"seq":[],'
+        '"status":"zeros"}',
+        '{"seq":[1,0],"status":"expanded","children":[{"seq":[],'
+        '"status":"zeros"},]}',
+        '{"seq":[0],"status":"zeros"}{"seq":[0],"status":"zeros"}',
+    ])
+    def test_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            trace_from_json(text)
 
     def test_children_omitted_on_leaves(self):
         t = iterate((0, 0), ModularContext(5), cap=2)
