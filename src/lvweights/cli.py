@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage/parse error, 2 domain error (invalid weight,
 p <= n, precondition or I/O failures, or a RecursionError from any call).
 Data goes to stdout, diagnostics to stderr.  Output is byte-identical for
-identical inputs and flags; only the ``enumerate`` subcommand is parallel
-(``--jobs``), and its output does not depend on the job count.
+identical inputs and flags; ``enumerate --jobs`` must be at least 1 and
+does not change the output, because every subcommand runs in one process.
 """
 
 from __future__ import annotations
@@ -73,13 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ck.add_argument("--prime", type=int, required=True)
     p_ck.add_argument("--cap", type=int, default=64)
 
-    p_en = sub.add_parser("enumerate", help="scan for distinguished weights")
+    p_en = sub.add_parser("enumerate",
+                          help="construct the distinguished weights")
     p_en.add_argument("--n", type=int, required=True)
     p_en.add_argument("--prime", type=int, required=True)
     p_en.add_argument("--k", type=int, required=True)
     p_en.add_argument("--bound", type=int, default=None,
-                      help="max |entry| (default: largest staircase entry)")
-    p_en.add_argument("--jobs", type=int, default=1)
+                      help="keep weights with max |entry| <= this "
+                           "(default: largest staircase entry)")
+    p_en.add_argument("--jobs", type=int, default=1,
+                      help="at least 1; does not change the output")
     p_en.add_argument("--csv", default=None, help="write scatter CSV here")
     p_en.add_argument("--svg", default=None, help="write log-scaled SVG here")
 
@@ -110,8 +113,8 @@ def _weight_arg(args):
 
 def _emit_weights(depths, args, p) -> None:
     """Print the weights of ``{weight: depth}`` sorted descending, or with
-    --csv/--svg write their scatter records.  Each depth was found by the
-    search at the command's cap, so it is the one ``scatter_records``
+    --csv/--svg write their scatter records.  Each depth is exact and
+    within the command's cap, so it is the one ``scatter_records``
     gives."""
     weights = sorted(depths, reverse=True)
     if args.csv or args.svg:

@@ -1,55 +1,45 @@
-"""Exhaustive enumeration of distinguished weights and closed-form families.
+"""Distinguished weights by construction, and closed-form families.
 
-Every distinguished weight is anti-symmetric (entry i equals minus entry
-n+1-i), so the search space is the lattice of weakly decreasing nonnegative
-free coordinates x_1 >= ... >= x_h >= 0 with h = floor(n/2); the mirror
-half and the middle zero (odd n) are forced.  No proven entry bound exists,
-so the default bound is the largest entry of the scaled-staircase family.
-That bound is the one unproven assumption of the enumeration; the test
-suite checks it against the count recursion on its grid.
+Distinguished weights are anti-symmetric (entry i equals minus entry
+n+1-i) and ``lv`` is injective, so they are built, not searched for.
+D(n, 0) is the zero weight alone, the only anti-symmetric weight whose
+diagram is one row.  Any other w of depth <= k has a row-length shape
+alpha != (n), and lv(w) = p * omega, where omega_i has length l_i, the
+multiplicity of part i in alpha, and depth <= k - 1.  So D(n, k) holds the
+zero weight and lv^-1(p * omega) for every alpha != (n) and omega_i in
+D(l_i, k - 1).  The count recursion says each such preimage exists, so
+|D(n, k)| = ``count_distinguished(n, k)`` holds by construction; a target
+without an anti-symmetric preimage raises instead of being dropped.  No
+search bound is involved: ``enumerate_distinguished`` keeps the weights
+whose largest entry is within its bound.
 
-Candidates come from a congruence sieve, not a scan of the whole box.  The
-box splits into cells by gap pattern: each gap between consecutive free
-coordinates is capped to 0, 1 or >= 2, and so is the middle gap (2*x_h for
-even n, x_h against the middle zero for odd n).  Within one cell:
+The inverse solves on cells.  The free coordinates x_1 >= ... >= x_h >= 0
+(h = floor(n/2)) split into cells by gap pattern: each gap between
+consecutive free coordinates, and the middle gap (2*x_h for even n, x_h
+against the middle zero for odd n), is capped to 0, 1 or >= 2.  Within
+one cell:
 
 * The maximal clumps are fixed.  ``phi`` removes selected values column by
   column; that can split a clump but never merge two, because distinct
   clumps stay >= 2 apart.
 * ``phi`` appends a value v only to a row ending in v or v +- 1, so every
   row stays inside one clump.
-* Rows are created only in column 1, so the row order and the column
-  sizes, and with them the column correction, depend only on the cell.
+* Rows are created only in column 1, so the row order, the column sizes
+  and the row-length shape depend only on the cell.
 * So every row sum is +-len(row) * t_c + const, where t_c is the top of
-  the row's clump (the sign is - in the mirrored half).
-* len(row) <= n < p is invertible mod p, so each row pins t_c mod p.  If
-  two rows of one clump disagree, or a mirrored clump disagrees with its
-  original, no weight of the cell passes the first division by p.
-* The clump that straddles zero has no free top: its row sums are concrete
-  and must be divisible by p.
-
-Each cell is compiled once per call by running ``phi`` and the column
-correction on its least weight.  Only clump tops of the right residue are
-then generated (step p, clumps >= 2 apart, leading coordinate <= bound),
-and every candidate still goes through the full depth test.  The sieve
-skips only weights whose first division by p is not integral, so the
-result is exactly that of a scan of the whole box.
-
-With ``jobs`` > 1, each worker process takes an interleaved slice of every
-cell's candidates; one cell can hold most of them, so whole cells would not
-balance.  Workers are independent and side-effect free, and the merged
-result is sorted, so output is identical for any degree of parallelism.
+  the row's clump (- in the mirrored half), and the clump that straddles
+  zero has constant row sums.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from functools import cache
+from itertools import product
 
 from .core import Weight, validate_weight
+from .counting import partitions_mult
 from .lv_algorithm import _correct_columns, _lv_mu, _phi_rows, maximal_clumps
 from .modular_iteration import ModularContext, _bounded_depth, distinguished_depth
 
@@ -68,7 +58,8 @@ __all__ = [
 
 def default_bound(n: int, k: int, p: int) -> int:
     """(n-1)(p^k - 1)/(p - 1): the largest entry of the scaled staircase,
-    used as the default search bound."""
+    the default bound of ``enumerate``.  The tests check that it is the
+    largest entry of D(n, k) on every case they construct."""
     if n <= 0:
         return 0
     return (n - 1) * (p**k - 1) // (p - 1)
@@ -76,8 +67,8 @@ def default_bound(n: int, k: int, p: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SearchBox:
-    """Search parameters: weight length n, iteration budget k, maximal
-    absolute entry, and the prime."""
+    """Enumeration parameters: weight length n, depth budget k, the
+    largest absolute entry kept, and the prime."""
 
     n: int
     k: int
@@ -118,61 +109,14 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
     return coords + mid + tuple(-c for c in reversed(coords))
 
 
-def _root_depth(w: Weight, k: int, p: int, memo: dict) -> int | None:
-    """Distinguished depth of a candidate within k, or None, without
-    memoizing the candidate itself (roots never repeat; their post-division
-    children do)."""
-    if not any(w):
-        return 0
-    if (mu := _lv_mu(w, 1, p)) is None:
-        return None
-    worst = 0
-    for child in mu:
-        cd = _bounded_depth(child, k, p, memo)
-        if cd is None or cd >= k:
-            return None
-        worst = max(worst, cd)
-    return worst + 1
-
-
-def _cell_minima(n: int, bound: int):
-    """Free coordinates of the least weight of every gap-pattern cell whose
-    least weight fits in the box.
-
-    A cell is fixed by its capped gaps, each of 0, 1 or >= 2, so its least
-    weight has every gap in {0, 1, 2}.  The least bottom coordinate is 0 or
-    1 for even n (middle gap 2*x_h capped to 0 or >= 2) and 0, 1 or 2 for
-    odd n (middle gap x_h against the middle zero).
-    """
-    h = n // 2
-    bottoms = (0, 1) if n % 2 == 0 else (0, 1, 2)
-
-    def up(coords: tuple[int, ...]):
-        if len(coords) == h:
-            yield coords
-            return
-        for g in (0, 1, 2):
-            top = coords[0] + g
-            if top > bound:
-                return
-            yield from up((top,) + coords)
-
-    for b in bottoms:
-        if b <= bound:
-            yield from up((b,))
-
-
-def _compile_cell(least: tuple[int, ...], n: int, p: int):
-    """The congruence system of one cell, or None when the cell holds no
-    weight whose first division by p is integral.
-
-    Returns ``(clumps, center)``: ``center`` is the concrete middle of every
-    weight of the cell (the clump that straddles zero and its mirror, or
-    the middle zero), and each free clump, top to bottom, is
-    ``(residue, offsets, lowest)``: the residue its top must have mod p,
-    the offsets of its coordinates below that top, and the top's value in
-    the cell's least weight (its smallest possible value).
-    """
+def _compile_cell(least: tuple[int, ...], n: int):
+    """The cell of least free coordinates ``least`` as ``(shape, (clumps,
+    tail, equations))``: its number of rows of each length; its free
+    clumps top to bottom as (offsets below the top, top in ``least``); the
+    free part of the clump that straddles zero; and for each row, by length
+    and in ``phi`` order within one, ``(c, coef, const)``: the row sum is
+    coef * t_c + const, where t_c is the top of free clump c, or 0 when c
+    is None (the clump that straddles zero)."""
     # Free clumps split at gaps of 2; the bottom run belongs to the clump
     # that straddles zero when the middle gap is below 2.
     runs = list(maximal_clumps(least))
@@ -183,117 +127,125 @@ def _compile_cell(least: tuple[int, ...], n: int, p: int):
         for v in run:
             clump_of[v] = (c, 1)
             clump_of[-v] = (c, -1)
-    residues: list[int | None] = [None] * len(runs)
     rows = _phi_rows(_mirror(least, n), 1)
     firsts = [row[0] for row in rows]
     _correct_columns(rows)
-    for first, row in zip(firsts, rows):
-        s = sum(row)
-        if first not in clump_of:
-            # A row of the straddling clump (or the middle zero): concrete.
-            if s % p:
-                return None
-            continue
-        # Moving the clump top by d moves this row sum by sign*len(row)*d,
-        # and len(row) <= n < p is invertible mod p.
-        c, sign = clump_of[first]
-        r = (runs[c][0] - s * pow(sign * len(row), -1, p)) % p
-        if residues[c] is None:
-            residues[c] = r
-        elif residues[c] != r:
-            return None
-    clumps = tuple(
-        (r, tuple(run[0] - v for v in run), run[0])
-        for r, run in zip(residues, runs)
-    )
-    return clumps, _mirror(tail, n)
-
-
-def _cell_weights(clumps, center: Weight, p: int, hi: int,
-                  skip: int = 0, stride: int = 1):
-    """The weights of a compiled cell with leading coordinate <= hi, built
-    from the center outwards.
-
-    Every clump top runs down its residue class mod p.  Only every
-    ``stride``-th top of the outermost clump is taken, from the ``skip``-th
-    on, so that ``stride`` callers with distinct ``skip`` share a cell.
-    """
-    if not clumps:
-        if skip == 0:
-            yield center
-        return
-    (r, offsets, lowest), inner = clumps[0], clumps[1:]
-    t = hi - (hi - r) % p - skip * p
-    while t >= lowest:
-        head = tuple(t - o for o in offsets)
-        tail = tuple(-v for v in reversed(head))
-        if inner:
-            # The next clump's top sits at least 2 below this clump's bottom.
-            for w in _cell_weights(inner, center, p, t - offsets[-1] - 2):
-                yield head + w + tail
+    shape = [0] * max(map(len, rows))
+    equations = []
+    # The sort is stable, so rows of one length stay in phi order.
+    for first, row in sorted(zip(firsts, rows), key=lambda fr: len(fr[1])):
+        shape[len(row) - 1] += 1
+        if first in clump_of:
+            c, sign = clump_of[first]
+            coef = sign * len(row)
+            equations.append((c, coef, sum(row) - coef * runs[c][0]))
         else:
-            yield head + center + tail
-        t -= stride * p
+            equations.append((None, 1, sum(row)))
+    clumps = tuple((tuple(run[0] - v for v in run), run[0]) for run in runs)
+    return tuple(shape), (clumps, tail, tuple(equations))
 
 
-def _scan_slice(args) -> dict[Weight, int]:
-    """Distinguished weights, mapped to their depths, among one of ``step``
-    interleaved slices of the sieved candidates."""
-    cells, k, p, bound, start, step = args
-    memo: dict = {}
-    found = {}
-    for i, (clumps, center) in enumerate(cells):
-        # Rotating the slice per cell spreads cells with one top evenly.
-        skip = (start - i) % step
-        for w in _cell_weights(clumps, center, p, bound, skip, step):
-            depth = _root_depth(w, k, p, memo)
-            if depth is not None:
-                found[w] = depth
-    return found
+@cache
+def _cells(n: int) -> dict[tuple[int, ...], list]:
+    """Every cell of anti-symmetric weights of length n >= 2, compiled and
+    keyed by row-length shape; the equations do not depend on p.  A cell's
+    least weight has every gap in {0, 1, 2}, and its bottom coordinate is
+    0 or 1 for even n (middle gap 2*x_h) and 0, 1 or 2 for odd n (x_h)."""
+    minima = [(b,) for b in ((0, 1) if n % 2 == 0 else (0, 1, 2))]
+    for _ in range(n // 2 - 1):
+        minima = [(c[0] + g,) + c for c in minima for g in (0, 1, 2)]
+    cells: dict[tuple[int, ...], list] = {}
+    for least in minima:
+        shape, cell = _compile_cell(least, n)
+        cells.setdefault(shape, []).append(cell)
+    return cells
 
 
-# Below this many sieved candidates a worker pool costs more than it saves.
-_POOL_MIN_CANDIDATES = 2_000
+def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
+    """The anti-symmetric w of length n with lv(w) = p * target; raises
+    RuntimeError when there is none.
+
+    Each cell of the target's shape pairs its rows with the target's
+    entries by length and then in descending order of sum, the order in
+    which ``phi`` gives them (see ``lv_algorithm._row_sums``).  Each row
+    pins its clump's top; tops that agree, keep the cell's gaps and pass
+    ``_lv_mu`` give the weight.
+    """
+    sums = [p * v for part in target for v in part]
+    for clumps, tail, equations in _cells(n).get(tuple(map(len, target)), ()):
+        tops: dict[int | None, int] = {None: 0}
+        for (c, coef, const), s in zip(equations, sums):
+            t, r = divmod(s - const, coef)
+            if r or tops.setdefault(c, t) != t:
+                break
+        else:
+            # Clumps stay >= 2 apart, and the bottom one clear of the
+            # middle, exactly when each top's excess over its least value
+            # is at least the next one's and at least 0.
+            excess = [tops[c] - low for c, (_, low) in enumerate(clumps)]
+            excess.append(0)
+            if all(a >= b for a, b in zip(excess, excess[1:])):
+                head = tuple(tops[c] - o for c, (offsets, _) in
+                             enumerate(clumps) for o in offsets)
+                w = _mirror(head + tail, n)
+                if _lv_mu(w, 1, p) == target:
+                    return w
+    raise RuntimeError(
+        f"no anti-symmetric weight of length {n} maps to {p} * {target}"
+    )
+
+
+def _construct(n: int, k: int, p: int) -> dict[Weight, int]:
+    """D(n, k), every distinguished weight of length n and depth <= k,
+    mapped to its depth.
+
+    Level d adds lv^-1(p * omega) for every shape alpha != (l) and every
+    omega with omega_i in D(l_i, d - 1) and some omega_j of depth d - 1,
+    taking j as the first: omega_i is shallower before j, as deep after.
+    """
+    # For each length: its weights of depth below d - 1, and of depth d - 1.
+    older = {l: [] for l in range(n + 1)}
+    last = {l: [(0,) * l] for l in range(n + 1)}
+    depths = {(0,) * n: 0}
+    for d in range(1, k + 1):
+        new = {
+            l: [
+                _preimage(omega, l, p)
+                for alpha in partitions_mult(l) if len(alpha.mult) < l
+                for j, m in enumerate(alpha.mult)
+                for omega in product(
+                    *(older[i] for i in alpha.mult[:j]), last[m],
+                    *(older[i] + last[i] for i in alpha.mult[j + 1:]),
+                )
+            ]
+            for l in (range(n + 1) if d < k else (n,))
+        }
+        for l, weights in new.items():
+            older[l] += last[l]
+            last[l] = weights
+        depths.update(dict.fromkeys(new[n], d))
+    return depths
 
 
 def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
-    """All anti-symmetric weights with entries in [-bound, bound] whose
-    distinguished depth is <= k, sorted lexicographically descending.
+    """Every distinguished weight of length n and depth <= k whose entries
+    lie in [-bound, bound], sorted lexicographically descending.
 
-    ``jobs`` > 1 splits the candidates across up to that many processes
-    (never more than the CPU count); the result is identical for any jobs
-    value.
+    ``jobs`` must be >= 1 and does not change the result: the construction
+    runs in the calling process.
     """
     return sorted(_enumerate_depths(box, jobs), reverse=True)
 
 
 def _enumerate_depths(box: SearchBox, jobs: int) -> dict[Weight, int]:
-    """``enumerate_distinguished``'s weights mapped to the depths the scan
-    found, which are those ``scatter_records`` gives at cap k."""
+    """``enumerate_distinguished``'s weights mapped to their depths, which
+    are those ``scatter_records`` gives at cap k."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    n, k, p, bound = box.n, box.k, box.p, box.bound
-    if n < 2:
-        # Lengths 0 and 1 admit a single candidate each.
-        return {_mirror((), n): 0}
-    cells = [
-        cell for least in _cell_minima(n, bound)
-        if (cell := _compile_cell(least, n, p)) is not None
-    ]
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        sieved = (w for cell in cells for w in _cell_weights(*cell, p, bound))
-        seen = sum(1 for _ in islice(sieved, _POOL_MIN_CANDIDATES))
-        if seen < _POOL_MIN_CANDIDATES:
-            workers = 1
-    if workers == 1:
-        return _scan_slice((cells, k, p, bound, 0, 1))
-    tasks = [(cells, k, p, bound, i, workers) for i in range(workers)]
-    found = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_slice, tasks):
-            found.update(part)
-    return found
+    return {
+        w: d for w, d in _construct(box.n, box.k, box.p).items()
+        if not w or w[0] <= box.bound
+    }
 
 
 # Closed-form families for n <= 4 ---------------------------------------------

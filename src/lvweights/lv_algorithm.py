@@ -17,8 +17,9 @@ Each stage has one kernel on mutable rows, ``_phi_rows``,
 ``_correct_columns`` and ``_row_sums``, which ``phi``, ``apply_E_inverse``
 and ``kappa`` call after validating.  ``_lv_mu`` chains the three (a
 single-column diagram is a staircase shift) and divides by p; it is behind
-``lv``, ``lv_p``, the depth search and the enumeration's root test, whose
-sieve compile calls ``_phi_rows`` and ``_correct_columns`` itself.
+``lv``, ``lv_p``, the depth search and the check of every weight the
+enumeration's inverse builds.  That inverse compiles its row equations
+with ``_phi_rows`` and ``_correct_columns`` directly.
 
 ``apply_E`` is the entrywise inverse of the column correction and, together
 with ``phi_inverse``, supports round-trip testing.  All functions are pure
@@ -233,7 +234,15 @@ def kappa(x: Diagram) -> OmegaElement:
 
 def _row_sums(rows, p: int = 1) -> tuple[Weight, ...] | None:
     """``kappa`` of nonempty rows with every row sum divided by p, or None
-    when some row sum is not divisible by p."""
+    when some row sum is not divisible by p.
+
+    Rows from ``_phi_rows`` and ``_correct_columns`` of one length already
+    come in descending order of sum: both fill columns 1 to their length,
+    and the correction leaves every column non-increasing down the rows
+    (or raises), so the upper row is entrywise at least the lower.  The
+    enumeration's inverse relies on this; ``kappa`` on any diagram needs
+    the sort.
+    """
     s = max(map(len, rows), default=0)
     buckets: list[list[int]] = [[] for _ in range(s)]
     for row in rows:
@@ -264,8 +273,8 @@ def _lv_mu(entries: Weight, base: int = 1,
     Fast path: when all consecutive gaps are >= 2 every clump is a
     singleton, the diagram is a single column, and the whole map collapses
     to subtracting the staircase (n-1, n-3, ..., 1-n).  This case dominates
-    large enumeration scans; it is independent of ``base`` because a
-    one-element clump is selected under either parity.
+    weights with widely spread entries; it is independent of ``base``
+    because a one-element clump is selected under either parity.
     """
     n = len(entries)
     if n == 0:

@@ -94,7 +94,7 @@ class ModularContext:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class IterationTrace:
     """One node of the iteration tree.
 
@@ -102,12 +102,39 @@ class IterationTrace:
     ``children`` is nonempty exactly when status is "expanded": one child
     per component of the divided output, empty components included as
     empty-leaf children.
+
+    ``==`` and ``hash`` do not recurse, and ``repr`` writes children below
+    8 levels as "...", so a trace of any depth can be used as a value.
     """
 
     seq: Weight
     status: str
     depth: int
     children: tuple["IterationTrace", ...] = field(default=())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if (a.seq, a.status, a.depth, len(a.children)) != (
+                        b.seq, b.status, b.depth, len(b.children)):
+                    return False
+                stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # Equal traces write the same JSON.
+        return hash(trace_to_json(self))
+
+    def __repr__(self, levels: int = 8) -> str:
+        inner = [c.__repr__(levels - 1) if levels else "..."
+                 for c in self.children]
+        return (f"IterationTrace(seq={self.seq!r}, status={self.status!r}, "
+                f"depth={self.depth!r}, children=({', '.join(inner)}"
+                f"{',' * (len(inner) == 1)}))")
 
     def leaves(self):
         if self.status != STATUS_EXPANDED:

@@ -238,9 +238,8 @@ def test_criterion_09_figure_reproduction(tmp_path):
             for k1 in range(k2 + 3, 19):
                 assert by_box.get((k1, k2), 0) == 1, (k1, k2)
 
-        # Full-scale odd-length reproduction is out of reach without the
-        # inverse construction; the substitute is the length-5 scan at
-        # p = 7 within 4 levels, whose (3, 0) box holds exactly 3 weights.
+        # The length-5 weights at p = 7 within 4 levels: the (3, 0) box
+        # holds exactly 3 of them.
         ctx7 = ModularContext(7)
         bound = default_bound(5, 4, 7)
         found = enumerate_distinguished(SearchBox(5, 4, bound, 7), jobs=JOBS)
@@ -251,6 +250,33 @@ def test_criterion_09_figure_reproduction(tmp_path):
         assert len(in_box) == 3, in_box
         for w in in_box:
             assert distinguished_depth(w, ctx7, 4) is not None
+
+
+def test_criterion_09_odd_length_scatter():
+    with criterion(9, "odd-length scatter: 881 weights at n = 5, p = 7"):
+        ctx7 = ModularContext(7)
+        box = SearchBox(5, 20, default_bound(5, 20, 7), 7)
+        found = enumerate_distinguished(box, jobs=JOBS)
+        assert len(found) == 881 == count_distinguished(5, 20)
+        records = scatter_records(found, ctx7, cap=20)  # forward verification
+        assert len(records) == 881
+
+        # Boxes 7^k1 <= x1 < 7^(k1+1), 7^k2 <= x2 < 7^(k2+1) with
+        # k2 + 2 <= k1 <= 19 hold exactly three weights each.
+        by_box = {}
+        for w in found:
+            x, y = w[0], w[1]
+            if x < 1 or y < 1:
+                continue
+            k1 = k2 = 0
+            while 7 ** (k1 + 1) <= x:
+                k1 += 1
+            while 7 ** (k2 + 1) <= y:
+                k2 += 1
+            by_box[(k1, k2)] = by_box.get((k1, k2), 0) + 1
+        for k2 in range(0, 18):
+            for k1 in range(k2 + 2, 20):
+                assert by_box.get((k1, k2), 0) == 3, (k1, k2)
 
 
 def test_criterion_10_asymptotics():

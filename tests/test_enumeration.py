@@ -128,33 +128,47 @@ def _oracle_boxes():
 
 
 class TestSieveAgainstOracle:
-    """The congruence sieve skips only candidates that fail the first
-    division by p, so it must find exactly what the brute scan finds."""
+    """The construction must find exactly what the brute scan of every
+    anti-symmetric box point finds."""
 
     @pytest.mark.parametrize("n,k,bound,p", _oracle_boxes())
-    def test_matches_brute_scan(self, n, k, bound, p, monkeypatch):
+    def test_matches_brute_scan(self, n, k, bound, p):
         expected = brute_enumerate(n, k, bound, p)
         box = SearchBox(n, k, bound, p)
         assert enumerate_distinguished(box, jobs=1) == expected
-        # Force the pool even for boxes this small.
-        monkeypatch.setattr(enumeration, "_POOL_MIN_CANDIDATES", 0)
         assert enumerate_distinguished(box, jobs=2) == expected
+
+    @pytest.mark.parametrize("n,k,p", [
+        (2, 3, 7), (2, 4, 5), (3, 3, 5), (3, 2, 11), (4, 2, 5), (4, 2, 7),
+        (5, 1, 7), (5, 1, 13), (6, 1, 7), (7, 1, 11),
+    ])
+    def test_nothing_beyond_default_bound(self, n, k, p):
+        # Completeness does not rest on the default bound: a box twice as
+        # wide holds no further distinguished weight.
+        bound = 2 * default_bound(n, k, p)
+        assert math.comb(bound + n // 2, n // 2) <= 2000
+        expected = brute_enumerate(n, k, bound, p)
+        assert enumerate_distinguished(SearchBox(n, k, bound, p)) == expected
+        assert len(expected) == count_distinguished(n, k)
 
     @pytest.mark.parametrize("n,k,bound,p", _oracle_boxes())
     def test_candidates_pass_first_division(self, n, k, bound, p):
-        # The sieve is tight: it yields each box point at most once, and
-        # only points whose first division by p is integral.
+        # One step of the construction: every nonzero weight divides, after
+        # lv, into constructed weights of the shorter lengths, the deepest
+        # of them exactly one level shallower.
         ctx = ModularContext(p)
-        cells = [
-            cell for least in enumeration._cell_minima(n, bound)
-            if (cell := enumeration._compile_cell(least, n, p)) is not None
-        ]
-        sieved = [w for cell in cells
-                  for w in enumeration._cell_weights(*cell, p, bound)]
-        assert len(set(sieved)) == len(sieved)
-        for w in sieved:
-            assert reverse_negate(w) == w and 0 <= w[0] <= bound, w
-            assert lv_p(w, ctx) is not None, w
+        depths = enumeration._enumerate_depths(SearchBox(n, k, bound, p), 1)
+        sets = {}
+        for w, depth in depths.items():
+            if not any(w):
+                assert depth == 0
+                continue
+            children = []
+            for c in lv_p(w, ctx).mu:
+                if len(c) not in sets:
+                    sets[len(c)] = enumeration._construct(len(c), k, p)
+                children.append(sets[len(c)][c])
+            assert depth == 1 + max(children), w
 
     def test_boxes_cover_small_middle_coordinates(self):
         # Odd lengths whose last free coordinate is 0 or 1 sit in the cells
@@ -169,6 +183,53 @@ class TestSieveAgainstOracle:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             enumerate_distinguished(SearchBox(2, 1, 5, 5), jobs=0)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("n,k,p", [(8, 6, 11), (14, 3, 17), (4, 20, 11)])
+    def test_sizes_beyond_any_scan(self, n, k, p):
+        depths = enumeration._construct(n, k, p)
+        assert len(depths) == count_distinguished(n, k)
+        assert max(w[0] for w in depths) == default_bound(n, k, p)
+        assert max(depths.values()) == k
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_families_are_all_of_them(self, n, p):
+        # The paper's explicit result for n <= 4, at every k <= 20: the
+        # closed families hold every distinguished weight, at its depth.
+        ctx = ModularContext(p)
+        depths = enumeration._construct(n, 20, p)
+        assert enumeration._family_depths(n, ctx, 20) == depths
+        for k in range(21):
+            assert generate_family_set(n, ctx, k) == sorted(
+                (w for w, d in depths.items() if d <= k), reverse=True
+            ), k
+
+    @pytest.mark.parametrize("n,target", [
+        (2, ((1, 0),)),  # a single column, but its sum is not 0
+        (2, ((1, -1), (0,))),  # no weight of length 2 has this shape
+        (4, ((1, 0), (-1,))),  # sum 0, but not fixed by reverse-negate
+    ])
+    def test_preimage_raises_without_an_antisymmetric_one(self, n, target):
+        with pytest.raises(RuntimeError, match="anti-symmetric"):
+            enumeration._preimage(target, n, 5)
+
+    def test_each_weight_built_once(self, monkeypatch):
+        built = []
+        preimage = enumeration._preimage
+
+        def record(target, n, p):
+            built.append(preimage(target, n, p))
+            return built[-1]
+
+        monkeypatch.setattr(enumeration, "_preimage", record)
+        assert len(enumeration._construct(6, 5, 7)) == count_distinguished(6, 5)
+        assert len(built) == len(set(built))
+
+    def test_lengths_below_two(self):
+        assert enumeration._construct(0, 5, 7) == {(): 0}
+        assert enumeration._construct(1, 5, 7) == {(0,): 0}
 
 
 class TestClosedFamily:

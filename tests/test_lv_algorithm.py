@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
     OmegaElement,
+    SearchBox,
     apply_E,
     apply_E_inverse,
+    enumerate_distinguished,
     generate_family_set,
     kappa,
     lv,
@@ -21,6 +22,7 @@ from lvweights import (
     reverse_negate_omega,
 )
 from lvweights.core import diagram_column, dom
+from lvweights.lv_algorithm import _correct_columns, _phi_rows
 
 GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
 GOLDEN_PHI = ((46, 45, 46), (1,), (-1,), (-45, -46, -46))
@@ -209,6 +211,16 @@ class TestKappa:
     def test_empty(self):
         assert kappa(()).mu == ()
 
+    @given(st.one_of(weights, clump_weights()), st.sampled_from([0, 1]))
+    @settings(max_examples=300)
+    def test_phi_rows_of_one_length_come_sorted(self, w, base):
+        # The enumeration's inverse pairs rows with sorted entries on this.
+        rows = _phi_rows(w, base)
+        _correct_columns(rows)
+        for length in {len(row) for row in rows}:
+            sums = [sum(row) for row in rows if len(row) == length]
+            assert sums == sorted(sums, reverse=True), (w, base)
+
 
 class TestLv:
     def test_golden(self):
@@ -290,16 +302,12 @@ class TestLvPAgainstReference:
     @pytest.mark.parametrize("n,bound,p", [(4, 60, 5), (5, 40, 7),
                                            (6, 30, 7), (7, 16, 11)])
     def test_integral_on_sieved_candidates(self, n, bound, p):
-        # The sieve yields exactly the box points whose first division by
-        # p is integral.
+        # Every nonzero distinguished weight divides by p after lv.
         ctx = ModularContext(p)
-        sieved = [
-            w for least in enumeration._cell_minima(n, bound)
-            if (cell := enumeration._compile_cell(least, n, p)) is not None
-            for w in enumeration._cell_weights(*cell, p, bound)
-        ]
-        assert {single_column(w) for w in sieved} == {True, False}
-        for w in sieved:
+        found = [w for w in enumerate_distinguished(SearchBox(n, 3, bound, p))
+                 if any(w)]
+        assert {single_column(w) for w in found} == {True, False}
+        for w in found:
             expected = reference_lv_p(w, p)
             assert expected is not None, w
             assert lv_p(w, ctx).mu == expected, w

@@ -185,6 +185,36 @@ class TestIterate:
         assert (node.seq, node.status) == ((0, 0), STATUS_ZEROS)
         assert node.depth == 600
 
+    def test_deep_trace_values(self):
+        # ==, hash and repr of a depth-900 chain do not recurse per level.
+        ctx = ModularContext(13)
+        a = iterate(rho_family(2, 900, ctx), ctx, 900)
+        b = iterate(rho_family(2, 900, ctx), ctx, 900)
+        assert a is not b and a == b and hash(a) == hash(b)
+        # Differs from a only in the status of the deepest leaf.
+        c = trace_from_json(trace_to_json(a).replace(
+            '"status":"zeros"', '"status":"exhausted"'
+        ))
+        assert a != c and c != a
+        assert a != iterate(rho_family(2, 899, ctx), ctx, 900)
+        text = repr(a)
+        assert text.count("IterationTrace(") == 9
+        assert text.endswith("depth=8, children=(...,))" + ",))" * 8)
+
+    def test_repr_of_a_shallow_trace(self):
+        leaf = IterationTrace((0, 0), STATUS_ZEROS, 1)
+        t = IterationTrace((1, -1), STATUS_EXPANDED, 0, (leaf,))
+        assert repr(t) == (
+            "IterationTrace(seq=(1, -1), status='expanded', depth=0, "
+            "children=(IterationTrace(seq=(0, 0), status='zeros', depth=1, "
+            "children=()),))"
+        )
+        twin = IterationTrace((1, -1), STATUS_EXPANDED, 0,
+                              (IterationTrace((0, 0), STATUS_ZEROS, 1),))
+        assert t == twin and len({t, twin}) == 1
+        assert t != leaf and t != (1, -1)
+        assert leaf != IterationTrace((0, 0), STATUS_ZEROS, 2)
+
     @given(weights, st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_cap_bounds_every_node(self, w, cap):
@@ -427,9 +457,10 @@ class TestTraceJson:
         assert trace_from_json(trace_to_json(t)) == t
 
     def test_reads_deep_trace(self):
-        # Compared as bytes: dataclass == recurses once per level too.
         ctx = ModularContext(13)
-        s = trace_to_json(iterate(rho_family(2, 900, ctx), ctx, 900))
+        t = iterate(rho_family(2, 900, ctx), ctx, 900)
+        s = trace_to_json(t)
+        assert trace_from_json(s) == t
         assert trace_to_json(trace_from_json(s)) == s
 
     @pytest.mark.parametrize("text", [
