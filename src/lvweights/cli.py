@@ -17,6 +17,7 @@ from .counting import count_distinguished, leading_coefficient
 from .enumeration import (
     ScatterRecord,
     SearchBox,
+    _check_size,
     _enumerate_depths,
     _family_depths,
     default_bound,
@@ -147,6 +148,7 @@ def run(argv) -> int:
             print("not-distinguished" if depth is None else depth)
         elif args.command == "enumerate":
             ctx = ModularContext(args.prime)
+            _check_size(args.n, args.k)  # before default_bound's p**k
             bound = args.bound
             if bound is None:
                 bound = default_bound(args.n, args.k, args.prime)

@@ -13,22 +13,18 @@ without an anti-symmetric preimage raises instead of being dropped.  No
 search bound is involved: ``enumerate_distinguished`` keeps the weights
 whose largest entry is within its bound.
 
-The inverse solves on cells.  The free coordinates x_1 >= ... >= x_h >= 0
-(h = floor(n/2)) split into cells by gap pattern: each gap between
-consecutive free coordinates, and the middle gap (2*x_h for even n, x_h
-against the middle zero for odd n), is capped to 0, 1 or >= 2.  Within
-one cell:
-
-* The maximal clumps are fixed.  ``phi`` removes selected values column by
-  column; that can split a clump but never merge two, because distinct
-  clumps stay >= 2 apart.
-* ``phi`` appends a value v only to a row ending in v or v +- 1, so every
-  row stays inside one clump.
-* Rows are created only in column 1, so the row order, the column sizes
-  and the row-length shape depend only on the cell.
-* So every row sum is +-len(row) * t_c + const, where t_c is the top of
-  the row's clump (- in the mirrored half), and the clump that straddles
-  zero has constant row sums.
+The inverse takes two steps.  First, a cell proposes a candidate.  The
+free coordinates x_1 >= ... >= x_h >= 0 (h = floor(n/2)) split into cells
+by gap pattern: each gap between consecutive free coordinates, and the
+middle gap, is capped to 0, 1 or >= 2.  Within one cell the maximal clumps
+are fixed (``phi`` can split a clump but never merge two); each row stays
+in one clump (``phi`` appends v only to a row ending in v or v +- 1); and
+rows are created only in column 1, so the row order and the shape are
+fixed.  So each row sum is affine in its clump's move, and matching rows
+with the target's entries pins every move.  Second, the forward map
+accepts it: the moves may leave the cell, but ``lv`` is injective, so a
+weakly decreasing candidate that ``_lv_mu`` maps to the target is the
+preimage.  The solver reads no geometry of the table it is given.
 """
 
 from __future__ import annotations
@@ -39,9 +35,10 @@ from functools import cache
 from itertools import product
 
 from .core import Weight, validate_weight
-from .counting import partitions_mult
+from .counting import count_distinguished, partitions_mult
 from .lv_algorithm import _correct_columns, _lv_mu, _phi_rows, maximal_clumps
-from .modular_iteration import ModularContext, _bounded_depth, distinguished_depth
+from .modular_iteration import (ModularContext, _bounded_depth, _is_prime,
+                                distinguished_depth)
 
 __all__ = [
     "SearchBox",
@@ -60,7 +57,7 @@ def default_bound(n: int, k: int, p: int) -> int:
     """(n-1)(p^k - 1)/(p - 1): the largest entry of the scaled staircase,
     the default bound of ``enumerate``.  The tests check that it is the
     largest entry of D(n, k) on every case they construct."""
-    if n <= 0:
+    if n <= 1:
         return 0
     return (n - 1) * (p**k - 1) // (p - 1)
 
@@ -78,6 +75,8 @@ class SearchBox:
     def __post_init__(self):
         if self.n < 0 or self.k < 0 or self.bound < 0:
             raise ValueError("n, k and bound must be >= 0")
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if self.p <= self.n:
             raise ValueError(
                 f"prime {self.p} must exceed the weight length {self.n}"
@@ -109,25 +108,22 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
     return coords + mid + tuple(-c for c in reversed(coords))
 
 
-def _compile_cell(least: tuple[int, ...], n: int):
-    """The cell of least free coordinates ``least`` as ``(shape, (clumps,
-    tail, equations))``: its number of rows of each length; its free
-    clumps top to bottom as (offsets below the top, top in ``least``); the
-    free part of the clump that straddles zero; and for each row, by length
-    and in ``phi`` order within one, ``(c, coef, const)``: the row sum is
-    coef * t_c + const, where t_c is the top of free clump c, or 0 when c
-    is None (the clump that straddles zero)."""
-    # Free clumps split at gaps of 2; the bottom run belongs to the clump
-    # that straddles zero when the middle gap is below 2.
-    runs = list(maximal_clumps(least))
-    middle_gap = 2 * least[-1] if n % 2 == 0 else least[-1]
-    tail = runs.pop() if middle_gap < 2 else ()
-    clump_of = {}
-    for c, run in enumerate(runs):
-        for v in run:
-            clump_of[v] = (c, 1)
-            clump_of[-v] = (c, -1)
-    rows = _phi_rows(_mirror(least, n), 1)
+def _compile_cell(weight: Weight):
+    """The cell of the anti-symmetric least weight ``weight`` as ``(shape,
+    (weight, owners, equations))``: its number of rows of each length; the
+    ``(clump, sign)`` that owns each entry, clump j of ``maximal_clumps``
+    moving up by d_j and its mirror -1-j down by d_j, and a middle clump
+    (the middle zero, or the clump that straddles zero) owned by ``(None,
+    0)``; and for each row, by length and in ``phi`` order within one,
+    ``(c, coef, base)``: the row sum is base + coef * d_c."""
+    clumps = maximal_clumps(weight)
+    owners = []
+    for j, clump in enumerate(clumps):
+        m = len(clumps) - 1 - j
+        owner = (j, 1) if j < m else (m, -1) if j > m else (None, 0)
+        owners += [owner] * len(clump)
+    owner_of = dict(zip(weight, owners))
+    rows = _phi_rows(weight, 1)
     firsts = [row[0] for row in rows]
     _correct_columns(rows)
     shape = [0] * max(map(len, rows))
@@ -135,14 +131,9 @@ def _compile_cell(least: tuple[int, ...], n: int):
     # The sort is stable, so rows of one length stay in phi order.
     for first, row in sorted(zip(firsts, rows), key=lambda fr: len(fr[1])):
         shape[len(row) - 1] += 1
-        if first in clump_of:
-            c, sign = clump_of[first]
-            coef = sign * len(row)
-            equations.append((c, coef, sum(row) - coef * runs[c][0]))
-        else:
-            equations.append((None, 1, sum(row)))
-    clumps = tuple((tuple(run[0] - v for v in run), run[0]) for run in runs)
-    return tuple(shape), (clumps, tail, tuple(equations))
+        c, sign = owner_of[first]
+        equations.append((c, sign * len(row) or 1, sum(row)))
+    return tuple(shape), (weight, tuple(owners), tuple(equations))
 
 
 @cache
@@ -156,40 +147,34 @@ def _cells(n: int) -> dict[tuple[int, ...], list]:
         minima = [(c[0] + g,) + c for c in minima for g in (0, 1, 2)]
     cells: dict[tuple[int, ...], list] = {}
     for least in minima:
-        shape, cell = _compile_cell(least, n)
+        shape, cell = _compile_cell(_mirror(least, n))
         cells.setdefault(shape, []).append(cell)
     return cells
 
 
 def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
-    """The anti-symmetric w of length n with lv(w) = p * target; raises
-    RuntimeError when there is none.
+    """The w of length n with lv(w) = p * target, tried on the anti-symmetric
+    cells; raises RuntimeError when none gives it.
 
     Each cell of the target's shape pairs its rows with the target's
     entries by length and then in descending order of sum, the order in
     which ``phi`` gives them (see ``lv_algorithm._row_sums``).  Each row
-    pins its clump's top; tops that agree, keep the cell's gaps and pass
-    ``_lv_mu`` give the weight.
+    pins its clump's move; moves that are exact and agree give a candidate,
+    and ``lv`` is injective, so a weakly decreasing candidate that
+    ``_lv_mu`` maps to the target is the preimage, in this cell or not.
     """
     sums = [p * v for part in target for v in part]
-    for clumps, tail, equations in _cells(n).get(tuple(map(len, target)), ()):
-        tops: dict[int | None, int] = {None: 0}
-        for (c, coef, const), s in zip(equations, sums):
-            t, r = divmod(s - const, coef)
-            if r or tops.setdefault(c, t) != t:
+    for least, owners, equations in _cells(n).get(tuple(map(len, target)), ()):
+        moves: dict[int | None, int] = {None: 0}
+        for (c, coef, base), s in zip(equations, sums):
+            d, r = divmod(s - base, coef)
+            if r or moves.setdefault(c, d) != d:
                 break
         else:
-            # Clumps stay >= 2 apart, and the bottom one clear of the
-            # middle, exactly when each top's excess over its least value
-            # is at least the next one's and at least 0.
-            excess = [tops[c] - low for c, (_, low) in enumerate(clumps)]
-            excess.append(0)
-            if all(a >= b for a, b in zip(excess, excess[1:])):
-                head = tuple(tops[c] - o for c, (offsets, _) in
-                             enumerate(clumps) for o in offsets)
-                w = _mirror(head + tail, n)
-                if _lv_mu(w, 1, p) == target:
-                    return w
+            w = tuple(v + sign * moves[c] for v, (c, sign) in zip(least, owners))
+            if (all(a >= b for a, b in zip(w, w[1:]))
+                    and _lv_mu(w, 1, p) == target):
+                return w
     raise RuntimeError(
         f"no anti-symmetric weight of length {n} maps to {p} * {target}"
     )
@@ -207,7 +192,7 @@ def _construct(n: int, k: int, p: int) -> dict[Weight, int]:
     older = {l: [] for l in range(n + 1)}
     last = {l: [(0,) * l] for l in range(n + 1)}
     depths = {(0,) * n: 0}
-    for d in range(1, k + 1):
+    for d in range(1, k + 1 if n > 1 else 1):  # n < 2: zero weight alone
         new = {
             l: [
                 _preimage(omega, l, p)
@@ -237,11 +222,39 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     return sorted(_enumerate_depths(box, jobs), reverse=True)
 
 
+# Largest cell table and largest D(n, k) an enumeration builds; both are
+# stated in the README.  n = 19 has 19,683 cells; (14, 3) has 7,382 weights.
+_MAX_CELLS = 20_000
+_MAX_WEIGHTS = 20_000
+
+
+def _check_size(n: int, k: int) -> None:
+    """Refuse, before any work, an enumeration whose cell table or whose
+    D(n, k) is over its limit.  k = 0 builds neither."""
+    if k < 1 or n < 2:
+        return
+    cells, h = 2 + n % 2, n // 2  # _cells(n) has cells * 3^(h - 1)
+    while h > 1 and cells <= _MAX_CELLS:
+        cells, h = 3 * cells, h - 1
+    if cells > _MAX_CELLS:
+        raise ValueError(f"n = {n} needs {2 + n % 2} * 3^{n // 2 - 1} "
+                         f"cells, over the limit of {_MAX_CELLS}")
+    # count(n, m) rises with m, so doubling m fills the count table to at
+    # most twice the level at which it passes the limit.
+    m = 1
+    while m < k and count_distinguished(n, m) <= _MAX_WEIGHTS:
+        m *= 2
+    if count_distinguished(n, min(m, k)) > _MAX_WEIGHTS:
+        raise ValueError(f"more than {_MAX_WEIGHTS} distinguished weights "
+                         f"at n = {n}, k = {k}")
+
+
 def _enumerate_depths(box: SearchBox, jobs: int) -> dict[Weight, int]:
     """``enumerate_distinguished``'s weights mapped to their depths, which
     are those ``scatter_records`` gives at cap k."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_size(box.n, box.k)
     return {
         w: d for w, d in _construct(box.n, box.k, box.p).items()
         if not w or w[0] <= box.bound

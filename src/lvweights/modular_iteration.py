@@ -137,11 +137,14 @@ class IterationTrace:
                 f"{',' * (len(inner) == 1)}))")
 
     def leaves(self):
-        if self.status != STATUS_EXPANDED:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        """The unexpanded nodes, left to right, read on an explicit stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.status != STATUS_EXPANDED:
+                yield node
+            else:
+                stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,14 +288,8 @@ def refinement_chain(trace: IterationTrace) -> RefinementChain:
     contributes l parts of size 1 and keeps contributing at every later
     level, so each level refines the previous one; empty nodes contribute
     nothing.  The chain ends at the first level produced entirely by
-    all-zero nodes.
+    all-zero nodes.  A leaf that is not all zeros raises ValueError.
     """
-    for leaf in trace.leaves():
-        if leaf.status != STATUS_ZEROS:
-            raise ValueError(
-                f"trace not distinguished: leaf {leaf.seq} has status "
-                f"{leaf.status}"
-            )
     levels: list[tuple[PartitionMult, ...]] = []
     frontier: list[IterationTrace] = [trace]
     while True:
@@ -304,6 +301,11 @@ def refinement_chain(trace: IterationTrace) -> RefinementChain:
                 if node.seq:
                     contributions.append(PartitionMult((len(node.seq),)))
                     nxt.append(node)
+            elif node.status != STATUS_EXPANDED:
+                raise ValueError(
+                    f"trace not distinguished: leaf {node.seq} has status "
+                    f"{node.status}"
+                )
             else:
                 any_expanded = True
                 contributions.append(

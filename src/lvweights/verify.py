@@ -78,13 +78,14 @@ def round_trip_failures(samples: int, seed: int):
         ok = True
         for base in (0, 1):
             x = phi(w, base)
+            corrected = apply_E_inverse(x)
             if phi_inverse(x) != w:
                 ok = False
-            if apply_E(apply_E_inverse(x)) != x:
+            if apply_E(corrected) != x:
                 ok = False
             if apply_E_inverse(apply_E(x)) != x:
                 ok = False
-            staged = kappa(apply_E_inverse(x))
+            staged = kappa(corrected)
             if lv(w, base) != staged:
                 ok = False
             if staged.entry_sum != sum(w):

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 import lvweights.cli as cli
+import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
     SearchBox,
@@ -165,6 +167,28 @@ class TestEnumerateCommand:
                               "--k", "1")
         assert code == 2
         assert "exceed" in err
+
+    @pytest.mark.parametrize("n,k,p,match", [
+        (30, 1, 31, "cells, over the limit of 20000"),
+        (8, 1000, 11, "more than 20000 distinguished weights"),
+        (2, 10**9, 3, "more than 20000 distinguished weights"),
+    ])
+    def test_size_guards(self, capout, n, k, p, match):
+        # Refused before any cell is compiled or p**k computed.
+        before = enumeration._cells.cache_info().currsize
+        start = time.perf_counter()
+        code, out, err = capout("enumerate", "--n", str(n), "--prime",
+                                str(p), "--k", str(k))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert match in err
+        assert enumeration._cells.cache_info().currsize == before
+
+    @pytest.mark.parametrize("n,k,p", [(40, 0, 41), (1, 10**9, 2)])
+    def test_only_the_zero_weight(self, capout, n, k, p):
+        code, out, _ = capout("enumerate", "--n", str(n), "--prime", str(p),
+                              "--k", str(k))
+        assert (code, out) == (0, ",".join(["0"] * n) + "\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_nonpositive_jobs(self, capout, jobs):

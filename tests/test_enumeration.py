@@ -47,6 +47,11 @@ class TestSearchBox:
         with pytest.raises(ValueError):
             SearchBox(2, -1, 10, 5)
 
+    @pytest.mark.parametrize("p", [9, 15, 25])
+    def test_rejects_composite_prime(self, p):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            SearchBox(4, 3, default_bound(4, 3, p), p)
+
 
 class TestEnumerate:
     def test_n2(self):
@@ -230,6 +235,71 @@ class TestConstruction:
     def test_lengths_below_two(self):
         assert enumeration._construct(0, 5, 7) == {(): 0}
         assert enumeration._construct(1, 5, 7) == {(0,): 0}
+        assert enumeration._construct(1, 10**9, 7) == {(0,): 0}
+
+    @pytest.mark.parametrize("target,least,moves,proposal,preimage", [
+        # Closes the gap between the clumps (3, 3) and (1,): the proposal
+        # lies in another cell, where lv_p of it is not even integral.
+        (((0, 0), (0, 0)), (3, 3, 1, -1, -3, -3), {None: 0, 0: -1, 1: 0},
+         (2, 2, 1, -1, -2, -2), (3, 1, 1, -1, -1, -3)),
+        # Moves the outer clumps past the inner ones: not a weight.
+        (((0, 0), (1, -1)), (4, 2, 1, -1, -2, -4), {None: 0, 0: -1, 1: 3},
+         (3, 5, 4, -4, -5, -3), (6, 5, 1, -1, -5, -6)),
+    ])
+    def test_forward_map_decides(self, monkeypatch, target, least, moves,
+                                 proposal, preimage):
+        # A cell only proposes a weight: its moves are exact and agree on
+        # every row, yet tried first it must not give the answer.
+        p = 7
+        cells = enumeration._cells(6)[(2, 2)]
+        cell = next(c for c in cells if c[0] == least)
+        _, owners, equations = cell
+        assert [base + coef * moves[c] for c, coef, base in equations] == [
+            p * v for part in target for v in part
+        ]
+        assert tuple(v + sign * moves[c]
+                     for v, (c, sign) in zip(least, owners)) == proposal
+        assert (list(proposal) != sorted(proposal, reverse=True)
+                or enumeration._lv_mu(proposal, 1, p) != target)
+        assert enumeration._lv_mu(preimage, 1, p) == target
+        monkeypatch.setattr(enumeration, "_cells",
+                            lambda n: {(2, 2): [cell, *cells]})
+        assert enumeration._preimage(target, 6, p) == preimage
+
+
+class TestSizeGuards:
+    """``enumerate`` refuses, before any work, a cell table or a D(n, k)
+    over its documented limit."""
+
+    @pytest.mark.parametrize("n,k,p,match", [
+        (30, 1, 31, "cells, over the limit of 20000"),
+        (20, 1, 23, "cells, over the limit of 20000"),
+        (8, 1000, 11, "more than 20000 distinguished weights"),
+        (2, 10**9, 3, "more than 20000 distinguished weights"),
+    ])
+    def test_refuses_before_building(self, n, k, p, match):
+        before = enumeration._cells.cache_info().currsize
+        with pytest.raises(ValueError, match=match):
+            enumerate_distinguished(SearchBox(n, k, 0, p))
+        assert enumeration._cells.cache_info().currsize == before
+
+    def test_limits_are_tight(self):
+        # n = 19 is the longest length whose cells fit; D(n, k) may hold
+        # exactly the limit.
+        enumeration._check_size(19, 1)
+        assert count_distinguished(2, 19_999) == enumeration._MAX_WEIGHTS
+        enumeration._check_size(2, 19_999)
+        with pytest.raises(ValueError):
+            enumeration._check_size(2, 20_000)
+
+    @pytest.mark.parametrize("n,k", [(14, 3), (8, 6), (4, 20), (4, 4),
+                                     (14, 1)])
+    def test_tested_cells_are_below_both_limits(self, n, k):
+        enumeration._check_size(n, k)
+        assert count_distinguished(n, k) < enumeration._MAX_WEIGHTS
+
+    def test_depth_zero_builds_nothing(self):
+        assert enumerate_distinguished(SearchBox(40, 0, 0, 41)) == [(0,) * 40]
 
 
 class TestClosedFamily:

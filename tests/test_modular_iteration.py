@@ -201,6 +201,32 @@ class TestIterate:
         assert text.count("IterationTrace(") == 9
         assert text.endswith("depth=8, children=(...,))" + ",))" * 8)
 
+    def test_deep_leaves_and_refinement_chain(self):
+        # leaves() and refinement_chain walk their own stacks.
+        ctx = ModularContext(13)
+        t = iterate(rho_family(2, 3000, ctx), ctx, 3000)
+        (leaf,) = t.leaves()
+        assert (leaf.seq, leaf.status, leaf.depth) == ((0, 0), STATUS_ZEROS,
+                                                      3000)
+        assert refinement_chain(t).levels == ((PartitionMult((2,)),),) * 3001
+        short = iterate(rho_family(2, 3000, ctx), ctx, 2999)
+        with pytest.raises(ValueError, match="has status exhausted"):
+            refinement_chain(short)
+
+    def test_leaves_left_to_right(self):
+        t = iterate(GOLDEN_WEIGHT, ModularContext(11), cap=5)
+
+        def walk(node):
+            if node.status != STATUS_EXPANDED:
+                return [node]
+            return [leaf for c in node.children for leaf in walk(c)]
+
+        expected = walk(t)
+        assert len(expected) > 2
+        got = list(t.leaves())
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+
     def test_repr_of_a_shallow_trace(self):
         leaf = IterationTrace((0, 0), STATUS_ZEROS, 1)
         t = IterationTrace((1, -1), STATUS_EXPANDED, 0, (leaf,))
