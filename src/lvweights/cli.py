@@ -148,7 +148,7 @@ def run(argv) -> int:
             print("not-distinguished" if depth is None else depth)
         elif args.command == "enumerate":
             ctx = ModularContext(args.prime)
-            _check_size(args.n, args.k)  # before default_bound's p**k
+            _check_size(args.n, args.k, args.prime)  # before p**k
             bound = args.bound
             if bound is None:
                 bound = default_bound(args.n, args.k, args.prime)

@@ -30,6 +30,7 @@ preimage.  The solver reads no geometry of the table it is given.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -158,7 +159,7 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
 
     Each cell of the target's shape pairs its rows with the target's
     entries by length and then in descending order of sum, the order in
-    which ``phi`` gives them (see ``lv_algorithm._row_sums``).  Each row
+    which ``phi`` gives them (see ``lv_algorithm._lv_mu``).  Each row
     pins its clump's move; moves that are exact and agree give a candidate,
     and ``lv`` is injective, so a weakly decreasing candidate that
     ``_lv_mu`` maps to the target is the preimage, in this cell or not.
@@ -228,9 +229,14 @@ _MAX_CELLS = 20_000
 _MAX_WEIGHTS = 20_000
 
 
-def _check_size(n: int, k: int) -> None:
+def _check_size(n: int, k: int, p: int | None = None) -> None:
     """Refuse, before any work, an enumeration whose cell table or whose
-    D(n, k) is over its limit.  k = 0 builds neither."""
+    D(n, k) is over its limit.  k = 0 builds neither.
+
+    Given p, as the CLI that prints the weights does, also refuse when
+    ``default_bound(n, k, p)``, the largest entry, has more decimal digits
+    than the interpreter converts to text.  The bound is at least
+    p^(k-1), so only a bound near the limit is computed."""
     if k < 1 or n < 2:
         return
     cells, h = 2 + n % 2, n // 2  # _cells(n) has cells * 3^(h - 1)
@@ -247,6 +253,13 @@ def _check_size(n: int, k: int) -> None:
     if count_distinguished(n, min(m, k)) > _MAX_WEIGHTS:
         raise ValueError(f"more than {_MAX_WEIGHTS} distinguished weights "
                          f"at n = {n}, k = {k}")
+    # Python before 3.10.7 has no limit.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if p is not None and digits and ((k - 1) * math.log10(p) > digits + 1
+                                     or default_bound(n, k, p) >= 10**digits):
+        raise ValueError(f"entries of D(n = {n}, k = {k}) at p = {p} have "
+                         f"more than {digits} decimal digits, the limit for "
+                         f"integer string conversion")
 
 
 def _enumerate_depths(box: SearchBox, jobs: int) -> dict[Weight, int]:

@@ -13,13 +13,19 @@ from 0 (``base=0``) flips the parity used by the selection and placement
 rules and is needed for the single-clump commutation argument; everything
 else is shared.
 
-Each stage has one kernel on mutable rows, ``_phi_rows``,
-``_correct_columns`` and ``_row_sums``, which ``phi``, ``apply_E_inverse``
-and ``kappa`` call after validating.  ``_lv_mu`` chains the three (a
-single-column diagram is a staircase shift) and divides by p; it is behind
-``lv``, ``lv_p``, the depth search and the check of every weight the
-enumeration's inverse builds.  That inverse compiles its row equations
-with ``_phi_rows`` and ``_correct_columns`` directly.
+``_phi_rows`` is the only placement code and ``_correct_columns`` the
+only column correction.  ``phi`` of a weight is the ``phi`` of each of its
+maximal clumps, shifted; ``_template`` compiles a clump shape once, with
+both kernels, into its rows, its corrected row sums and its column sizes,
+and keeps it in a bounded cache keyed by the clump's multiplicities and
+the column base.  ``phi`` reads the rows of the templates.  ``_lv_mu`` is
+the fused map divided by p: a single-column diagram is a staircase shift,
+and any other weight takes one pass over its clumps' templates, which adds
+the cross-clump part of the column correction to the row sums.  It is
+behind ``lv``, ``lv_p``, the depth search and the check of every weight
+the enumeration's inverse builds.  That inverse compiles its row
+equations with ``_phi_rows`` and ``_correct_columns`` directly, and
+``apply_E_inverse`` and ``kappa`` take any diagram.
 
 ``apply_E`` is the entrywise inverse of the column correction and, together
 with ``phi_inverse``, supports round-trip testing.  All functions are pure
@@ -27,6 +33,8 @@ and operate on immutable values.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .core import (
     Diagram,
@@ -155,6 +163,57 @@ def _phi_rows(w, base: int) -> list[list[int]]:
     return rows
 
 
+# Templates kept, at about 1 kB each.  6,000 clumpy weights with n <= 16
+# need 1,122 under both bases; clumps of up to 16 entries have 2^16 - 1.
+_MAX_TEMPLATES = 1 << 13
+
+
+@lru_cache(maxsize=_MAX_TEMPLATES)
+def _template(mults: tuple[int, ...], base: int):
+    """``phi`` of the canonical clump -- distinct values 0, -1, -2, ...
+    with multiplicities ``mults`` -- as ``(rows, sums, cols)``: its rows;
+    each row's sum after the column correction of the clump alone; and its
+    column sizes.
+
+    ``phi`` of a weight is each maximal clump's rows shifted by the clump's
+    top, in clump order.  Selection reads only column parity and counts of
+    distinct values, and placement compares differences, so a shift moves
+    the rows with the clump; and two maximal clumps differ by at least 2,
+    while removing selected values only splits clumps, so no column joins
+    values of two clumps and no row takes values from two.  Every clump
+    starts at column ``base``.  A ``PlacementError`` or a gap below 2 is
+    raised here, once per template, on the canonical values; gaps across a
+    clump boundary are at least 2.
+    """
+    rows = _phi_rows([-i for i, m in enumerate(mults) for _ in range(m)], base)
+    offsets = tuple(map(tuple, rows))
+    _correct_columns(rows)
+    width = max(map(len, rows))
+    return (offsets, tuple(map(sum, rows)),
+            tuple(sum(len(row) > j for row in rows) for j in range(width)))
+
+
+def _clump_plan(w: Weight, base: int) -> list:
+    """(template, top) of each maximal clump of ``w``, in order."""
+    if not w:
+        return []
+    plan = []
+    top = prev = w[0]
+    mults = [1]
+    for v in w[1:]:
+        gap = prev - v
+        if gap == 0:
+            mults[-1] += 1
+        elif gap == 1:
+            mults.append(1)
+        else:
+            plan.append((_template(tuple(mults), base), top))
+            top, mults = v, [1]
+        prev = v
+    plan.append((_template(tuple(mults), base), top))
+    return plan
+
+
 def phi(w, base: int = 1) -> Diagram:
     """Column-by-column diagram construction.
 
@@ -166,7 +225,8 @@ def phi(w, base: int = 1) -> Diagram:
     if base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
-    return tuple(tuple(row) for row in _phi_rows(w, base))
+    return tuple(tuple(v + top for v in row)
+                 for (rows, _, _), top in _clump_plan(w, base) for row in rows)
 
 
 def phi_inverse(x: Diagram) -> Weight:
@@ -229,28 +289,12 @@ def _correct_columns(rows: list[list[int]]) -> None:
 
 def kappa(x: Diagram) -> OmegaElement:
     """Group rows by length: mu_i is the sorted row sums of length-i rows."""
-    return OmegaElement(_row_sums([r for r in validate_diagram(x) if r]))
-
-
-def _row_sums(rows, p: int = 1) -> tuple[Weight, ...] | None:
-    """``kappa`` of nonempty rows with every row sum divided by p, or None
-    when some row sum is not divisible by p.
-
-    Rows from ``_phi_rows`` and ``_correct_columns`` of one length already
-    come in descending order of sum: both fill columns 1 to their length,
-    and the correction leaves every column non-increasing down the rows
-    (or raises), so the upper row is entrywise at least the lower.  The
-    enumeration's inverse relies on this; ``kappa`` on any diagram needs
-    the sort.
-    """
-    s = max(map(len, rows), default=0)
-    buckets: list[list[int]] = [[] for _ in range(s)]
+    rows = [r for r in validate_diagram(x) if r]
+    width = max(map(len, rows), default=0)
+    buckets: list[list[int]] = [[] for _ in range(width)]
     for row in rows:
-        q, r = divmod(sum(row), p)
-        if r:
-            return None
-        buckets[len(row) - 1].append(q)
-    return tuple(tuple(sorted(b, reverse=True)) for b in buckets)
+        buckets[len(row) - 1].append(sum(row))
+    return OmegaElement(tuple(tuple(sorted(b, reverse=True)) for b in buckets))
 
 
 def lv(w, base: int = 1) -> OmegaElement:
@@ -275,6 +319,22 @@ def _lv_mu(entries: Weight, base: int = 1,
     to subtracting the staircase (n-1, n-3, ..., 1-n).  This case dominates
     weights with widely spread entries; it is independent of ``base``
     because a one-element clump is selected under either parity.
+
+    General path: the diagram is the clumps' templates shifted by their
+    tops (see ``_template``), and a row of length L gets the correction
+    sum_{j<L} (2*above_j - (c_j - 1)), where c_j counts column j's entries
+    and above_j those above the row.  Split above_j and c_j into the
+    row's own clump, which the template's sum already corrects, and the
+    clumps above and below it: a clump's rows then all get the prefix sums
+    of one column vector, sum_{j<L} (2*A_j + C_j - c_j) with A_j the
+    entries of earlier clumps in column j and C_j the clump's own, plus L
+    times the clump's top.
+
+    Rows of one length come in descending order of sum, so no sort is
+    needed: rows fill columns from the first, and the correction leaves
+    every column non-increasing down the rows (or raises), so the upper of
+    two rows of one length is entrywise at least the lower.  The
+    enumeration's inverse relies on this order too.
     """
     n = len(entries)
     if n == 0:
@@ -294,6 +354,24 @@ def _lv_mu(entries: Weight, base: int = 1,
             out.append(q)
             top -= 2
         return (tuple(out),)
-    rows = _phi_rows(entries, base)
-    _correct_columns(rows)
-    return _row_sums(rows, p)
+    plan = _clump_plan(entries, base)
+    total = [0] * n  # column sizes; the columns past the last stay 0
+    for (_, _, cols), _ in plan:
+        for j, c in enumerate(cols):
+            total[j] += c
+    above = [0] * n
+    buckets: list[list[int]] = [[] for _ in range(n - total.count(0))]
+    for (rows, sums, cols), top in plan:
+        lift = [0]  # lift[L]: what a length-L row adds to its template sum
+        s = 0
+        for j, c in enumerate(cols):
+            s += top + 2 * above[j] + c - total[j]
+            above[j] += c
+            lift.append(s)
+        for row, own in zip(rows, sums):
+            length = len(row)
+            q, r = divmod(own + lift[length], p)
+            if r:
+                return None
+            buckets[length - 1].append(q)
+    return tuple(map(tuple, buckets))

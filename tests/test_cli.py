@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -183,6 +184,19 @@ class TestEnumerateCommand:
         assert (code, out) == (2, "")
         assert match in err
         assert enumeration._cells.cache_info().currsize == before
+
+    def test_entry_size_guard(self, capout, monkeypatch):
+        # D(2, 10000) at p = 3 has 10,001 weights, under the weight limit,
+        # but entries of 4,771 digits, which no weight could be printed with.
+        def construct(*args):
+            raise AssertionError("D(n, k) was built")
+
+        monkeypatch.setattr(enumeration, "_construct", construct)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = capout("enumerate", "--n", "2", "--prime", "3",
+                                "--k", "10000")
+        assert (code, out) == (2, "")
+        assert f"more than {limit} decimal digits" in err
 
     @pytest.mark.parametrize("n,k,p", [(40, 0, 41), (1, 10**9, 2)])
     def test_only_the_zero_weight(self, capout, n, k, p):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -291,6 +292,23 @@ class TestSizeGuards:
         enumeration._check_size(2, 19_999)
         with pytest.raises(ValueError):
             enumeration._check_size(2, 20_000)
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 7)])
+    def test_entry_size_limit_is_tight(self, n, p):
+        # The last k whose largest entry converts to text passes and the
+        # next does not; without p (the library prints nothing) neither is
+        # checked.
+        top = 10 ** sys.get_int_max_str_digits()
+        k = int(math.log(top, p))
+        while default_bound(n, k, p) >= top:
+            k -= 1
+        while default_bound(n, k + 1, p) < top:
+            k += 1
+        str(default_bound(n, k, p))
+        enumeration._check_size(n, k, p)
+        with pytest.raises(ValueError, match="decimal digits"):
+            enumeration._check_size(n, k + 1, p)
+        enumeration._check_size(n, k + 1)
 
     @pytest.mark.parametrize("n,k", [(14, 3), (8, 6), (4, 20), (4, 4),
                                      (14, 1)])

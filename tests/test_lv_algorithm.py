@@ -21,8 +21,15 @@ from lvweights import (
     reverse_negate,
     reverse_negate_omega,
 )
+from lvweights import lv_algorithm
 from lvweights.core import diagram_column, dom
-from lvweights.lv_algorithm import _correct_columns, _phi_rows
+from lvweights.lv_algorithm import (
+    PlacementError,
+    _correct_columns,
+    _lv_mu,
+    _phi_rows,
+    _template,
+)
 
 GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
 GOLDEN_PHI = ((46, 45, 46), (1,), (-1,), (-45, -46, -46))
@@ -34,12 +41,48 @@ weights = st.lists(st.integers(-50, 50), max_size=8).map(
 )
 
 
+def reference_phi(w, base):
+    """``phi`` transcribed from its definition, sharing no code with the
+    library.  Column r, counted from ``base``, takes every other distinct
+    value of each maximal clump of the values not yet placed: from the
+    second when r and the clump's count of distinct values are both even,
+    from the first otherwise.  The first column starts one row per value;
+    later each value z, largest first, goes to the end of the topmost row
+    that ends in column r - 1 with z or z + (-1)^r."""
+    left = sorted(w, reverse=True)
+    rows = []
+    r = base
+    while left:
+        clumps = []
+        for v in sorted(set(left), reverse=True):
+            if clumps and clumps[-1][-1] == v + 1:
+                clumps[-1].append(v)
+            else:
+                clumps.append([v])
+        column = []
+        for c in clumps:
+            column += c[1 if r % 2 == 0 and len(c) % 2 == 0 else 0::2]
+        for z in column:
+            left.remove(z)
+            if r == base:
+                rows.append([z])
+                continue
+            for row in rows:
+                if len(row) == r - base and row[-1] in (z, z + (-1) ** r):
+                    row.append(z)
+                    break
+            else:
+                raise AssertionError(f"no open row for {z} in column {r}")
+        r += 1
+    return tuple(map(tuple, rows))
+
+
 def reference_lv(w, base):
-    """``lv`` transcribed from its definition, sharing no kernel with the
-    library past ``phi``: add 2t - (c - 1) to the t-th entry (from 0) of
-    every column of size c, then let mu_i be ``dom`` of the row sums of the
-    length-i rows."""
-    x = phi(w, base)
+    """``lv`` transcribed from its definition on ``reference_phi``, sharing
+    no code with the library: add 2t - (c - 1) to the t-th entry (from 0)
+    of every column of size c, then let mu_i be ``dom`` of the row sums of
+    the length-i rows."""
+    x = reference_phi(w, base)
     ncols = max((len(r) for r in x), default=0)
     sizes = [len(diagram_column(x, j)) for j in range(1, ncols + 1)]
     seen = [0] * ncols  # entries of each column met so far, top down
@@ -53,9 +96,9 @@ def reference_lv(w, base):
     return tuple(dom(sums.get(i, ())) for i in range(1, ncols + 1))
 
 
-def reference_lv_p(w, p):
+def reference_lv_p(w, p, base=1):
     """``reference_lv`` divided by p by hand, or None."""
-    mu = reference_lv(w, 1)
+    mu = reference_lv(w, base)
     if any(e % p for part in mu for e in part):
         return None
     return tuple(tuple(e // p for e in part) for part in mu)
@@ -77,6 +120,29 @@ def clump_weights():
             for v in [tm[0] - i] * m
         )
     )
+
+
+def multi_clump_weights():
+    # Up to 16 entries in maximal clumps (consecutive distinct values,
+    # multiplicities 1-3), neighbouring clumps 2 to 4 apart, the whole
+    # weight shifted by a small offset or one as large as 17**40.
+    def build(spec):
+        clumps, v = spec
+        w = []
+        for mults, gap in clumps:
+            for m in mults:
+                w += [v] * m
+                v -= 1
+            v -= gap - 1
+        return tuple(w[:16])
+
+    return st.tuples(
+        st.lists(st.tuples(st.lists(st.integers(1, 3), min_size=1,
+                                    max_size=5),
+                           st.integers(2, 4)),
+                 min_size=1, max_size=6),
+        st.one_of(st.integers(-20, 20), st.integers(-17**40, 17**40)),
+    ).map(build)
 
 
 class TestMaximalClumps:
@@ -106,6 +172,13 @@ class TestMaximalClumps:
 class TestPhi:
     def test_golden(self):
         assert phi(GOLDEN_WEIGHT, base=1) == GOLDEN_PHI
+        assert reference_phi(GOLDEN_WEIGHT, 1) == GOLDEN_PHI
+
+    @given(st.one_of(weights, clump_weights(), multi_clump_weights()),
+           st.sampled_from([0, 1]))
+    @settings(max_examples=300)
+    def test_matches_reference(self, w, base):
+        assert phi(w, base) == reference_phi(w, base)
 
     def test_all_zeros_single_row(self):
         for n in (1, 2, 5):
@@ -362,3 +435,64 @@ class TestCorrectionOnGeneralDiagrams:
     @given(_sorted_column_diagrams())
     def test_round_trip(self, x):
         assert apply_E(apply_E_inverse(x)) == x
+
+
+class TestTemplatedKernel:
+    """``phi`` and ``_lv_mu`` read per-clump templates; these check the
+    facts that make that exact, on weights of several clumps."""
+
+    @given(multi_clump_weights(), st.sampled_from([0, 1]),
+           st.sampled_from([1, 17]))
+    @settings(max_examples=300)
+    def test_lv_mu_matches_reference(self, w, base, p):
+        assert _lv_mu(w, base, p) == reference_lv_p(w, p, base)
+
+    @given(multi_clump_weights(), st.sampled_from([0, 1]),
+           st.integers(-17**40, 17**40))
+    def test_phi_is_shift_invariant(self, w, base, t):
+        shifted = tuple(v + t for v in w)
+        assert phi(shifted, base) == tuple(
+            tuple(v + t for v in row) for row in phi(w, base)
+        )
+
+    @given(multi_clump_weights(), st.sampled_from([0, 1]))
+    def test_cold_cache_equals_warm(self, w, base):
+        def outputs():
+            return phi(w, base), _lv_mu(w, base), _lv_mu(w, base, 17)
+
+        _template.cache_clear()
+        cold = outputs()
+        misses = _template.cache_info().misses
+        assert outputs() == cold
+        assert _template.cache_info().misses == misses
+
+
+class TestTemplateErrors:
+    """A kernel error raised while compiling a template reaches every
+    caller, and nothing of the failed template is kept."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _template.cache_clear()
+        yield
+        _template.cache_clear()
+
+    def test_placement_error(self, monkeypatch):
+        # Taking the smallest value first leaves -1 nothing to follow in
+        # the canonical clump (0, -1, -2).
+        monkeypatch.setattr(lv_algorithm, "_select_column",
+                            lambda remaining, r: [remaining[-1]])
+        for _ in range(2):
+            for call in (phi, lv):
+                with pytest.raises(PlacementError):
+                    call((9, 8, 7))
+
+    def test_column_gap(self, monkeypatch):
+        # Taking every distinct value puts 0 over -1 in the first column.
+        monkeypatch.setattr(lv_algorithm, "_select_column",
+                            lambda remaining, r: sorted(set(remaining),
+                                                        reverse=True))
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match=re.escape("column 1 gap below 2")):
+                lv((9, 8))
