@@ -20,8 +20,9 @@ middle gap, is capped to 0, 1 or >= 2.  Within one cell the maximal clumps
 are fixed (``phi`` can split a clump but never merge two); each row stays
 in one clump (``phi`` appends v only to a row ending in v or v +- 1); and
 rows are created only in column 1, so the row order and the shape are
-fixed.  So each row sum is affine in its clump's move, and matching rows
-with the target's entries pins every move.  Second, the forward map
+fixed.  So each row sum is affine in its clump's move, and pairing rows
+with the target's entries by position in ``_lv_mu``'s order, which every
+weight of the cell keeps, pins every move.  Second, the forward map
 accepts it: the moves may leave the cell, but ``lv`` is injective, so a
 weakly decreasing candidate that ``_lv_mu`` maps to the target is the
 preimage.  The solver reads no geometry of the table it is given.
@@ -37,8 +38,8 @@ from itertools import product
 
 from .core import Weight, validate_weight
 from .counting import count_distinguished, partitions_mult
-from .lv_algorithm import _correct_columns, _lv_mu, _phi_rows, maximal_clumps
-from .modular_iteration import (ModularContext, _bounded_depth, _is_prime,
+from .lv_algorithm import _clump_plan, _lv_mu
+from .modular_iteration import (ModularContext, _bounded_depth,
                                 distinguished_depth)
 
 __all__ = [
@@ -76,12 +77,7 @@ class SearchBox:
     def __post_init__(self):
         if self.n < 0 or self.k < 0 or self.bound < 0:
             raise ValueError("n, k and bound must be >= 0")
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.p <= self.n:
-            raise ValueError(
-                f"prime {self.p} must exceed the weight length {self.n}"
-            )
+        ModularContext(self.p).check_length(self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,32 +105,29 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
     return coords + mid + tuple(-c for c in reversed(coords))
 
 
-def _compile_cell(weight: Weight):
-    """The cell of the anti-symmetric least weight ``weight`` as ``(shape,
-    (weight, owners, equations))``: its number of rows of each length; the
-    ``(clump, sign)`` that owns each entry, clump j of ``maximal_clumps``
+def _compile_cell(least: Weight):
+    """The cell of the anti-symmetric least weight ``least`` as ``(shape,
+    (least, owners, equations))``: its number of rows of each length; the
+    ``(clump, sign)`` that owns each entry, clump j of ``_clump_plan``
     moving up by d_j and its mirror -1-j down by d_j, and a middle clump
     (the middle zero, or the clump that straddles zero) owned by ``(None,
-    0)``; and for each row, by length and in ``phi`` order within one,
-    ``(c, coef, base)``: the row sum is base + coef * d_c."""
-    clumps = maximal_clumps(weight)
-    owners = []
-    for j, clump in enumerate(clumps):
-        m = len(clumps) - 1 - j
+    0)``; and for each row, in ``_lv_mu``'s order, ``(c, coef, base)``:
+    the row sum is base + coef * d_c.  A weight of the cell has the same
+    clump templates in the same order, so its rows keep their positions
+    and each row sum moves by len(row) times its clump's move."""
+    plan = _clump_plan(least, 1)
+    mu = _lv_mu(least)
+    owners, owned = [], [[] for _ in mu]  # owned: row owners by length
+    for j, ((rows, _, cols), _) in enumerate(plan):
+        m = len(plan) - 1 - j
         owner = (j, 1) if j < m else (m, -1) if j > m else (None, 0)
-        owners += [owner] * len(clump)
-    owner_of = dict(zip(weight, owners))
-    rows = _phi_rows(weight, 1)
-    firsts = [row[0] for row in rows]
-    _correct_columns(rows)
-    shape = [0] * max(map(len, rows))
-    equations = []
-    # The sort is stable, so rows of one length stay in phi order.
-    for first, row in sorted(zip(firsts, rows), key=lambda fr: len(fr[1])):
-        shape[len(row) - 1] += 1
-        c, sign = owner_of[first]
-        equations.append((c, sign * len(row) or 1, sum(row)))
-    return tuple(shape), (weight, tuple(owners), tuple(equations))
+        owners += [owner] * sum(cols)
+        for row in rows:
+            owned[len(row) - 1].append(owner)
+    equations = tuple((c, sign * length or 1, s)
+                      for length, part in enumerate(mu, 1)
+                      for (c, sign), s in zip(owned[length - 1], part))
+    return tuple(map(len, mu)), (least, tuple(owners), equations)
 
 
 @cache
@@ -158,9 +151,8 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
     cells; raises RuntimeError when none gives it.
 
     Each cell of the target's shape pairs its rows with the target's
-    entries by length and then in descending order of sum, the order in
-    which ``phi`` gives them (see ``lv_algorithm._lv_mu``).  Each row
-    pins its clump's move; moves that are exact and agree give a candidate,
+    entries by position in ``_lv_mu``'s order.  Each row pins its
+    clump's move; moves that are exact and agree give a candidate,
     and ``lv`` is injective, so a weakly decreasing candidate that
     ``_lv_mu`` maps to the target is the preimage, in this cell or not.
     """
@@ -231,12 +223,9 @@ _MAX_WEIGHTS = 20_000
 
 def _check_size(n: int, k: int, p: int | None = None) -> None:
     """Refuse, before any work, an enumeration whose cell table or whose
-    D(n, k) is over its limit.  k = 0 builds neither.
-
-    Given p, as the CLI that prints the weights does, also refuse when
-    ``default_bound(n, k, p)``, the largest entry, has more decimal digits
-    than the interpreter converts to text.  The bound is at least
-    p^(k-1), so only a bound near the limit is computed."""
+    D(n, k) is over its limit.  k = 0 builds neither.  Given p, as the CLI
+    that prints the weights does, also refuse entries too long to print
+    (``_check_digits``)."""
     if k < 1 or n < 2:
         return
     cells, h = 2 + n % 2, n // 2  # _cells(n) has cells * 3^(h - 1)
@@ -253,10 +242,19 @@ def _check_size(n: int, k: int, p: int | None = None) -> None:
     if count_distinguished(n, min(m, k)) > _MAX_WEIGHTS:
         raise ValueError(f"more than {_MAX_WEIGHTS} distinguished weights "
                          f"at n = {n}, k = {k}")
+    if p is not None:
+        _check_digits(n, k, p)
+
+
+def _check_digits(n: int, k: int, p: int) -> None:
+    """Refuse when ``default_bound(n, k, p)``, the largest entry of D(n, k)
+    and of the closed families to depth k, has more decimal digits than
+    the interpreter converts to text.  The bound is at least p^(k-1), so
+    only a bound near the limit is computed."""
     # Python before 3.10.7 has no limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if p is not None and digits and ((k - 1) * math.log10(p) > digits + 1
-                                     or default_bound(n, k, p) >= 10**digits):
+    if digits and ((k - 1) * math.log10(p) > digits + 1
+                   or default_bound(n, k, p) >= 10**digits):
         raise ValueError(f"entries of D(n = {n}, k = {k}) at p = {p} have "
                          f"more than {digits} decimal digits, the limit for "
                          f"integer string conversion")

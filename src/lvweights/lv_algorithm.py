@@ -22,10 +22,9 @@ the column base.  ``phi`` reads the rows of the templates.  ``_lv_mu`` is
 the fused map divided by p: a single-column diagram is a staircase shift,
 and any other weight takes one pass over its clumps' templates, which adds
 the cross-clump part of the column correction to the row sums.  It is
-behind ``lv``, ``lv_p``, the depth search and the check of every weight
-the enumeration's inverse builds.  That inverse compiles its row
-equations with ``_phi_rows`` and ``_correct_columns`` directly, and
-``apply_E_inverse`` and ``kappa`` take any diagram.
+behind ``lv``, ``lv_p``, the depth search and the enumeration's inverse,
+which compiles its cells from it; ``apply_E_inverse`` and ``kappa`` take
+any diagram.
 
 ``apply_E`` is the entrywise inverse of the column correction and, together
 with ``phi_inverse``, supports round-trip testing.  All functions are pure
@@ -333,8 +332,7 @@ def _lv_mu(entries: Weight, base: int = 1,
     Rows of one length come in descending order of sum, so no sort is
     needed: rows fill columns from the first, and the correction leaves
     every column non-increasing down the rows (or raises), so the upper of
-    two rows of one length is entrywise at least the lower.  The
-    enumeration's inverse relies on this order too.
+    two rows of one length is entrywise at least the lower.
     """
     n = len(entries)
     if n == 0:

@@ -286,6 +286,26 @@ class TestFamiliesCommand:
             assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
 
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_entry_size_guard(self, capout, monkeypatch, tmp_path, svg):
+        # The largest member of depth <= 10,000 at p = 3 has 4,771 digits:
+        # refused before any member is built, an --svg-only run too.
+        def family_depths(*args):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(cli, "_family_depths", family_depths)
+        path = tmp_path / "fam.svg"
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        code, out, err = capout("families", "--n", "2", "--prime", "3",
+                                "--max-k", "10000",
+                                *(["--svg", str(path)] if svg else []))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"more than {limit} decimal digits" in err
+        assert not path.exists()
+
+
 class TestVerifyCommand:
     def test_small_run(self, capout):
         code, out, _ = capout("verify", "--samples", "50", "--seed", "3")

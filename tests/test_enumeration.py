@@ -23,6 +23,7 @@ from lvweights import (
     write_scatter_csv,
     write_scatter_svg,
 )
+from lvweights.lv_algorithm import _correct_columns, _phi_rows, maximal_clumps
 
 
 class TestDefaultBound:
@@ -268,6 +269,47 @@ class TestConstruction:
         assert enumeration._preimage(target, 6, p) == preimage
 
 
+def raw_compile_cell(weight):
+    """The cell of ``weight`` on a route of its own, the oracle of
+    ``enumeration._compile_cell``: the whole weight's ``phi`` rows and
+    column correction, each row owned by the maximal clump of its first
+    entry, and the rows stably sorted by length, so rows of one length
+    stay in ``phi`` order."""
+    clumps = maximal_clumps(weight)
+    owners = []
+    for j, clump in enumerate(clumps):
+        m = len(clumps) - 1 - j
+        owner = (j, 1) if j < m else (m, -1) if j > m else (None, 0)
+        owners += [owner] * len(clump)
+    owner_of = dict(zip(weight, owners))
+    rows = _phi_rows(weight, 1)
+    firsts = [row[0] for row in rows]
+    _correct_columns(rows)
+    shape = [0] * max(map(len, rows))
+    equations = []
+    for first, row in sorted(zip(firsts, rows), key=lambda fr: len(fr[1])):
+        shape[len(row) - 1] += 1
+        c, sign = owner_of[first]
+        equations.append((c, sign * len(row) or 1, sum(row)))
+    return tuple(shape), (weight, tuple(owners), tuple(equations))
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_matches_the_raw_compile(self, n):
+        # The least weights in the table's order: the bottom coordinate
+        # outermost, then each gap up from it; the last gap varies fastest.
+        table = {}
+        bottoms = (0, 1) if n % 2 == 0 else (0, 1, 2)
+        for low in itertools.product(bottoms, *[(0, 1, 2)] * (n // 2 - 1)):
+            bottom_up = tuple(itertools.accumulate(low))
+            weight = (bottom_up[::-1] + (0,) * (n % 2)
+                      + tuple(-c for c in bottom_up))
+            shape, cell = raw_compile_cell(weight)
+            table.setdefault(shape, []).append(cell)
+        assert list(enumeration._cells(n).items()) == list(table.items())
+
+
 class TestSizeGuards:
     """``enumerate`` refuses, before any work, a cell table or a D(n, k)
     over its documented limit."""
@@ -309,6 +351,25 @@ class TestSizeGuards:
         with pytest.raises(ValueError, match="decimal digits"):
             enumeration._check_size(n, k + 1, p)
         enumeration._check_size(n, k + 1)
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 7), (4, 5)])
+    def test_family_entry_limit_is_tight(self, n, p):
+        # The largest family member of depth <= max_k, A (n = 2, 3) or F1
+        # (n = 4) at m = max_k, is default_bound(n, max_k, p): it prints at
+        # the last max_k the limit lets through, and the next is refused.
+        top = 10 ** sys.get_int_max_str_digits()
+        max_k = int(math.log(top, p))
+        while default_bound(n, max_k, p) >= top:
+            max_k -= 1
+        while default_bound(n, max_k + 1, p) < top:
+            max_k += 1
+        family = "F1" if n == 4 else "A"
+        w, _ = enumeration._family_weight(n, family, (max_k,), p)
+        assert w[0] == default_bound(n, max_k, p)
+        str(w[0])
+        enumeration._check_digits(n, max_k, p)
+        with pytest.raises(ValueError, match="decimal digits"):
+            enumeration._check_digits(n, max_k + 1, p)
 
     @pytest.mark.parametrize("n,k", [(14, 3), (8, 6), (4, 20), (4, 4),
                                      (14, 1)])
@@ -385,6 +446,15 @@ class TestGenerateFamilySet:
         fam = generate_family_set(n, ModularContext(p), k)
         box = SearchBox(n, k, default_bound(n, k, p), p)
         assert fam == enumerate_distinguished(box)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_largest_member_is_the_default_bound(self, n, p):
+        # What makes the families' entry limit exact.
+        ctx = ModularContext(p)
+        for max_k in range(9):
+            largest = generate_family_set(n, ctx, max_k)[0][0]
+            assert largest == default_bound(n, max_k, p), max_k
 
     def test_members_antisymmetric(self):
         for w in generate_family_set(4, ModularContext(5), 8):
