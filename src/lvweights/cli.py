@@ -17,7 +17,7 @@ from .counting import count_distinguished, leading_coefficient
 from .enumeration import (
     ScatterRecord,
     SearchBox,
-    _check_digits,
+    _check_family_size,
     _check_size,
     _enumerate_depths,
     _family_depths,
@@ -162,7 +162,7 @@ def run(argv) -> int:
             print(f"{c.numerator}/{c.denominator}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)
-            _check_digits(args.n, args.max_k, args.prime)  # before p**max_k
+            _check_family_size(args.n, args.max_k, args.prime)  # before p**k
             _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
             failed = False

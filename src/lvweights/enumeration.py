@@ -26,6 +26,11 @@ weight of the cell keeps, pins every move.  Second, the forward map
 accepts it: the moves may leave the cell, but ``lv`` is injective, so a
 weakly decreasing candidate that ``_lv_mu`` maps to the target is the
 preimage.  The solver reads no geometry of the table it is given.
+
+The cells of each length are indexed once by shape, read off the clump
+templates' column sizes, and ``_preimage`` compiles a cell only when a
+target first tries it: (14, 1, 17) compiles 134 of the 1,458 cells of
+length 14.  ``_MAX_CELLS`` bounds the index.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from itertools import product
 
 from .core import Weight, validate_weight
 from .counting import count_distinguished, partitions_mult
-from .lv_algorithm import _clump_plan, _lv_mu
+from .lv_algorithm import _clump_plan, _lv_mu, _template
 from .modular_iteration import (ModularContext, _bounded_depth,
                                 distinguished_depth)
 
@@ -106,15 +111,15 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
 
 
 def _compile_cell(least: Weight):
-    """The cell of the anti-symmetric least weight ``least`` as ``(shape,
-    (least, owners, equations))``: its number of rows of each length; the
-    ``(clump, sign)`` that owns each entry, clump j of ``_clump_plan``
-    moving up by d_j and its mirror -1-j down by d_j, and a middle clump
-    (the middle zero, or the clump that straddles zero) owned by ``(None,
-    0)``; and for each row, in ``_lv_mu``'s order, ``(c, coef, base)``:
-    the row sum is base + coef * d_c.  A weight of the cell has the same
-    clump templates in the same order, so its rows keep their positions
-    and each row sum moves by len(row) times its clump's move."""
+    """The cell of the anti-symmetric least weight ``least`` as ``(least,
+    owners, equations)``: the ``(clump, sign)`` that owns each entry, clump
+    j of ``_clump_plan`` moving up by d_j and its mirror -1-j down by d_j,
+    and a middle clump (the middle zero, or the clump that straddles zero)
+    owned by ``(None, 0)``; and for each row, in ``_lv_mu``'s order, ``(c,
+    coef, base)``: the row sum is base + coef * d_c.  A weight of the cell
+    has the same clump templates in the same order, so its rows keep their
+    positions and each row sum moves by len(row) times its clump's move.
+    ``_preimage`` compiles a cell the first time a target tries it."""
     plan = _clump_plan(least, 1)
     mu = _lv_mu(least)
     owners, owned = [], [[] for _ in mu]  # owned: row owners by length
@@ -127,22 +132,65 @@ def _compile_cell(least: Weight):
     equations = tuple((c, sign * length or 1, s)
                       for length, part in enumerate(mu, 1)
                       for (c, sign), s in zip(owned[length - 1], part))
-    return tuple(map(len, mu)), (least, tuple(owners), equations)
+    return least, tuple(owners), equations
+
+
+def _add_clump(total: list[int], mults: tuple[int, ...], times: int):
+    """``total`` plus ``times`` the column sizes of the clump ``mults``."""
+    total = total[:]
+    for j, c in enumerate(_template(mults, 1)[2]):
+        total[j] += times * c
+    return total
 
 
 @cache
 def _cells(n: int) -> dict[tuple[int, ...], list]:
-    """Every cell of anti-symmetric weights of length n >= 2, compiled and
-    keyed by row-length shape; the equations do not depend on p.  A cell's
-    least weight has every gap in {0, 1, 2}, and its bottom coordinate is
-    0 or 1 for even n (middle gap 2*x_h) and 0, 1 or 2 for odd n (x_h)."""
-    minima = [(b,) for b in ((0, 1) if n % 2 == 0 else (0, 1, 2))]
-    for _ in range(n // 2 - 1):
-        minima = [(c[0] + g,) + c for c in minima for g in (0, 1, 2)]
+    """Every cell of anti-symmetric weights of length n >= 2, keyed by
+    row-length shape, as ``[x, None, None]`` with x the free coordinates of
+    its least weight.  ``_preimage`` replaces an entry in place by the
+    compiled cell (``_compile_cell``, independent of p) the first time a
+    target tries it.  A least weight has every gap in {0, 1, 2}, and its
+    bottom coordinate is 0 or 1 for even n (middle gap 2*x_h) and 0, 1 or
+    2 for odd n (x_h).  ``_MAX_CELLS`` bounds the size of this index.
+
+    The shape is read off the clump templates alone: column j of the
+    diagram holds the entries of every clump's column j, and the rows of
+    length L are the entries of column L less those of column L + 1.
+    ``lv`` commutes with reverse-negate, so a clump's mirror has the
+    clump's column sizes.  So the walk, which prepends free coordinates
+    bottom up with the last gap varying fastest, counts them twice for a
+    clump above the middle one, and once for the middle clump: the one
+    that holds the middle zero (odd n) or x_h = 0 and its mirror (even
+    n), and grows at both ends.
+    """
+    h = n // 2
     cells: dict[tuple[int, ...], list] = {}
-    for least in minima:
-        shape, cell = _compile_cell(_mirror(least, n))
-        cells.setdefault(shape, []).append(cell)
+
+    def walk(x, closed, mults, times):
+        # closed: column sizes of the clumps below the top one, mirrors
+        # included; mults: the top clump's, still open; times: 1 when it
+        # is the middle clump, else 2.
+        if len(x) == h:
+            total = _add_clump(closed, mults, times)
+            shape = tuple(a - b for a, b in zip(total, total[1:]) if a)
+            cells.setdefault(shape, []).append([x, None, None])
+            return
+        same = (mults[0] + 1,) + mults[1:]  # gap 0: one more top value
+        if times == 1:
+            same = same[:-1] + (same[-1] + 1,)
+        walk((x[0],) + x, closed, same, times)
+        walk((x[0] + 1,) + x, closed,  # gap 1: a new top value
+             (1,) + mults + (1,) if times == 1 else (1,) + mults, times)
+        walk((x[0] + 2,) + x, _add_clump(closed, mults, times), (1,), 2)
+
+    zero = [0] * (n + 1)  # column sizes; the columns past the last stay 0
+    if n % 2 == 0:
+        walk((0,), zero, (2,), 1)
+        walk((1,), zero, (1,), 2)
+    else:
+        walk((0,), zero, (3,), 1)
+        walk((1,), zero, (1, 1, 1), 1)
+        walk((2,), _add_clump(zero, (1,), 1), (1,), 2)
     return cells
 
 
@@ -157,15 +205,20 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
     ``_lv_mu`` maps to the target is the preimage, in this cell or not.
     """
     sums = [p * v for part in target for v in part]
-    for least, owners, equations in _cells(n).get(tuple(map(len, target)), ()):
+    for cell in _cells(n).get(tuple(map(len, target)), ()):
+        least, owners, equations = cell
+        if owners is None:  # first try: ``least`` holds free coordinates
+            cell[:] = least, owners, equations = _compile_cell(
+                _mirror(least, n))
         moves: dict[int | None, int] = {None: 0}
         for (c, coef, base), s in zip(equations, sums):
             d, r = divmod(s - base, coef)
             if r or moves.setdefault(c, d) != d:
                 break
         else:
-            w = tuple(v + sign * moves[c] for v, (c, sign) in zip(least, owners))
-            if (all(a >= b for a, b in zip(w, w[1:]))
+            w = tuple([v + sign * moves[c]
+                       for v, (c, sign) in zip(least, owners)])
+            if (sorted(w, reverse=True) == list(w)  # weakly decreasing
                     and _lv_mu(w, 1, p) == target):
                 return w
     raise RuntimeError(
@@ -215,14 +268,17 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     return sorted(_enumerate_depths(box, jobs), reverse=True)
 
 
-# Largest cell table and largest D(n, k) an enumeration builds; both are
-# stated in the README.  n = 19 has 19,683 cells; (14, 3) has 7,382 weights.
+# Largest cell index and largest D(n, k) an enumeration builds, and largest
+# family set ``families`` builds; all are stated in the README.  n = 19 has
+# 19,683 cells; (14, 3) has 7,382 weights; n = 4 to max_k = 200 has 40,601
+# members, while max_k = 223 would have 50,399.
 _MAX_CELLS = 20_000
 _MAX_WEIGHTS = 20_000
+_MAX_MEMBERS = 50_000
 
 
 def _check_size(n: int, k: int, p: int | None = None) -> None:
-    """Refuse, before any work, an enumeration whose cell table or whose
+    """Refuse, before any work, an enumeration whose cell index or whose
     D(n, k) is over its limit.  k = 0 builds neither.  Given p, as the CLI
     that prints the weights does, also refuse entries too long to print
     (``_check_digits``)."""
@@ -234,16 +290,29 @@ def _check_size(n: int, k: int, p: int | None = None) -> None:
     if cells > _MAX_CELLS:
         raise ValueError(f"n = {n} needs {2 + n % 2} * 3^{n // 2 - 1} "
                          f"cells, over the limit of {_MAX_CELLS}")
-    # count(n, m) rises with m, so doubling m fills the count table to at
-    # most twice the level at which it passes the limit.
-    m = 1
-    while m < k and count_distinguished(n, m) <= _MAX_WEIGHTS:
-        m *= 2
-    if count_distinguished(n, min(m, k)) > _MAX_WEIGHTS:
-        raise ValueError(f"more than {_MAX_WEIGHTS} distinguished weights "
-                         f"at n = {n}, k = {k}")
+    _check_count(n, k, _MAX_WEIGHTS, "distinguished weights")
     if p is not None:
         _check_digits(n, k, p)
+
+
+def _check_family_size(n: int, max_k: int, p: int) -> None:
+    """Refuse, before any member is built, a ``families`` run with more
+    than ``_MAX_MEMBERS`` members, or with entries too long to print.  The
+    families are all of D(n, max_k), so they have count(n, max_k)
+    members."""
+    _check_count(n, max_k, _MAX_MEMBERS, "family members")
+    _check_digits(n, max_k, p)
+
+
+def _check_count(n: int, k: int, limit: int, what: str) -> None:
+    """Refuse when k >= 1 and count(n, k) is over ``limit``.  count(n, m)
+    rises with m, so doubling m fills the count table to at most twice the
+    level at which it passes the limit."""
+    m = 1
+    while m < k and count_distinguished(n, m) <= limit:
+        m *= 2
+    if k > 0 and count_distinguished(n, min(m, k)) > limit:
+        raise ValueError(f"more than {limit} {what} at n = {n}, k = {k}")
 
 
 def _check_digits(n: int, k: int, p: int) -> None:

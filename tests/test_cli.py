@@ -174,16 +174,24 @@ class TestEnumerateCommand:
         (8, 1000, 11, "more than 20000 distinguished weights"),
         (2, 10**9, 3, "more than 20000 distinguished weights"),
     ])
-    def test_size_guards(self, capout, n, k, p, match):
-        # Refused before any cell is compiled or p**k computed.
-        before = enumeration._cells.cache_info().currsize
+    def test_size_guards(self, capout, monkeypatch, n, k, p, match):
+        # Refused before the cell index is built, any cell is compiled or
+        # p**k computed.
+        def build(*args):
+            raise AssertionError("work was done before the refusal")
+
+        cells = enumeration._cells
+        before = cells.cache_info().currsize
+        monkeypatch.setattr(enumeration, "_cells", build)
+        monkeypatch.setattr(enumeration, "_compile_cell", build)
+        monkeypatch.setattr(enumeration, "_construct", build)
         start = time.perf_counter()
         code, out, err = capout("enumerate", "--n", str(n), "--prime",
                                 str(p), "--k", str(k))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert match in err
-        assert enumeration._cells.cache_info().currsize == before
+        assert cells.cache_info().currsize == before
 
     def test_entry_size_guard(self, capout, monkeypatch):
         # D(2, 10000) at p = 3 has 10,001 weights, under the weight limit,
@@ -304,6 +312,21 @@ class TestFamiliesCommand:
         assert (code, out) == (2, "")
         assert f"more than {limit} decimal digits" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("max_k", [223, 400, 10**9])
+    def test_member_count_guard(self, capout, monkeypatch, max_k):
+        # n = 4 has 50,399 members to depth 223 and 161,201 to depth 400:
+        # refused before any member is built, a huge --max-k at once.
+        def family_depths(*args):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(cli, "_family_depths", family_depths)
+        start = time.perf_counter()
+        code, out, err = capout("families", "--n", "4", "--prime", "5",
+                                "--max-k", str(max_k))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 50000 family members" in err
 
 
 class TestVerifyCommand:

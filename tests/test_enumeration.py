@@ -254,7 +254,8 @@ class TestConstruction:
         # every row, yet tried first it must not give the answer.
         p = 7
         cells = enumeration._cells(6)[(2, 2)]
-        cell = next(c for c in cells if c[0] == least)
+        assert least in [least_of(entry, 6) for entry in cells]
+        cell = enumeration._compile_cell(least)
         _, owners, equations = cell
         assert [base + coef * moves[c] for c, coef, base in equations] == [
             p * v for part in target for v in part
@@ -264,9 +265,19 @@ class TestConstruction:
         assert (list(proposal) != sorted(proposal, reverse=True)
                 or enumeration._lv_mu(proposal, 1, p) != target)
         assert enumeration._lv_mu(preimage, 1, p) == target
+        # The list mixes a compiled cell with entries not compiled yet, as
+        # the index does once some targets have tried it.
         monkeypatch.setattr(enumeration, "_cells",
                             lambda n: {(2, 2): [cell, *cells]})
         assert enumeration._preimage(target, 6, p) == preimage
+
+
+def least_of(entry, n):
+    """The least weight of an entry of ``enumeration._cells(n)``: its
+    free coordinates, mirrored, until a target has tried it; then the
+    first item of its compiled cell."""
+    x, owners, _ = entry
+    return x if owners else enumeration._mirror(x, n)
 
 
 def raw_compile_cell(weight):
@@ -297,7 +308,7 @@ def raw_compile_cell(weight):
 class TestCellTable:
     @pytest.mark.parametrize("n", range(2, 15))
     def test_matches_the_raw_compile(self, n):
-        # The least weights in the table's order: the bottom coordinate
+        # The least weights in the index's order: the bottom coordinate
         # outermost, then each gap up from it; the last gap varies fastest.
         table = {}
         bottoms = (0, 1) if n % 2 == 0 else (0, 1, 2)
@@ -307,7 +318,45 @@ class TestCellTable:
                       + tuple(-c for c in bottom_up))
             shape, cell = raw_compile_cell(weight)
             table.setdefault(shape, []).append(cell)
-        assert list(enumeration._cells(n).items()) == list(table.items())
+        index = enumeration._cells(n)
+        assert list(index) == list(table)
+        for shape, entries in index.items():
+            raw = table[shape]
+            leasts = [least_of(entry, n) for entry in entries]
+            assert leasts == [cell[0] for cell in raw]
+            assert list(map(enumeration._compile_cell, leasts)) == raw
+            # An entry a target has tried holds the same compiled cell.
+            assert all(tuple(entry) == cell
+                       for entry, cell in zip(entries, raw) if entry[1])
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_shapes_match_the_forward_map(self, n):
+        # The index reads each shape off the clump templates' column sizes;
+        # the forward map builds the rows themselves.
+        for shape, entries in enumeration._cells(n).items():
+            for entry in entries:
+                least = least_of(entry, n)
+                assert tuple(map(len, enumeration._lv_mu(least))) == shape
+
+    def test_compiles_only_the_cells_it_tries(self, monkeypatch):
+        # (14, 1, 17) tries 134 of the 1,458 cells of length 14.
+        compiled = []
+        compile_cell = enumeration._compile_cell
+
+        def record(least):
+            compiled.append(least)
+            return compile_cell(least)
+
+        monkeypatch.setattr(enumeration, "_compile_cell", record)
+        enumeration._cells.cache_clear()
+        weights = enumerate_distinguished(
+            SearchBox(14, 1, default_bound(14, 1, 17), 17))
+        assert len(weights) == count_distinguished(14, 1)
+        entries = [e for es in enumeration._cells(14).values() for e in es]
+        assert len(entries) == 1458
+        tried = [e for e in entries if e[1]]
+        assert len(compiled) == len(tried) < len(entries) // 10
+        assert len(set(compiled)) == len(compiled)
 
 
 class TestSizeGuards:
@@ -320,11 +369,18 @@ class TestSizeGuards:
         (8, 1000, 11, "more than 20000 distinguished weights"),
         (2, 10**9, 3, "more than 20000 distinguished weights"),
     ])
-    def test_refuses_before_building(self, n, k, p, match):
-        before = enumeration._cells.cache_info().currsize
+    def test_refuses_before_building(self, monkeypatch, n, k, p, match):
+        def build(*args):
+            raise AssertionError("work was done before the refusal")
+
+        cells = enumeration._cells
+        before = cells.cache_info().currsize
+        monkeypatch.setattr(enumeration, "_cells", build)
+        monkeypatch.setattr(enumeration, "_compile_cell", build)
+        monkeypatch.setattr(enumeration, "_construct", build)
         with pytest.raises(ValueError, match=match):
             enumerate_distinguished(SearchBox(n, k, 0, p))
-        assert enumeration._cells.cache_info().currsize == before
+        assert cells.cache_info().currsize == before
 
     def test_limits_are_tight(self):
         # n = 19 is the longest length whose cells fit; D(n, k) may hold
@@ -370,6 +426,21 @@ class TestSizeGuards:
         enumeration._check_digits(n, max_k, p)
         with pytest.raises(ValueError, match="decimal digits"):
             enumeration._check_digits(n, max_k + 1, p)
+
+    def test_family_member_limit_is_tight(self):
+        # n = 4 has k^2 + 3k + 1 members to depth k: 40,601 at k = 200, and
+        # the limit falls between k = 222 and 223.  For n = 2 and 3 (at
+        # most 2k + 1 members) the entry limit refuses first at every p.
+        limit = enumeration._MAX_MEMBERS
+        assert (count_distinguished(4, 222) <= limit
+                < count_distinguished(4, 223))
+        enumeration._check_family_size(4, 200, 5)
+        enumeration._check_family_size(4, 222, 5)
+        with pytest.raises(ValueError, match="more than 50000 family members"):
+            enumeration._check_family_size(4, 223, 5)
+        for n, p in [(2, 3), (3, 5)]:
+            with pytest.raises(ValueError, match="decimal digits"):
+                enumeration._check_family_size(n, limit // n, p)
 
     @pytest.mark.parametrize("n,k", [(14, 3), (8, 6), (4, 20), (4, 4),
                                      (14, 1)])
