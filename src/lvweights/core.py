@@ -11,6 +11,13 @@ Everything here is an immutable value and every function is pure, so values
 can be shared freely between threads and processes.  All arithmetic is on
 Python ints: entries grow like p^k under repeated un-division, far past any
 fixed machine width.
+
+Input is checked at the boundary: ``validate_weight``, ``parse_weight``,
+``validate_diagram``, ``omega_from_pair``, ``omega_from_json`` and the
+``OmegaElement`` and ``PartitionMult`` constructors reject malformed values,
+and the other modules' public functions pass their input through them.  An
+``OmegaElement`` that ``lv``, ``lv_p``, ``kappa`` or ``reverse_negate_omega``
+builds holds by construction and skips re-validation (``OmegaElement._of``).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 __all__ = [
     "Weight",
@@ -54,11 +62,14 @@ def dom(seq) -> Weight:
 def validate_weight(seq) -> Weight:
     """Return ``seq`` as a weight tuple, rejecting non-weakly-decreasing input."""
     w = tuple(seq)
-    for i in range(len(w) - 1):
-        if w[i] < w[i + 1]:
+    rest = iter(w)
+    above = next(rest, None)
+    for v in rest:
+        if above < v:
+            i = next(i for i in range(len(w) - 1) if w[i] < w[i + 1])
             raise ValueError(
-                f"not weakly decreasing at position {i}: {w[i]} < {w[i + 1]}"
-            )
+                f"not weakly decreasing at position {i}: {w[i]} < {w[i + 1]}")
+        above = v
     return w
 
 
@@ -112,11 +123,15 @@ class OmegaElement:
         if mu and not mu[-1]:
             raise ValueError("last component mu_s must be nonempty")
         for i, m in enumerate(mu):
-            for j in range(len(m) - 1):
-                if m[j] < m[j + 1]:
-                    raise ValueError(
-                        f"mu_{i + 1} is not weakly decreasing: {m}"
-                    )
+            if any(map(lt, m, m[1:])):
+                raise ValueError(f"mu_{i + 1} is not weakly decreasing: {m}")
+
+    @classmethod
+    def _of(cls, mu: tuple[Weight, ...]) -> "OmegaElement":
+        """Wrap ``mu``, built by the library as valid, without checking."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "mu", mu)
+        return o
 
     @property
     def n(self) -> int:
@@ -129,7 +144,7 @@ class OmegaElement:
 
 def reverse_negate_omega(o: OmegaElement) -> OmegaElement:
     """Apply reverse_negate to each component, preserving s and all lengths."""
-    return OmegaElement(tuple(reverse_negate(m) for m in o.mu))
+    return OmegaElement._of(tuple(reverse_negate(m) for m in o.mu))
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,10 +219,8 @@ def omega_to_pair(o: OmegaElement) -> tuple[PartitionMult, tuple[int, ...]]:
     """Inverse of omega_from_pair: multiplicity vector plus the concatenation
     of dom(mu_s), ..., dom(mu_1)."""
     mult = tuple(len(m) for m in o.mu)
-    nu: list[int] = []
-    for m in reversed(o.mu):
-        nu.extend(dom(m))
-    return PartitionMult(mult), tuple(nu)
+    nu = tuple(v for m in reversed(o.mu) for v in m)  # each m is sorted
+    return PartitionMult(mult), nu
 
 
 # Canonical textual/JSON forms ------------------------------------------------

@@ -26,14 +26,15 @@ behind ``lv``, ``lv_p``, the depth search and the enumeration's inverse,
 which compiles its cells from it; ``apply_E_inverse`` and ``kappa`` take
 any diagram.
 
-``apply_E`` is the entrywise inverse of the column correction and, together
-with ``phi_inverse``, supports round-trip testing.  All functions are pure
-and operate on immutable values.
+``apply_E``, the entrywise inverse correction, runs the same kernel and
+sorts only a column out of order; with ``phi_inverse`` it supports
+round-trip testing.  All functions are pure and operate on immutable values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import (
     Diagram,
@@ -126,18 +127,6 @@ def _select_column(remaining: list[int], r: int) -> list[int]:
     return out
 
 
-def _remove_once(values: list[int], selected: list[int]) -> list[int]:
-    """Remove one copy of each selected value; both lists weakly decreasing."""
-    out: list[int] = []
-    k = 0
-    for v in values:
-        if k < len(selected) and v == selected[k]:
-            k += 1
-        else:
-            out.append(v)
-    return out
-
-
 def _phi_rows(w, base: int) -> list[list[int]]:
     remaining = list(w)
     rows: list[list[int]] = []
@@ -157,7 +146,8 @@ def _phi_rows(w, base: int) -> list[list[int]]:
                         break
                 else:
                     raise PlacementError(v, r, rows, remaining)
-        remaining = _remove_once(remaining, z)
+        for v in z:
+            remaining.remove(v)
         r += 1
     return rows
 
@@ -184,11 +174,10 @@ def _template(mults: tuple[int, ...], base: int):
     raised here, once per template, on the canonical values; gaps across a
     clump boundary are at least 2.
     """
-    rows = _phi_rows([-i for i, m in enumerate(mults) for _ in range(m)], base)
-    offsets = tuple(map(tuple, rows))
-    _correct_columns(rows)
+    rows = tuple(map(tuple, _phi_rows(
+        [-i for i, m in enumerate(mults) for _ in range(m)], base)))
     width = max(map(len, rows))
-    return (offsets, tuple(map(sum, rows)),
+    return (rows, tuple(map(sum, _correct_columns(rows))),
             tuple(sum(len(row) > j for row in rows) for j in range(width)))
 
 
@@ -240,17 +229,9 @@ def apply_E(x: Diagram) -> Diagram:
     it as a (value, -row) pair.
 
     Equal pairs cannot occur since row indices differ, so the ranking is a
-    strict total order.
+    strict total order.  A column already weakly decreasing is not sorted.
     """
-    x = validate_diagram(x)
-    rows = [list(r) for r in x]
-    ncols = max((len(r) for r in rows), default=0)
-    for j in range(ncols):
-        col = [(rows[i][j], -i, i) for i in range(len(rows)) if len(rows[i]) > j]
-        c = len(col)
-        for m, (_, _, i) in enumerate(sorted(col)):
-            rows[i][j] += 2 * m - (c - 1)
-    return tuple(tuple(r) for r in rows)
+    return _correct_columns(validate_diagram(x), -1)
 
 
 def apply_E_inverse(x: Diagram) -> Diagram:
@@ -261,29 +242,33 @@ def apply_E_inverse(x: Diagram) -> Diagram:
     consecutive differences >= 2 (always true for ``phi`` images); violations
     are rejected naming the offending column.
     """
-    rows = [list(r) for r in validate_diagram(x)]
-    _correct_columns(rows)
-    return tuple(tuple(r) for r in rows)
+    return _correct_columns(validate_diagram(x))
 
 
-def _correct_columns(rows: list[list[int]]) -> None:
-    """``apply_E_inverse`` in place.  A gap below 2 leaves a corrected
-    entry smaller than the one under it, so the check runs in the
-    correction pass; the error quotes the entries as given."""
+def _correct_columns(x: Diagram, sign: int = 1) -> Diagram:
+    """``apply_E_inverse``, or ``apply_E`` when ``sign`` is -1, unvalidated:
+    the t-th of a column's c entries, by value from the largest and ties top
+    row first, gains sign * (2t - (c-1)).  ``apply_E`` sorts a column only
+    if it is out of order; ``apply_E_inverse`` needs each entry at least 2
+    below the one above it and raises, quoting the entries as given."""
+    rows = [list(r) for r in x]
+    fall, step = 1 + sign, 2 * sign
     col, j = rows, 0
     while col := [row for row in col if len(row) > j]:
-        shift = 1 - len(col)
-        above = col[0][j] + shift
-        for row in col:
-            v = row[j] + shift
-            if v > above:
+        order, shift = col, sign * (1 - len(col))
+        if sign < 0 and any(a[j] < b[j] for a, b in zip(col, col[1:])):
+            order = sorted(col, key=itemgetter(j), reverse=True)
+        above = order[0][j] + fall
+        for row in order:
+            v = row[j]
+            if above - v < fall:
                 raise ValueError(
-                    f"column {j + 1} gap below 2: "
-                    f"{above - shift + 2} then {v - shift}"
-                )
-            row[j] = above = v
-            shift += 2
+                    f"column {j + 1} gap below 2: {above} then {v}")
+            row[j] = v + shift
+            above = v
+            shift += step
         j += 1
+    return tuple(map(tuple, rows))
 
 
 def kappa(x: Diagram) -> OmegaElement:
@@ -293,7 +278,7 @@ def kappa(x: Diagram) -> OmegaElement:
     buckets: list[list[int]] = [[] for _ in range(width)]
     for row in rows:
         buckets[len(row) - 1].append(sum(row))
-    return OmegaElement(tuple(tuple(sorted(b, reverse=True)) for b in buckets))
+    return OmegaElement._of(tuple(map(dom, buckets)))
 
 
 def lv(w, base: int = 1) -> OmegaElement:
@@ -305,7 +290,7 @@ def lv(w, base: int = 1) -> OmegaElement:
     if base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
-    return OmegaElement(_lv_mu(w, base))
+    return OmegaElement._of(_lv_mu(w, base))
 
 
 def _lv_mu(entries: Weight, base: int = 1,
@@ -343,12 +328,13 @@ def _lv_mu(entries: Weight, base: int = 1,
             break
         prev = v
     else:
-        top = n - 1
-        out = []
+        top, out = n - 1, []
         for v in entries:
-            q, r = divmod(v - top, p)
-            if r:
-                return None
+            q = v - top
+            if p != 1:
+                q, r = divmod(q, p)
+                if r:
+                    return None
             out.append(q)
             top -= 2
         return (tuple(out),)
@@ -367,9 +353,10 @@ def _lv_mu(entries: Weight, base: int = 1,
             above[j] += c
             lift.append(s)
         for row, own in zip(rows, sums):
-            length = len(row)
-            q, r = divmod(own + lift[length], p)
-            if r:
-                return None
-            buckets[length - 1].append(q)
+            q = own + lift[len(row)]
+            if p != 1:
+                q, r = divmod(q, p)
+                if r:
+                    return None
+            buckets[len(row) - 1].append(q)
     return tuple(map(tuple, buckets))

@@ -167,7 +167,7 @@ def lv_p(w, ctx: ModularContext) -> OmegaElement | None:
     w = validate_weight(w)
     ctx.check_length(len(w))
     divided = _lv_mu(w, 1, ctx.p)
-    return None if divided is None else OmegaElement(divided)
+    return None if divided is None else OmegaElement._of(divided)
 
 
 def iterate(w, ctx: ModularContext, cap: int) -> IterationTrace:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,6 +92,50 @@ class TestOmegaElement:
     def test_rejects_increasing_component(self):
         with pytest.raises(ValueError):
             OmegaElement(((1, 2),))
+
+    @pytest.mark.parametrize("mu, message", [
+        (((1,), ()), "last component mu_s must be nonempty"),
+        (((3, 1), [1, 2, 2]), "mu_2 is not weakly decreasing: (1, 2, 2)"),
+        (((0, 1), (2, 3)), "mu_1 is not weakly decreasing: (0, 1)"),
+    ])
+    def test_error_messages(self, mu, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OmegaElement(mu)
+
+    def test_unchecked_wrapper_equals_validated(self):
+        # The validating constructor still turns lists into tuples; the
+        # unchecked one is only for tuples the library has built.
+        assert OmegaElement([[2, 1], [0]]).mu == ((2, 1), (0,))
+        assert OmegaElement._of(((2, 1), (0,))) == OmegaElement(((2, 1), (0,)))
+
+
+class TestValidateWeight:
+    @pytest.mark.parametrize("w, message", [
+        ((1, 2, 0, -1), "not weakly decreasing at position 0: 1 < 2"),
+        ((5, 3, 4, 1), "not weakly decreasing at position 1: 3 < 4"),
+        ((3, 2, 1, 5), "not weakly decreasing at position 2: 1 < 5"),
+        ((0, 1, 0, 1), "not weakly decreasing at position 0: 0 < 1"),
+        ((2, 2, 1, 9, 0, 8), "not weakly decreasing at position 2: 1 < 9"),
+    ])
+    def test_error_names_the_first_break(self, w, message):
+        for given_as in (w, list(w), iter(w), (v for v in w)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                validate_weight(given_as)
+
+    @pytest.mark.parametrize("w", [(), (0,), (3, 3, 1, -2), (7, -7)])
+    def test_accepts_lists_and_generators(self, w):
+        pulled = []
+
+        def entries():
+            for v in w:
+                pulled.append(v)
+                yield v
+
+        gen = entries()
+        assert validate_weight(list(w)) == w
+        assert validate_weight(gen) == w
+        assert pulled == list(w)  # each entry read exactly once
+        assert next(gen, None) is None
 
 
 class TestPartitionMult:

@@ -295,7 +295,7 @@ def raw_compile_cell(weight):
     owner_of = dict(zip(weight, owners))
     rows = _phi_rows(weight, 1)
     firsts = [row[0] for row in rows]
-    _correct_columns(rows)
+    rows = _correct_columns(rows)
     shape = [0] * max(map(len, rows))
     equations = []
     for first, row in sorted(zip(firsts, rows), key=lambda fr: len(fr[1])):

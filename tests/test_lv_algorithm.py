@@ -77,6 +77,19 @@ def reference_phi(w, base):
     return tuple(map(tuple, rows))
 
 
+def reference_apply_E(x):
+    """``apply_E`` transcribed from its docstring, sharing no code with the
+    library: rank each column's entries by (value, -row) and add
+    2m - (c - 1) to the entry of rank m in a column of size c."""
+    rows = [list(row) for row in x]
+    for j in range(max(map(len, rows), default=0)):
+        ranked = sorted((row[j], -i, i) for i, row in enumerate(rows)
+                        if len(row) > j)
+        for m, (_, _, i) in enumerate(ranked):
+            rows[i][j] += 2 * m - (len(ranked) - 1)
+    return tuple(map(tuple, rows))
+
+
 def reference_lv(w, base):
     """``lv`` transcribed from its definition on ``reference_phi``, sharing
     no code with the library: add 2t - (c - 1) to the t-th entry (from 0)
@@ -263,11 +276,40 @@ class TestApplyEInverse:
         with pytest.raises(ValueError, match=re.escape(message)):
             apply_E_inverse(x)
 
-    @given(weights, st.sampled_from([0, 1]))
+    @given(st.one_of(weights, clump_weights(), multi_clump_weights()),
+           st.sampled_from([0, 1]))
+    @settings(max_examples=300)
     def test_round_trips_on_phi_images(self, w, base):
         x = phi(w, base)
-        assert apply_E(apply_E_inverse(x)) == x
+        corrected = apply_E_inverse(x)
+        assert apply_E(corrected) == reference_apply_E(corrected) == x
         assert apply_E_inverse(apply_E(x)) == x
+
+
+# Ragged diagrams of small entries: ties, columns out of order and empty rows.
+ragged_diagrams = st.lists(
+    st.lists(st.integers(-4, 4), max_size=4).map(tuple), max_size=6
+).map(tuple)
+
+
+class TestApplyEAgainstReference:
+    """``apply_E`` shares its kernel with ``apply_E_inverse`` and sorts only
+    a column out of order; ``reference_apply_E`` always sorts."""
+
+    @pytest.mark.parametrize("x", [
+        ((0,), (0,), (0,)),          # a tie in every place
+        ((1,), (3,), (2,)),          # out of order
+        ((), (2, 1), (), (5, 0)),    # empty rows, first column out of order
+        ((4, 4), (4, 5), (-1,)),     # ties, second column out of order
+        ((0,), (2,), (0,)),          # out of order, with a tie
+    ])
+    def test_cases(self, x):
+        assert apply_E(x) == reference_apply_E(x)
+
+    @given(ragged_diagrams)
+    @settings(max_examples=400)
+    def test_random_ragged_diagrams(self, x):
+        assert apply_E(x) == reference_apply_E(x)
 
 
 class TestKappa:
@@ -288,8 +330,7 @@ class TestKappa:
     @settings(max_examples=300)
     def test_phi_rows_of_one_length_come_sorted(self, w, base):
         # The enumeration's inverse pairs rows with sorted entries on this.
-        rows = _phi_rows(w, base)
-        _correct_columns(rows)
+        rows = _correct_columns(_phi_rows(w, base))
         for length in {len(row) for row in rows}:
             sums = [sum(row) for row in rows if len(row) == length]
             assert sums == sorted(sums, reverse=True), (w, base)
@@ -368,6 +409,68 @@ class TestLv:
             seen[mu] = w
 
 
+def assert_trusted(o, expected):
+    """``o`` skipped validation in the library: the validating constructor
+    must accept it as it is, and it must equal the reference."""
+    assert OmegaElement(o.mu) == o
+    assert o.mu == expected
+
+
+def reversed_negated(mu):
+    return tuple(tuple(-v for v in reversed(m)) for m in mu)
+
+
+class TestTrustedResults:
+    """Differential oracle for every ``OmegaElement`` the library builds
+    without validation: ``lv``, ``lv_p``, ``kappa`` and
+    ``reverse_negate_omega``.  ``TestLvPAgainstReference`` applies it to
+    integral divisions, which random weights rarely give."""
+
+    @given(st.one_of(weights, clump_weights(), multi_clump_weights()),
+           st.sampled_from([0, 1]))
+    @settings(max_examples=300)
+    def test_forward_map(self, w, base):
+        expected = reference_lv(w, base)
+        assert_trusted(lv(w, base), expected)
+        assert_trusted(kappa(apply_E_inverse(phi(w, base))), expected)
+        assert_trusted(reverse_negate_omega(lv(w, base)),
+                       reversed_negated(expected))
+
+    @given(st.one_of(weights, clump_weights(), multi_clump_weights()),
+           st.sampled_from([17, 19]))
+    @settings(max_examples=300)
+    def test_lv_p(self, w, p):
+        got = lv_p(w, ModularContext(p))
+        expected = reference_lv_p(w, p)
+        if expected is None:
+            assert got is None
+        else:
+            assert_trusted(got, expected)
+            assert_trusted(reverse_negate_omega(got),
+                           reversed_negated(expected))
+
+    def test_catches_an_unsorted_bucket(self, monkeypatch):
+        # The oracle's own check: a kernel that emits one bucket out of
+        # order must fail it, through lv and through lv_p.
+        from lvweights import modular_iteration
+
+        real = lv_algorithm._lv_mu
+
+        def one_bucket_reversed(*args):
+            mu = real(*args)
+            k = next(i for i, m in enumerate(mu) if len(set(m)) > 1)
+            return mu[:k] + (mu[k][::-1],) + mu[k + 1:]
+
+        monkeypatch.setattr(lv_algorithm, "_lv_mu", one_bucket_reversed)
+        monkeypatch.setattr(modular_iteration, "_lv_mu", one_bucket_reversed)
+        with pytest.raises(ValueError, match="mu_3 is not weakly decreasing"):
+            assert_trusted(lv(GOLDEN_WEIGHT), GOLDEN_OMEGA)
+        w = (53, 0, -53)  # lv is (51, 0, -51)
+        with pytest.raises(ValueError, match="mu_1 is not weakly decreasing"):
+            assert_trusted(lv_p(w, ModularContext(17)),
+                           reference_lv_p(w, 17))
+
+
 class TestLvPAgainstReference:
     """``lv_p`` against ``reference_lv`` divided by hand, on both paths of
     the map and with both outcomes."""
@@ -383,7 +486,7 @@ class TestLvPAgainstReference:
         for w in found:
             expected = reference_lv_p(w, p)
             assert expected is not None, w
-            assert lv_p(w, ctx).mu == expected, w
+            assert_trusted(lv_p(w, ctx), expected)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [5, 7])
@@ -394,7 +497,7 @@ class TestLvPAgainstReference:
         for w in members:
             expected = reference_lv_p(w, p)
             assert expected is not None, w
-            assert lv_p(w, ctx).mu == expected, w
+            assert_trusted(lv_p(w, ctx), expected)
 
     @given(weights, st.sampled_from([11, 13]))
     @settings(max_examples=300)
