@@ -17,7 +17,7 @@ from .counting import count_distinguished, leading_coefficient
 from .enumeration import (
     ScatterRecord,
     SearchBox,
-    _check_family_size,
+    _MAX_MEMBERS,
     _check_size,
     _enumerate_depths,
     _family_depths,
@@ -159,10 +159,16 @@ def run(argv) -> int:
             print(count_distinguished(args.n, args.k))
         elif args.command == "coeff":
             c = leading_coefficient(args.n)
+            digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if digits and max(abs(c.numerator), c.denominator) >= 10**digits:
+                raise ValueError(f"coeff n = {args.n} has more than {digits} "
+                                 "decimal digits, the limit for integer "
+                                 "string conversion")
             print(f"{c.numerator}/{c.denominator}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)
-            _check_family_size(args.n, args.max_k, args.prime)  # before p**k
+            _check_size(args.n, args.max_k, args.prime, _MAX_MEMBERS,
+                        "family members")  # before p**k
             _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
             failed = False

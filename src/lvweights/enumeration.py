@@ -268,20 +268,27 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     return sorted(_enumerate_depths(box, jobs), reverse=True)
 
 
-# Largest cell index and largest D(n, k) an enumeration builds, and largest
-# family set ``families`` builds; all are stated in the README.  n = 19 has
-# 19,683 cells; (14, 3) has 7,382 weights; n = 4 to max_k = 200 has 40,601
-# members, while max_k = 223 would have 50,399.
+# The limits of ``_check_size``, in the README: the cell index, D(n, k) and,
+# for ``families``, which builds all of D(n, max_k), its members; the last
+# check is the interpreter's digit limit.  n = 19 has 19,683 cells; (14, 3)
+# has 7,382 weights; n = 4 has 40,601 members to max_k = 200, 50,399 to 223.
 _MAX_CELLS = 20_000
 _MAX_WEIGHTS = 20_000
 _MAX_MEMBERS = 50_000
 
 
-def _check_size(n: int, k: int, p: int | None = None) -> None:
-    """Refuse, before any work, an enumeration whose cell index or whose
-    D(n, k) is over its limit.  k = 0 builds neither.  Given p, as the CLI
-    that prints the weights does, also refuse entries too long to print
-    (``_check_digits``)."""
+def _check_size(n: int, k: int, p: int | None = None,
+                limit: int = _MAX_WEIGHTS,
+                what: str = "distinguished weights") -> None:
+    """Refuse, before any work, a run that builds D(n, k): when its cell
+    index is over ``_MAX_CELLS``, when count(n, k) is over ``limit``, or,
+    given p, as the CLI that prints the weights does, when
+    ``default_bound(n, k, p)``, the largest entry of D(n, k), has more
+    decimal digits than the interpreter converts to text.  k = 0 builds
+    nothing.  count(n, m) rises with m, so doubling m fills the count
+    table to at most twice the level at which it passes the limit; the
+    bound is at least p^(k-1), so only a bound near the limit is computed.
+    """
     if k < 1 or n < 2:
         return
     cells, h = 2 + n % 2, n // 2  # _cells(n) has cells * 3^(h - 1)
@@ -290,40 +297,16 @@ def _check_size(n: int, k: int, p: int | None = None) -> None:
     if cells > _MAX_CELLS:
         raise ValueError(f"n = {n} needs {2 + n % 2} * 3^{n // 2 - 1} "
                          f"cells, over the limit of {_MAX_CELLS}")
-    _check_count(n, k, _MAX_WEIGHTS, "distinguished weights")
-    if p is not None:
-        _check_digits(n, k, p)
-
-
-def _check_family_size(n: int, max_k: int, p: int) -> None:
-    """Refuse, before any member is built, a ``families`` run with more
-    than ``_MAX_MEMBERS`` members, or with entries too long to print.  The
-    families are all of D(n, max_k), so they have count(n, max_k)
-    members."""
-    _check_count(n, max_k, _MAX_MEMBERS, "family members")
-    _check_digits(n, max_k, p)
-
-
-def _check_count(n: int, k: int, limit: int, what: str) -> None:
-    """Refuse when k >= 1 and count(n, k) is over ``limit``.  count(n, m)
-    rises with m, so doubling m fills the count table to at most twice the
-    level at which it passes the limit."""
     m = 1
     while m < k and count_distinguished(n, m) <= limit:
         m *= 2
-    if k > 0 and count_distinguished(n, min(m, k)) > limit:
+    if count_distinguished(n, min(m, k)) > limit:
         raise ValueError(f"more than {limit} {what} at n = {n}, k = {k}")
-
-
-def _check_digits(n: int, k: int, p: int) -> None:
-    """Refuse when ``default_bound(n, k, p)``, the largest entry of D(n, k)
-    and of the closed families to depth k, has more decimal digits than
-    the interpreter converts to text.  The bound is at least p^(k-1), so
-    only a bound near the limit is computed."""
     # Python before 3.10.7 has no limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and ((k - 1) * math.log10(p) > digits + 1
-                   or default_bound(n, k, p) >= 10**digits):
+    if p is not None and digits and (
+            (k - 1) * math.log10(p) > digits + 1
+            or default_bound(n, k, p) >= 10**digits):
         raise ValueError(f"entries of D(n = {n}, k = {k}) at p = {p} have "
                          f"more than {digits} decimal digits, the limit for "
                          f"integer string conversion")

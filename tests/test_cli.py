@@ -9,6 +9,7 @@ import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
     SearchBox,
+    closed_family,
     enumerate_distinguished,
     generate_family_set,
     rho_family,
@@ -133,6 +134,22 @@ class TestCountCoeff:
         code, out, _ = capout("coeff", "--n", "4")
         assert (code, out) == (0, "1/1\n")
 
+    def test_coeff_digit_limit(self, capout):
+        # At the default limit of 4,300 digits, n = 3193 prints a 4,298-digit
+        # denominator and n = 3194 (4,301 digits) is refused.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, _ = capout("coeff", "--n", "3193")
+            assert code == 0
+            assert len(out.strip().split("/")[1]) == 4298
+            code, out, err = capout("coeff", "--n", "3194")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert ("more than 4300 decimal digits, the limit for integer "
+                "string conversion") in err
+
 
 class TestEnumerateCommand:
     def test_listing(self, capout):
@@ -219,7 +236,7 @@ class TestEnumerateCommand:
         assert (code, out) == (2, "")
         assert "jobs must be >= 1" in err
 
-    def test_jobs_clamped_to_cpu_count(self, capout):
+    def test_any_job_count_prints_serial_bytes(self, capout):
         # Any job count prints the serial bytes, however many it asks for.
         argv = ("enumerate", "--n", "4", "--prime", "5", "--k", "2")
         _, serial, _ = capout(*argv)
@@ -313,6 +330,23 @@ class TestFamiliesCommand:
         assert f"more than {limit} decimal digits" in err
         assert not path.exists()
 
+    def test_wrong_stated_depth_is_refused(self, capout, monkeypatch):
+        # A member whose stated depth iteration does not confirm fails
+        # both the CLI and closed_family.
+        family_weight = enumeration._family_weight
+
+        def wrong(n, family_id, params, p):
+            w, depth = family_weight(n, family_id, params, p)
+            return w, depth + ((family_id, params) == ("F1", (1,)))
+
+        monkeypatch.setattr(enumeration, "_family_weight", wrong)
+        code, out, err = capout("families", "--n", "4", "--prime", "5",
+                                "--max-k", "3")
+        assert (code, out) == (2, "")
+        assert "family F1 params (1,): expected depth 2" in err
+        with pytest.raises(ValueError, match="expected depth 2"):
+            closed_family(4, "F1", (1,), ModularContext(5))
+
     @pytest.mark.parametrize("max_k", [223, 400, 10**9])
     def test_member_count_guard(self, capout, monkeypatch, max_k):
         # n = 4 has 50,399 members to depth 223 and 161,201 to depth 400:
@@ -335,6 +369,20 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count(": ok") == 3
 
+    def test_failing_check_exits_2(self, capout, monkeypatch):
+        # A check with counterexamples fails the run; the others still
+        # report, and stderr lists the first 5 of its 7 weights.
+        bad = [(i, -i) for i in range(7)]
+        monkeypatch.setattr(cli, "round_trip_failures", lambda *args: bad)
+        code, out, err = capout("verify", "--samples", "50", "--seed", "3")
+        assert code == 2
+        assert out == ("reverse-negate commutation: ok\n"
+                       "single-clump commutation (base 0): ok\n")
+        assert err.splitlines() == [
+            "round trips and sum conservation: FAIL (7 counterexamples)",
+            *(f"  {i},{-i}" for i in range(5)),
+        ]
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capout):
@@ -348,6 +396,12 @@ class TestUsageErrors:
     def test_bad_int(self, capout):
         code, _, _ = capout("count", "--n", "x", "--k", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("prime", ["1", "0", "-7"])
+    def test_prime_below_two(self, capout, prime):
+        code, out, err = capout("check", "--weight", "1,0", "--prime", prime)
+        assert (code, out) == (2, "")
+        assert f"p must be prime, got {prime}" in err
 
 
 class TestDeterminism:

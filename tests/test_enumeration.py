@@ -423,9 +423,13 @@ class TestSizeGuards:
         w, _ = enumeration._family_weight(n, family, (max_k,), p)
         assert w[0] == default_bound(n, max_k, p)
         str(w[0])
-        enumeration._check_digits(n, max_k, p)
+        # At n = 4 the member limit refuses first; lift it past the
+        # boundary so that the digit check decides.
+        limit = max(enumeration._MAX_MEMBERS,
+                    count_distinguished(n, max_k + 1))
+        enumeration._check_size(n, max_k, p, limit, "family members")
         with pytest.raises(ValueError, match="decimal digits"):
-            enumeration._check_digits(n, max_k + 1, p)
+            enumeration._check_size(n, max_k + 1, p, limit, "family members")
 
     def test_family_member_limit_is_tight(self):
         # n = 4 has k^2 + 3k + 1 members to depth k: 40,601 at k = 200, and
@@ -434,13 +438,14 @@ class TestSizeGuards:
         limit = enumeration._MAX_MEMBERS
         assert (count_distinguished(4, 222) <= limit
                 < count_distinguished(4, 223))
-        enumeration._check_family_size(4, 200, 5)
-        enumeration._check_family_size(4, 222, 5)
+        enumeration._check_size(4, 200, 5, limit, "family members")
+        enumeration._check_size(4, 222, 5, limit, "family members")
         with pytest.raises(ValueError, match="more than 50000 family members"):
-            enumeration._check_family_size(4, 223, 5)
+            enumeration._check_size(4, 223, 5, limit, "family members")
         for n, p in [(2, 3), (3, 5)]:
             with pytest.raises(ValueError, match="decimal digits"):
-                enumeration._check_family_size(n, limit // n, p)
+                enumeration._check_size(n, limit // n, p, limit,
+                                        "family members")
 
     @pytest.mark.parametrize("n,k", [(14, 3), (8, 6), (4, 20), (4, 4),
                                      (14, 1)])

@@ -90,6 +90,12 @@ class TestModularContext:
         for p in (2, 3, 5, 7, 11, 13, 101, 10007):
             ModularContext(p)
 
+    @pytest.mark.parametrize("p", [1, 0, -7])
+    def test_rejects_below_two(self, p):
+        assert not _is_prime(p)
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            ModularContext(p)
+
     def test_length_guard(self):
         with pytest.raises(ValueError, match="exceed"):
             lv_p((1, 0, -1), ModularContext(3))
