@@ -113,6 +113,14 @@ def _weight_arg(args):
     return parse_weight(args.weight, sort=args.sort)
 
 
+def _printable(value: int, what: str) -> int:
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and value >= 10**digits:
+        raise ValueError(f"{what} has more than {digits} decimal digits, "
+                         "the limit for integer string conversion")
+    return value
+
+
 def _emit_weights(depths, args, p) -> None:
     """Print the weights of ``{weight: depth}`` sorted descending, or with
     --csv/--svg write their scatter records.  Each depth is exact and
@@ -156,14 +164,10 @@ def run(argv) -> int:
             box = SearchBox(args.n, args.k, bound, args.prime)
             _emit_weights(_enumerate_depths(box, args.jobs), args, ctx.p)
         elif args.command == "count":
-            print(count_distinguished(args.n, args.k))
+            print(_printable(count_distinguished(args.n, args.k), "the count"))
         elif args.command == "coeff":
             c = leading_coefficient(args.n)
-            digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if digits and max(abs(c.numerator), c.denominator) >= 10**digits:
-                raise ValueError(f"coeff n = {args.n} has more than {digits} "
-                                 "decimal digits, the limit for integer "
-                                 "string conversion")
+            _printable(max(c.numerator, c.denominator), f"coeff n = {args.n}")
             print(f"{c.numerator}/{c.denominator}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)

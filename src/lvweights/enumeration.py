@@ -285,9 +285,8 @@ def _check_size(n: int, k: int, p: int | None = None,
     given p, as the CLI that prints the weights does, when
     ``default_bound(n, k, p)``, the largest entry of D(n, k), has more
     decimal digits than the interpreter converts to text.  k = 0 builds
-    nothing.  count(n, m) rises with m, so doubling m fills the count
-    table to at most twice the level at which it passes the limit; the
-    bound is at least p^(k-1), so only a bound near the limit is computed.
+    nothing.  The bound is at least p^(k-1), so only a bound near the
+    limit is computed.
     """
     if k < 1 or n < 2:
         return
@@ -297,10 +296,7 @@ def _check_size(n: int, k: int, p: int | None = None,
     if cells > _MAX_CELLS:
         raise ValueError(f"n = {n} needs {2 + n % 2} * 3^{n // 2 - 1} "
                          f"cells, over the limit of {_MAX_CELLS}")
-    m = 1
-    while m < k and count_distinguished(n, m) <= limit:
-        m *= 2
-    if count_distinguished(n, min(m, k)) > limit:
+    if count_distinguished(n, k) > limit:
         raise ValueError(f"more than {limit} {what} at n = {n}, k = {k}")
     # Python before 3.10.7 has no limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -330,6 +326,7 @@ FAMILY_IDS = {2: ("A",), 3: ("A", "B"), 4: ("F1", "F2", "F3", "F4")}
 _FAMILY_ARITY = {"A": 1, "B": 1, "F1": 1, "F2": 1, "F3": 2, "F4": 2}
 
 
+@cache
 def _geom(p: int, m: int) -> int:
     """1 + p + ... + p^(m-1) = (p^m - 1)/(p - 1)."""
     return (p**m - 1) // (p - 1)
@@ -377,16 +374,16 @@ def _family_weight(n: int, family_id: str, params: tuple[int, ...], p: int):
         x = _geom(p, m + k + 1) + _geom(p, k + 1) + _geom(p, k)
         y = _geom(p, k)
         return (x, y, -y, -x), m + k + 1
-    # F4: requires m >= 1; the closed form splits on the parity of m.
+    # F4: requires m >= 1; the closed form, in powers of p over 2(p - 1),
+    # splits on the parity of m; p^j = (p - 1) _geom(p, j) + 1 leaves halves.
     if m < 1:
         raise ValueError("F4 requires m >= 1")
-    den = 2 * (p - 1)
+    top, g1, g0 = _geom(p, m + k), _geom(p, k + 1), _geom(p, k)
     if m % 2 == 0:
-        x = _exact_div(p ** (m + k) + 2 * p ** (k + 1) + 3 * p**k - 6, den)
-        y = _exact_div(p ** (m + k) + p**k - 2, den)
+        x, y = top + 2 * g1 + 3 * g0, top + g0
     else:
-        x = _exact_div(p ** (m + k) + p ** (k + 1) + 4 * p**k - 6, den)
-        y = _exact_div(p ** (m + k) + p ** (k + 1) - 2, den)
+        x, y = top + g1 + 4 * g0, top + g1
+    x, y = _exact_div(x, 2), _exact_div(y, 2)
     return (x, y, -y, -x), m + k
 
 

@@ -126,6 +126,26 @@ class TestCountCoeff:
         code, out, _ = capout("count", "--n", "4", "--k", "2")
         assert (code, out) == (0, "11\n")
 
+    def test_count_far_past_the_table(self, capout):
+        code, out, _ = capout("count", "--n", "24", "--k", "1000000")
+        assert code == 0
+        assert out.endswith("\n") and out[:-1].isdigit()
+
+    def test_count_refusals(self, capout):
+        # n over the counting limit, and a count of about 4,800 digits.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            too_long = capout("count", "--n", "65", "--k", "1")
+            too_wide = capout("count", "--n", "24", "--k", "1" + "0" * 400)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert too_long[:2] == (2, "")
+        assert "count n = 65 is over the limit of 64" in too_long[2]
+        assert too_wide[:2] == (2, "")
+        assert ("the count has more than 4300 decimal digits, the limit for "
+                "integer string conversion") in too_wide[2]
+
     def test_coeff(self, capout):
         code, out, _ = capout("coeff", "--n", "6")
         assert (code, out) == (0, "2/3\n")

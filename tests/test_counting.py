@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,7 @@ from lvweights import (
     partitions_mult,
     telephone,
 )
-from lvweights.counting import _multiplicity_groups
+from lvweights.counting import _MAX_COUNT_N, _multiplicity_groups
 
 # Closed polynomials for n = 1..6 that the recursion must reproduce.
 POLYNOMIALS = {
@@ -46,7 +47,9 @@ class TestPartitionsMult:
 
 def per_partition_counts(max_n, max_k):
     """Differential oracle: the count recursion summed partition by
-    partition, as a table ``c[n][k]`` for n <= max_n and k <= max_k."""
+    partition and level by level, as a table ``c[n][k]`` for n <= max_n
+    and k <= max_k.  It fills every level, so it also checks the
+    ``CountTable``'s polynomial past level floor(n/2)."""
     c = [[1] * (max_k + 1), [1] * (max_k + 1)]
     for n in range(2, max_n + 1):
         row = [1 + k for k in range(max_k + 1)]
@@ -124,7 +127,7 @@ class TestCountDistinguished:
 
     def test_polynomials_exact(self):
         for n, poly in POLYNOMIALS.items():
-            for k in range(26):
+            for k in [*range(26), 10**6, 10**40]:
                 assert count_distinguished(n, k) == poly(k), (n, k)
 
     def test_six_division_is_exact(self):
@@ -137,11 +140,43 @@ class TestCountDistinguished:
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_grouped_sum_matches_per_partition_sum(self):
-        expected = per_partition_counts(14, 25)
-        table = CountTable()
-        for n in range(15):
-            for k in range(26):
+        # Levels past floor(n/2) come from the polynomial; a table queried
+        # in increasing order and one queried in decreasing order must both
+        # give the recursion's values, as must the shared table.
+        expected = per_partition_counts(24, 199)
+        queries = [(n, k) for n in range(25) for k in range(200)]
+        for order in (queries, queries[::-1]):
+            table = CountTable()
+            for n, k in order:
                 assert table.count(n, k) == expected[n][k], (n, k)
+                assert count_distinguished(n, k) == expected[n][k], (n, k)
+
+    def test_top_difference_is_leading_coefficient(self):
+        # A check of the growth law independent of both of
+        # leading_coefficient's formulas: the d-th difference of
+        # count(n, 0..d), d = floor(n/2), is d! times the leading
+        # coefficient.
+        for n in range(2, 41):
+            seq = [count_distinguished(n, k) for k in range(n // 2 + 1)]
+            for _ in range(n // 2):
+                seq = [b - a for a, b in zip(seq, seq[1:])]
+            assert seq == [leading_coefficient(n) * factorial(n // 2)], n
+
+    def test_rows_stop_at_half_length(self):
+        table = CountTable()
+        table.count(24, 10**6)
+        assert max(len(row) for row in table._rows) == 24 // 2 + 1
+
+    def test_length_limit(self):
+        # n = 64 builds its groups in about half a second, and count(n, 1)
+        # is the number of partitions of n; n = 65 is refused before any
+        # multiplicity group is built.
+        assert _MAX_COUNT_N == 64
+        assert count_distinguished(64, 1) == 1_741_630
+        before = _multiplicity_groups.cache_info().currsize
+        with pytest.raises(ValueError, match="n = 65 is over the limit of 64"):
+            count_distinguished(65, 1)
+        assert _multiplicity_groups.cache_info().currsize == before
 
     def test_query_order_does_not_matter(self):
         # Rows 2..10 grow past rows 11..24, then all rows grow again.

@@ -494,6 +494,27 @@ class TestClosedFamily:
         assert closed_family(4, "F4", (2, 0), ctx) == (4, 3, -3, -4)
         assert closed_family(4, "F4", (1, 0), ctx) == (1, 1, -1, -1)
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 9, 11, 13, 17, 101, 65537])
+    def test_f4_matches_p_power_form(self, p):
+        # Differential oracle: F4 as stated in powers of p over 2(p - 1).
+        # Where that division is not exact (p = 2, 4 and 9, none a prime
+        # ModularContext accepts), the member is refused.
+        den = 2 * (p - 1)
+        for m, k in itertools.product(range(1, 40), range(40)):
+            if m % 2 == 0:
+                x = p ** (m + k) + 2 * p ** (k + 1) + 3 * p**k - 6
+                y = p ** (m + k) + p**k - 2
+            else:
+                x = p ** (m + k) + p ** (k + 1) + 4 * p**k - 6
+                y = p ** (m + k) + p ** (k + 1) - 2
+            if x % den or y % den:
+                with pytest.raises(ValueError, match="non-integral"):
+                    enumeration._family_weight(4, "F4", (m, k), p)
+            else:
+                x, y = x // den, y // den
+                assert enumeration._family_weight(4, "F4", (m, k), p) == (
+                    (x, y, -y, -x), m + k), (m, k)
+
 
 class TestGenerateFamilySet:
     def test_n2(self):
