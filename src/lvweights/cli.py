@@ -175,7 +175,8 @@ def run(argv) -> int:
                         "family members")  # before p**k
             _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
-            failed = False
+            if args.samples < 1:
+                raise ValueError(f"--samples must be >= 1, got {args.samples}")
             checks = [
                 ("reverse-negate commutation",
                  r_commutation_failures(args.samples, args.seed)),
@@ -187,14 +188,13 @@ def run(argv) -> int:
             ]
             for name, bad in checks:
                 if bad:
-                    failed = True
                     print(f"{name}: FAIL ({len(bad)} counterexamples)",
                           file=sys.stderr)
                     for w in bad[:5]:
                         print(f"  {format_weight(w)}", file=sys.stderr)
                 else:
                     print(f"{name}: ok")
-            if failed:
+            if any(bad for _, bad in checks):
                 return 2
     except (ValueError, OSError) as exc:
         print(f"lvweights: error: {exc}", file=sys.stderr)

@@ -22,15 +22,17 @@ in one clump (``phi`` appends v only to a row ending in v or v +- 1); and
 rows are created only in column 1, so the row order and the shape are
 fixed.  So each row sum is affine in its clump's move, and pairing rows
 with the target's entries by position in ``_lv_mu``'s order, which every
-weight of the cell keeps, pins every move.  Second, the forward map
-accepts it: the moves may leave the cell, but ``lv`` is injective, so a
-weakly decreasing candidate that ``_lv_mu`` maps to the target is the
-preimage.  The solver reads no geometry of the table it is given.
+weight of the cell keeps, pins every move.  Second, the moves decide.
+A least weight's neighbouring clumps are 2 apart and a clump moves as a
+whole, so with the m clumps above the middle moving by d_0, ..., d_{m-1}
+and d_m = 0, the gaps between clumps are 2 + d_j - d_{j+1} (2 + 2d_{m-1}
+across an even middle).  So the candidate keeps its cell's capped gap
+pattern exactly when d_0 >= ... >= d_{m-1} >= 0, and then lv maps it to
+p * target (``_compile_cell``).  The true preimage lies in its own cell,
+which proposes it, so the order in which cells are tried does not matter.
 
-The cells of each length are indexed once by shape, read off the clump
-templates' column sizes, and ``_preimage`` compiles a cell only when a
-target first tries it: (14, 1, 17) compiles 134 of the 1,458 cells of
-length 14.  ``_MAX_CELLS`` bounds the index.
+``_cells`` indexes the cells of each length by shape, and ``_preimage``
+compiles a cell the first time a target tries it.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ def _compile_cell(least: Weight):
     owned by ``(None, 0)``; and for each row, in ``_lv_mu``'s order, ``(c,
     coef, base)``: the row sum is base + coef * d_c.  A weight of the cell
     has the same clump templates in the same order, so its rows keep their
-    positions and each row sum moves by len(row) times its clump's move.
-    ``_preimage`` compiles a cell the first time a target tries it."""
+    positions and each row sum moves by len(row) times its clump's move."""
     plan = _clump_plan(least, 1)
     mu = _lv_mu(least)
     owners, owned = [], [[] for _ in mu]  # owned: row owners by length
@@ -199,10 +200,9 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
     cells; raises RuntimeError when none gives it.
 
     Each cell of the target's shape pairs its rows with the target's
-    entries by position in ``_lv_mu``'s order.  Each row pins its
-    clump's move; moves that are exact and agree give a candidate,
-    and ``lv`` is injective, so a weakly decreasing candidate that
-    ``_lv_mu`` maps to the target is the preimage, in this cell or not.
+    entries by position in ``_lv_mu``'s order; each row pins its clump's
+    move.  Moves that are exact, agree and keep the candidate in its cell,
+    d_0 >= ... >= d_{m-1} >= 0 (see the module docstring), give the preimage.
     """
     sums = [p * v for part in target for v in part]
     for cell in _cells(n).get(tuple(map(len, target)), ()):
@@ -216,11 +216,10 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
             if r or moves.setdefault(c, d) != d:
                 break
         else:
-            w = tuple([v + sign * moves[c]
-                       for v, (c, sign) in zip(least, owners)])
-            if (sorted(w, reverse=True) == list(w)  # weakly decreasing
-                    and _lv_mu(w, 1, p) == target):
-                return w
+            if all(moves[j] >= moves.get(j + 1, 0)  # d_m = 0
+                   for j in range(len(moves) - 1)):  # keys None, 0..m-1
+                return tuple([v + sign * moves[c]
+                              for v, (c, sign) in zip(least, owners)])
     raise RuntimeError(
         f"no anti-symmetric weight of length {n} maps to {p} * {target}"
     )

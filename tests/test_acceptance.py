@@ -97,15 +97,18 @@ def _best_time(fn, repeats=5):
 
 
 @pytest.fixture(scope="module")
-def grid_results():
+def grid_results(forward_checked):
     """(n, k, p) -> weights enumerated at the default bound, and the count
-    the recursion gives; the consuming tests compare the two."""
+    the recursion gives; the consuming tests compare the two.  The forward
+    map checks every preimage the construction accepts."""
     t0 = time.perf_counter()
     results = {}
-    for n, k, p in GRID:
-        box = SearchBox(n, k, default_bound(n, k, p), p)
-        weights = enumerate_distinguished(box, jobs=JOBS)
-        results[(n, k, p)] = (weights, count_distinguished(n, k))
+    with forward_checked() as checked:
+        for n, k, p in GRID:
+            box = SearchBox(n, k, default_bound(n, k, p), p)
+            weights = enumerate_distinguished(box, jobs=JOBS)
+            results[(n, k, p)] = (weights, count_distinguished(n, k))
+    assert checked
     return results, time.perf_counter() - t0
 
 

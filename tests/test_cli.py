@@ -389,6 +389,19 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count(": ok") == 3
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_is_refused(self, capout, monkeypatch, samples):
+        # A run that checks nothing must not report success.
+        def ran(*args):
+            raise AssertionError("a check ran before the refusal")
+
+        for check in ("r_commutation_failures", "clump_commutation_failures",
+                      "round_trip_failures"):
+            monkeypatch.setattr(cli, check, ran)
+        code, out, err = capout("verify", "--samples", samples)
+        assert (code, out) == (2, "")
+        assert f"--samples must be >= 1, got {samples}" in err
+
     def test_failing_check_exits_2(self, capout, monkeypatch):
         # A check with counterexamples fails the run; the others still
         # report, and stderr lists the first 5 of its 7 weights.

@@ -194,8 +194,10 @@ class TestSieveAgainstOracle:
 
 class TestConstruction:
     @pytest.mark.parametrize("n,k,p", [(8, 6, 11), (14, 3, 17), (4, 20, 11)])
-    def test_sizes_beyond_any_scan(self, n, k, p):
-        depths = enumeration._construct(n, k, p)
+    def test_sizes_beyond_any_scan(self, forward_checked, n, k, p):
+        with forward_checked() as checked:
+            depths = enumeration._construct(n, k, p)
+        assert set(depths) - {(0,) * n} <= set(checked)
         assert len(depths) == count_distinguished(n, k)
         assert max(w[0] for w in depths) == default_bound(n, k, p)
         assert max(depths.values()) == k
@@ -239,6 +241,19 @@ class TestConstruction:
         assert enumeration._construct(1, 5, 7) == {(0,): 0}
         assert enumeration._construct(1, 10**9, 7) == {(0,): 0}
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["as-built", "reversed"])
+    def test_round_trip_in_any_cell_order(self, monkeypatch, order):
+        # At p = 1 every weight is a target.  A cell accepts by its moves
+        # alone, so the preimage does not depend on the order of the cells.
+        cells = enumeration._cells
+        monkeypatch.setattr(enumeration, "_cells", lambda n: {
+            shape: entries[::order] for shape, entries in cells(n).items()})
+        for n in range(2, 11):
+            for x in itertools.combinations_with_replacement(range(5, -1, -1),
+                                                             n // 2):
+                w = enumeration._mirror(x, n)
+                assert enumeration._preimage(enumeration._lv_mu(w), n, 1) == w
+
     @pytest.mark.parametrize("target,least,moves,proposal,preimage", [
         # Closes the gap between the clumps (3, 3) and (1,): the proposal
         # lies in another cell, where lv_p of it is not even integral.
@@ -248,10 +263,11 @@ class TestConstruction:
         (((0, 0), (1, -1)), (4, 2, 1, -1, -2, -4), {None: 0, 0: -1, 1: 3},
          (3, 5, 4, -4, -5, -3), (6, 5, 1, -1, -5, -6)),
     ])
-    def test_forward_map_decides(self, monkeypatch, target, least, moves,
-                                 proposal, preimage):
-        # A cell only proposes a weight: its moves are exact and agree on
-        # every row, yet tried first it must not give the answer.
+    def test_moves_decide(self, monkeypatch, target, least, moves, proposal,
+                          preimage):
+        # A cell's moves can be exact and agree on every row, yet take its
+        # candidate out of the cell.  Then they break d_0 >= d_1 >= 0, and
+        # the cell, tried first, must not give the answer.
         p = 7
         cells = enumeration._cells(6)[(2, 2)]
         assert least in [least_of(entry, 6) for entry in cells]
@@ -262,8 +278,8 @@ class TestConstruction:
         ]
         assert tuple(v + sign * moves[c]
                      for v, (c, sign) in zip(least, owners)) == proposal
-        assert (list(proposal) != sorted(proposal, reverse=True)
-                or enumeration._lv_mu(proposal, 1, p) != target)
+        assert not moves[0] >= moves[1] >= 0
+        assert proposal != preimage
         assert enumeration._lv_mu(preimage, 1, p) == target
         # The list mixes a compiled cell with entries not compiled yet, as
         # the index does once some targets have tried it.
