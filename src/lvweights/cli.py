@@ -123,14 +123,15 @@ def _printable(value: int, what: str) -> int:
 
 def _emit_weights(depths, args, p) -> None:
     """Print the weights of ``{weight: depth}`` sorted descending, or with
-    --csv/--svg write their scatter records.  Each depth is exact and
-    within the command's cap, so it is the one ``scatter_records``
-    gives."""
+    --csv/--svg write their scatter records.  The weights are built valid
+    and anti-symmetric and each depth is exact within the command's cap,
+    so the records, built unchecked, are those ``scatter_records`` gives."""
     weights = sorted(depths, reverse=True)
     if args.csv or args.svg:
-        records = [ScatterRecord(w[: args.n // 2], depths[w]) for w in weights]
+        h = args.n // 2
+        records = [ScatterRecord._of(w[:h], depths[w]) for w in weights]
         if args.csv:
-            write_scatter_csv(records, args.csv, ncoords=args.n // 2)
+            write_scatter_csv(records, args.csv, ncoords=h)
         if args.svg:
             write_scatter_svg(records, args.svg, p)
     else:

@@ -33,6 +33,12 @@ which proposes it, so the order in which cells are tried does not matter.
 
 ``_cells`` indexes the cells of each length by shape, and ``_preimage``
 compiles a cell the first time a target tries it.
+
+Input is checked at the entry points: ``closed_family``, the ``ScatterRecord``
+constructor, ``scatter_records`` and ``write_scatter_csv``'s coordinate count.
+The family members ``_family_params`` lists and the CLI's records
+(``ScatterRecord._of``) are built valid and skip the checks; every member's
+depth is still confirmed by iteration.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from operator import attrgetter
 
 from .core import Weight, validate_weight
 from .counting import count_distinguished, partitions_mult
@@ -104,6 +111,14 @@ class ScatterRecord:
             raise ValueError(f"coords must end >= 0: {self.coords}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
+
+    @classmethod
+    def _of(cls, coords: tuple[int, ...], depth: int) -> "ScatterRecord":
+        """Wrap a record the library built as valid, without checking."""
+        rec = object.__new__(cls)
+        object.__setattr__(rec, "coords", coords)
+        object.__setattr__(rec, "depth", depth)
+        return rec
 
 
 def _mirror(coords: tuple[int, ...], n: int) -> Weight:
@@ -339,16 +354,7 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _family_weight(n: int, family_id: str, params: tuple[int, ...], p: int):
-    """Weight and stated iteration depth for one family member."""
-    if family_id not in FAMILY_IDS.get(n, ()):
-        raise ValueError(f"unknown family {family_id!r} for n={n}")
-    if len(params) != _FAMILY_ARITY[family_id]:
-        raise ValueError(
-            f"family {family_id} takes {_FAMILY_ARITY[family_id]} "
-            f"parameter(s), got {params}"
-        )
-    if any(x < 0 for x in params):
-        raise ValueError(f"family parameters must be >= 0, got {params}")
+    """Weight and stated iteration depth of a member with checked params."""
     if n == 2:
         (m,) = params
         c = _geom(p, m)
@@ -398,6 +404,14 @@ def closed_family(
     if n not in FAMILY_IDS:
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
     params = tuple(params)
+    if family_id not in FAMILY_IDS[n]:
+        raise ValueError(f"unknown family {family_id!r} for n={n}")
+    arity = _FAMILY_ARITY[family_id]
+    if len(params) != arity:
+        raise ValueError(f"family {family_id} takes {arity} parameter(s), "
+                         f"got {params}")
+    if any(x < 0 for x in params):
+        raise ValueError(f"family parameters must be >= 0, got {params}")
     w, depth = _family_weight(n, family_id, params, ctx.p)
     _check_family_depth(
         family_id, params, depth, distinguished_depth(w, ctx, cap=depth)
@@ -459,10 +473,8 @@ def _family_depths(
     depths: dict[Weight, int] = {}
     for family_id, params in _family_params(n, max_k):
         w, depth = _family_weight(n, family_id, params, ctx.p)
-        _check_family_depth(
-            family_id, params, depth,
-            _bounded_depth(validate_weight(w), max_k, ctx.p, memo),
-        )
+        _check_family_depth(family_id, params, depth,
+                            _bounded_depth(w, max_k, ctx.p, memo))
         depths[w] = depth
     return depths
 
@@ -510,12 +522,12 @@ def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
         ncoords = len(records[0].coords)
     header = ",".join([f"x{i + 1}" for i in range(ncoords)] + ["depth"])
     lines = [header]
-    for rec in sorted(records, key=lambda r: r.coords, reverse=True):
+    for rec in sorted(records, key=attrgetter("coords"), reverse=True):
         if len(rec.coords) != ncoords:
             raise ValueError(
                 f"record has {len(rec.coords)} coordinates, expected {ncoords}"
             )
-        lines.append(",".join(str(v) for v in (*rec.coords, rec.depth)))
+        lines.append(",".join(map(str, (*rec.coords, rec.depth))))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -8,8 +8,10 @@ import lvweights.cli as cli
 import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
+    ScatterRecord,
     SearchBox,
     closed_family,
+    count_distinguished,
     enumerate_distinguished,
     generate_family_set,
     rho_family,
@@ -28,6 +30,23 @@ def capout(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+@pytest.fixture()
+def trusted_records(monkeypatch):
+    """Every record ``ScatterRecord._of`` builds during the test, each
+    checked against the validating constructor: ``_of`` trusts its caller,
+    so this is its differential oracle."""
+    of, seen = ScatterRecord._of, []
+
+    def check(coords, depth):
+        rec = of(coords, depth)
+        assert rec == ScatterRecord(rec.coords, rec.depth), rec
+        seen.append(rec)
+        return rec
+
+    monkeypatch.setattr(ScatterRecord, "_of", check)
+    return seen
 
 
 class TestLvCommand:
@@ -249,6 +268,14 @@ class TestEnumerateCommand:
                               "--k", str(k))
         assert (code, out) == (0, ",".join(["0"] * n) + "\n")
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_csv_without_coordinates(self, capout, tmp_path, n):
+        csv = tmp_path / "pts.csv"
+        code, out, _ = capout("enumerate", "--n", str(n), "--prime", "3",
+                              "--k", "1", "--csv", str(csv))
+        assert (code, out) == (0, "")
+        assert csv.read_bytes() == b"depth\n0\n"
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_nonpositive_jobs(self, capout, jobs):
         code, out, err = capout("enumerate", "--n", "4", "--prime", "5",
@@ -269,9 +296,11 @@ class TestEnumerateCommand:
     ])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_files_match_scatter_records(self, capout, tmp_path,
-                                         n, k, bound, p, jobs):
-        # The CLI writes the depths its construction found; the public
-        # path recomputes every depth with scatter_records.
+                                         trusted_records, n, k, bound, p,
+                                         jobs):
+        # The CLI writes the depths its construction found, in records it
+        # builds trusted; the public path recomputes every depth with
+        # scatter_records, and validates every record.
         csv, svg = tmp_path / "pts.csv", tmp_path / "pts.svg"
         code, out, _ = capout(
             "enumerate", "--n", str(n), "--prime", str(p), "--k", str(k),
@@ -288,6 +317,7 @@ class TestEnumerateCommand:
         write_scatter_svg(records, tmp_path / "ref.svg", p)
         assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
+        assert trusted_records == records
 
 
 class TestFamiliesCommand:
@@ -330,6 +360,21 @@ class TestFamiliesCommand:
             assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
             assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_trusted_records_pass_the_constructor(self, capout, tmp_path,
+                                                  trusted_records, n, p):
+        # Every record the CLI builds unchecked is one the validating
+        # constructor accepts unchanged (the fixture's check).
+        csv = tmp_path / "fam.csv"
+        for max_k in range(13):
+            trusted_records.clear()
+            code, out, _ = capout(
+                "families", "--n", str(n), "--prime", str(p),
+                "--max-k", str(max_k), "--csv", str(csv),
+            )
+            assert (code, out) == (0, "")
+            assert len(trusted_records) == count_distinguished(n, max_k)
 
     @pytest.mark.parametrize("svg", [False, True])
     def test_entry_size_guard(self, capout, monkeypatch, tmp_path, svg):

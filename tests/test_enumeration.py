@@ -20,6 +20,7 @@ from lvweights import (
     reverse_negate,
     rho_family,
     scatter_records,
+    validate_weight,
     write_scatter_csv,
     write_scatter_svg,
 )
@@ -498,6 +499,29 @@ class TestClosedFamily:
         with pytest.raises(ValueError):
             closed_family(4, "F4", (0, 1), ModularContext(5))
 
+    @pytest.mark.parametrize("n,family_id,params,p,message", [
+        (5, "A", (1,), 7, "closed families exist only for n in {2, 3, 4}"),
+        (1, "F9", (-1, 0, 0), 7,
+         "closed families exist only for n in {2, 3, 4}"),
+        (4, "F9", (1,), 5, "unknown family 'F9' for n=4"),
+        (3, "F1", (-1, 0, 0), 5, "unknown family 'F1' for n=3"),
+        (4, "F1", (1, 5), 5, "family F1 takes 1 parameter(s), got (1, 5)"),
+        (4, "F3", [-1], 5, "family F3 takes 2 parameter(s), got (-1,)"),
+        (2, "A", (-1,), 5, "family parameters must be >= 0, got (-1,)"),
+        (4, "F4", (0, -1), 5, "family parameters must be >= 0, got (0, -1)"),
+        (4, "F4", (0, 1), 5, "F4 requires m >= 1"),
+        (4, "F4", (2, 0), 2, "non-integral closed-form value 5/2"),
+    ])
+    def test_refusal_messages_in_order(self, n, family_id, params, p,
+                                       message):
+        # The checks run in the order n, family id, arity, sign, F4's
+        # m >= 1, integrality; a case that breaks several gets the first
+        # one's message.  p = 2 is the only prime where F4's halves can be
+        # non-integral, and never with m = 0.
+        with pytest.raises(ValueError) as exc:
+            closed_family(n, family_id, params, ModularContext(p))
+        assert str(exc.value) == message
+
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError, match="parameter"):
             closed_family(4, "F1", (1, 5), ModularContext(5))
@@ -572,6 +596,18 @@ class TestGenerateFamilySet:
     def test_members_antisymmetric(self):
         for w in generate_family_set(4, ModularContext(5), 8):
             assert reverse_negate(w) == w
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_members_are_valid_weights(self, n, p):
+        # _family_depths hands its members to the depth check and the CLI
+        # unvalidated: each must be what validate_weight returns for it,
+        # and anti-symmetric, which the trusted CSV records rely on.
+        depths = enumeration._family_depths(n, ModularContext(p), 12)
+        assert len(depths) == count_distinguished(n, 12)
+        for w in depths:
+            assert type(w) is tuple and validate_weight(w) == w, w
+            assert reverse_negate(w) == w, w
 
 
 class TestSharedDepthMemo:
@@ -676,6 +712,12 @@ class TestScatter:
         path = tmp_path / "one.csv"
         write_scatter_csv([ScatterRecord((0, 0), 0)], path)
         assert path.read_text().splitlines()[1] == "0,0,0"
+
+    def test_csv_without_coordinates(self, tmp_path):
+        # n = 0 and 1 have no free coordinates: the row is the depth alone.
+        path = tmp_path / "none.csv"
+        write_scatter_csv([ScatterRecord((), 0)], path)
+        assert path.read_bytes() == b"depth\n0\n"
 
     def test_svg_deterministic(self, tmp_path):
         ctx = ModularContext(5)
