@@ -60,17 +60,22 @@ def dom(seq) -> Weight:
 
 
 def validate_weight(seq) -> Weight:
-    """Return ``seq`` as a weight tuple, rejecting non-weakly-decreasing input."""
+    """Return ``seq`` as a weight tuple, rejecting non-weakly-decreasing
+    input, then entries that are not ``int`` (bools and floats among them)."""
     w = tuple(seq)
-    rest = iter(w)
-    above = next(rest, None)
-    for v in rest:
-        if above < v:
-            i = next(i for i in range(len(w) - 1) if w[i] < w[i + 1])
+    above = w[0] if w else 0
+    for v in w:  # one pass for both checks; the first break is found below
+        if above < v or type(v) is not int:
+            break
+        above = v
+    else:
+        return w
+    for i in range(len(w) - 1):
+        if w[i] < w[i + 1]:
             raise ValueError(
                 f"not weakly decreasing at position {i}: {w[i]} < {w[i + 1]}")
-        above = v
-    return w
+    bad = next(v for v in w if type(v) is not int)
+    raise ValueError(f"weight has non-integer entry {bad!r}")
 
 
 def reverse_negate(w) -> Weight:

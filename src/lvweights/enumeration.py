@@ -11,7 +11,8 @@ D(l_i, k - 1).  The count recursion says each such preimage exists, so
 |D(n, k)| = ``count_distinguished(n, k)`` holds by construction; a target
 without an anti-symmetric preimage raises instead of being dropped.  No
 search bound is involved: ``enumerate_distinguished`` keeps the weights
-whose largest entry is within its bound.
+whose largest entry is within its bound.  Level 1 is in closed form, with no
+p: D(n, 1) = {h_lambda : lambda |- n} (``_neutral_elements``).
 
 The inverse takes two steps.  First, a cell proposes a candidate.  The
 free coordinates x_1 >= ... >= x_h >= 0 (h = floor(n/2)) split into cells
@@ -50,7 +51,7 @@ from functools import cache
 from itertools import product
 from operator import attrgetter
 
-from .core import Weight, validate_weight
+from .core import Weight, dom, validate_weight
 from .counting import count_distinguished, partitions_mult
 from .lv_algorithm import _clump_plan, _lv_mu, _template
 from .modular_iteration import (ModularContext, _bounded_depth,
@@ -240,19 +241,32 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
     )
 
 
+def _neutral_elements(l: int) -> list[Weight]:
+    """The weights of length l and depth 1, at every p: h_lambda for each
+    partition lambda != (1^l) of l, the entries lambda_i - 1 - 2j (0 <= j <
+    lambda_i) sorted.  h_lambda is the neutral element of an sl_2-triple of
+    Jordan type lambda, and lv maps it to the zero omega of shape lambda'."""
+    return [dom(v - 1 - 2 * j for v in alpha.parts for j in range(v))
+            for alpha in partitions_mult(l) if len(alpha.mult) > 1]
+
+
 def _construct(n: int, k: int, p: int) -> dict[Weight, int]:
     """D(n, k), every distinguished weight of length n and depth <= k,
     mapped to its depth.
 
-    Level d adds lv^-1(p * omega) for every shape alpha != (l) and every
-    omega with omega_i in D(l_i, d - 1) and some omega_j of depth d - 1,
-    taking j as the first: omega_i is shallower before j, as deep after.
+    Level 1 is in closed form (``_neutral_elements``).  Level d >= 2 adds
+    lv^-1(p * omega) for every shape alpha != (l) and every omega with
+    omega_i in D(l_i, d - 1) and some omega_j of depth d - 1, taking j as
+    the first: omega_i is shallower before j, as deep after.
     """
-    # For each length: its weights of depth below d - 1, and of depth d - 1.
-    older = {l: [] for l in range(n + 1)}
-    last = {l: [(0,) * l] for l in range(n + 1)}
     depths = {(0,) * n: 0}
-    for d in range(1, k + 1 if n > 1 else 1):  # n < 2: zero weight alone
+    if k < 1 or n < 2:  # the zero weight alone
+        return depths
+    # For each length: its weights of depth below d - 1, and of depth d - 1.
+    older = {l: [(0,) * l] for l in range(n + 1)}
+    last = {l: _neutral_elements(l) for l in (range(n + 1) if k > 1 else (n,))}
+    depths.update(dict.fromkeys(last[n], 1))
+    for d in range(2, k + 1):
         new = {
             l: [
                 _preimage(omega, l, p)
@@ -412,6 +426,8 @@ def closed_family(
                          f"got {params}")
     if any(x < 0 for x in params):
         raise ValueError(f"family parameters must be >= 0, got {params}")
+    if not {int}.issuperset(map(type, params)):  # bools and floats too
+        raise ValueError(f"family parameters must be integers, got {params}")
     w, depth = _family_weight(n, family_id, params, ctx.p)
     _check_family_depth(
         family_id, params, depth, distinguished_depth(w, ctx, cap=depth)

@@ -122,6 +122,21 @@ class TestValidateWeight:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 validate_weight(given_as)
 
+    @pytest.mark.parametrize("w, message", [
+        ((2, 1.0), "weight has non-integer entry 1.0"),
+        ((1.0,), "weight has non-integer entry 1.0"),
+        ((True,), "weight has non-integer entry True"),
+        ((3, 3, 0, False), "weight has non-integer entry False"),
+        ((4.5, 1, -1), "weight has non-integer entry 4.5"),
+        # Order is checked first, over the whole weight.
+        ((3, 1.0, 2), "not weakly decreasing at position 1: 1.0 < 2"),
+        ((2.0, 1, 3), "not weakly decreasing at position 1: 1 < 3"),
+    ])
+    def test_rejects_entries_that_are_not_ints(self, w, message):
+        for given_as in (w, list(w), iter(w)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                validate_weight(given_as)
+
     @pytest.mark.parametrize("w", [(), (0,), (3, 3, 1, -2), (7, -7)])
     def test_accepts_lists_and_generators(self, w):
         pulled = []

@@ -8,6 +8,7 @@ import pytest
 import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
+    PartitionMult,
     ScatterRecord,
     SearchBox,
     closed_family,
@@ -17,6 +18,7 @@ from lvweights import (
     enumerate_distinguished,
     generate_family_set,
     lv_p,
+    partitions_mult,
     reverse_negate,
     rho_family,
     scatter_records,
@@ -289,6 +291,72 @@ class TestConstruction:
         assert enumeration._preimage(target, 6, p) == preimage
 
 
+def neutral(parts):
+    """h_lambda: the strings lambda_i - 1, lambda_i - 3, ..., 1 - lambda_i
+    of the parts, merged into one weight."""
+    return tuple(sorted(itertools.chain.from_iterable(
+        range(v - 1, -v, -2) for v in parts), reverse=True))
+
+
+def conjugate(parts):
+    return tuple(sum(v > j for v in parts)
+                 for j in range(max(parts, default=0)))
+
+
+def partition_number(n):
+    """p(n), counted by adding one part size at a time."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
+class TestLevelOne:
+    # D(n, 1) = {h_lambda : lambda |- n}, whatever p: lv(h_lambda) is the
+    # zero omega of shape lambda'.  n <= 19 is every length the size guard
+    # lets the construction reach.
+
+    @pytest.mark.parametrize("n", range(20))
+    def test_neutral_elements_map_to_zero_of_the_conjugate_shape(self, n):
+        hs = []
+        for alpha in partitions_mult(n):
+            h = neutral(alpha.parts)
+            mu = enumeration._lv_mu(h)
+            assert not any(map(any, mu)), (alpha.parts, mu)
+            assert PartitionMult(tuple(map(len, mu))).parts == conjugate(
+                alpha.parts)
+            hs.append(h)
+        assert len(set(hs)) == len(hs)
+        assert hs[-1] == (0,) * n  # lambda = (1^n), last, gives zero
+        assert enumeration._neutral_elements(n) == hs[:-1]
+
+    @pytest.mark.parametrize("n", range(2, 20))
+    def test_cells_invert_zero_targets_to_the_closed_form(self, n):
+        # Two inverses that share no code past ``_template``.
+        for alpha in partitions_mult(n):
+            if len(alpha.mult) < n:  # alpha != (n)
+                target = tuple((0,) * m for m in alpha.mult)
+                assert enumeration._preimage(target, n, 23) == neutral(
+                    conjugate(alpha.parts)), alpha.parts
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 12, 17, 19])
+    def test_construct_does_not_depend_on_p(self, n):
+        depths = enumeration._construct(n, 1, 23)
+        assert enumeration._construct(n, 1, 29) == depths
+        assert len(depths) == count_distinguished(n, 1)
+        for p in (23, 29):
+            ctx = ModularContext(p)
+            assert {w: distinguished_depth(w, ctx, 1)
+                    for w in depths} == depths
+
+    def test_count_is_the_partition_number(self):
+        assert [len(partitions_mult(n)) for n in range(20)] == [
+            partition_number(n) for n in range(20)]
+        for n in range(65):
+            assert count_distinguished(n, 1) == partition_number(n), n
+
+
 def least_of(entry, n):
     """The least weight of an entry of ``enumeration._cells(n)``: its
     free coordinates, mirrored, until a target has tried it; then the
@@ -511,13 +579,20 @@ class TestClosedFamily:
         (4, "F4", (0, -1), 5, "family parameters must be >= 0, got (0, -1)"),
         (4, "F4", (0, 1), 5, "F4 requires m >= 1"),
         (4, "F4", (2, 0), 2, "non-integral closed-form value 5/2"),
+        (2, "A", (-1.0,), 5, "family parameters must be >= 0, got (-1.0,)"),
+        (4, "F3", (1.0, 2), 5,
+         "family parameters must be integers, got (1.0, 2)"),
+        (2, "A", (True,), 5,
+         "family parameters must be integers, got (True,)"),
+        (4, "F4", (0, 1.0), 5,
+         "family parameters must be integers, got (0, 1.0)"),
     ])
     def test_refusal_messages_in_order(self, n, family_id, params, p,
                                        message):
-        # The checks run in the order n, family id, arity, sign, F4's
-        # m >= 1, integrality; a case that breaks several gets the first
-        # one's message.  p = 2 is the only prime where F4's halves can be
-        # non-integral, and never with m = 0.
+        # The checks run in the order n, family id, arity, sign, int type,
+        # F4's m >= 1, integrality; a case that breaks several gets the
+        # first one's message.  p = 2 is the only prime where F4's halves
+        # can be non-integral, and never with m = 0.
         with pytest.raises(ValueError) as exc:
             closed_family(n, family_id, params, ModularContext(p))
         assert str(exc.value) == message
