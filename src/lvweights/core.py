@@ -38,7 +38,6 @@ __all__ = [
     "reverse_negate_omega",
     "validate_weight",
     "validate_diagram",
-    "diagram_column",
     "omega_from_pair",
     "omega_to_pair",
     "parse_weight",
@@ -98,17 +97,10 @@ def validate_diagram(rows) -> Diagram:
     for i, row in enumerate(rows):
         r = tuple(row)
         for v in r:
-            if not isinstance(v, int):
+            if type(v) is not int:  # bools and floats too
                 raise ValueError(f"row {i + 1} has non-integer entry {v!r}")
         out.append(r)
     return tuple(out)
-
-
-def diagram_column(x: Diagram, j: int) -> tuple[int, ...]:
-    """Entries of 1-based column ``j``, top to bottom."""
-    if j < 1:
-        raise ValueError(f"column index must be >= 1, got {j}")
-    return tuple(row[j - 1] for row in x if len(row) >= j)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +122,9 @@ class OmegaElement:
         for i, m in enumerate(mu):
             if any(map(lt, m, m[1:])):
                 raise ValueError(f"mu_{i + 1} is not weakly decreasing: {m}")
+            if not {int}.issuperset(map(type, m)):  # bools and floats too
+                bad = next(v for v in m if type(v) is not int)
+                raise ValueError(f"mu_{i + 1} has non-integer entry {bad!r}")
 
     @classmethod
     def _of(cls, mu: tuple[Weight, ...]) -> "OmegaElement":
@@ -169,6 +164,8 @@ class PartitionMult:
             raise ValueError(f"negative multiplicity in {mult}")
         if mult and mult[-1] < 1:
             raise ValueError("largest recorded part must actually occur")
+        if not {int}.issuperset(map(type, mult)):  # bools and floats too
+            raise ValueError(f"non-integer multiplicity in {mult}")
 
     @property
     def n(self) -> int:

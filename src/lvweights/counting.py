@@ -89,14 +89,14 @@ class CountTable:
         while len(rows) <= n:
             rows.append([1])  # count(l, 0) = 1
         top = min(k, n // 2)
-        groups = _multiplicity_groups(n)
         for l in range(2, n + 1):
             row = rows[l]
             if len(row) > top:
                 continue
-            # Each group as its size and the rows of its multiplicities.
+            # Each group as its size and the rows of its multiplicities;
+            # built only once some row needs filling.
             terms = [(size, [rows[m] for m in mults])
-                     for mults, size in groups[l]]
+                     for mults, size in _multiplicity_groups(n)[l]]
             for m in range(len(row) - 1, top):
                 step = 1
                 for size, factors in terms:

@@ -9,10 +9,11 @@ multiplicity of part i in alpha, and depth <= k - 1.  So D(n, k) holds the
 zero weight and lv^-1(p * omega) for every alpha != (n) and omega_i in
 D(l_i, k - 1).  The count recursion says each such preimage exists, so
 |D(n, k)| = ``count_distinguished(n, k)`` holds by construction; a target
-without an anti-symmetric preimage raises instead of being dropped.  No
-search bound is involved: ``enumerate_distinguished`` keeps the weights
-whose largest entry is within its bound.  Level 1 is in closed form, with no
-p: D(n, 1) = {h_lambda : lambda |- n} (``_neutral_elements``).
+without an anti-symmetric preimage raises instead of being dropped, and
+``enumerate_distinguished`` checks the count on every call.  No search
+bound is involved: it then keeps the weights whose largest entry is within
+its bound.  Level 1 is in closed form, with no p: D(n, 1) = {h_lambda :
+lambda |- n} (``_neutral_elements``).
 
 The inverse takes two steps.  First, a cell proposes a candidate.  The
 free coordinates x_1 >= ... >= x_h >= 0 (h = floor(n/2)) split into cells
@@ -104,14 +105,13 @@ class ScatterRecord:
     depth: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        for a, b in zip(self.coords, self.coords[1:]):
-            if a < b:
-                raise ValueError(f"coords not weakly decreasing: {self.coords}")
+        object.__setattr__(self, "coords", validate_weight(self.coords))
         if self.coords and self.coords[-1] < 0:
             raise ValueError(f"coords must end >= 0: {self.coords}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
+        if type(self.depth) is not int:  # bools and floats too
+            raise ValueError(f"depth must be an integer, got {self.depth!r}")
 
     @classmethod
     def _of(cls, coords: tuple[int, ...], depth: int) -> "ScatterRecord":
@@ -168,7 +168,8 @@ def _cells(n: int) -> dict[tuple[int, ...], list]:
     compiled cell (``_compile_cell``, independent of p) the first time a
     target tries it.  A least weight has every gap in {0, 1, 2}, and its
     bottom coordinate is 0 or 1 for even n (middle gap 2*x_h) and 0, 1 or
-    2 for odd n (x_h).  ``_MAX_CELLS`` bounds the size of this index.
+    2 for odd n (x_h).  Only levels >= 2 use the index, and the weight
+    limit of ``_check_size`` keeps those runs to n <= 20: 39,366 cells.
 
     The shape is read off the clump templates alone: column j of the
     diagram holds the entries of every clump's column j, and the rows of
@@ -296,35 +297,31 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     return sorted(_enumerate_depths(box, jobs), reverse=True)
 
 
-# The limits of ``_check_size``, in the README: the cell index, D(n, k) and,
-# for ``families``, which builds all of D(n, max_k), its members; the last
-# check is the interpreter's digit limit.  n = 19 has 19,683 cells; (14, 3)
-# has 7,382 weights; n = 4 has 40,601 members to max_k = 200, 50,399 to 223.
-_MAX_CELLS = 20_000
+# The limits of ``_check_size``, in the README: D(n, k) and, for ``families``,
+# which builds all of D(n, max_k), its members; the other check is the
+# interpreter's digit limit.  count(n, k) does not fall as k grows, and
+# count(37, 1) = 21,637 and count(21, 2) = 21,077, so every run allowed has
+# n <= 36 at k = 1 and n <= 20 at k >= 2; (14, 3) has 7,382 weights.  n = 4
+# has 40,601 members to max_k = 200, 50,399 to 223.
 _MAX_WEIGHTS = 20_000
 _MAX_MEMBERS = 50_000
 
 
 def _check_size(n: int, k: int, p: int | None = None,
                 limit: int = _MAX_WEIGHTS,
-                what: str = "distinguished weights") -> None:
-    """Refuse, before any work, a run that builds D(n, k): when its cell
-    index is over ``_MAX_CELLS``, when count(n, k) is over ``limit``, or,
-    given p, as the CLI that prints the weights does, when
-    ``default_bound(n, k, p)``, the largest entry of D(n, k), has more
-    decimal digits than the interpreter converts to text.  k = 0 builds
-    nothing.  The bound is at least p^(k-1), so only a bound near the
-    limit is computed.
+                what: str = "distinguished weights") -> int:
+    """Refuse, before any work, a run that builds D(n, k): when count(n,
+    k) is over ``limit``, or, given p, as the CLI that prints the weights
+    does, when ``default_bound(n, k, p)``, the largest entry of D(n, k),
+    has more decimal digits than the interpreter converts to text.  Return
+    count(n, k), which the construction must match.  k = 0 and n < 2 build
+    nothing and have one weight.  The bound is at least p^(k-1), so only a
+    bound near the limit is computed.
     """
     if k < 1 or n < 2:
-        return
-    cells, h = 2 + n % 2, n // 2  # _cells(n) has cells * 3^(h - 1)
-    while h > 1 and cells <= _MAX_CELLS:
-        cells, h = 3 * cells, h - 1
-    if cells > _MAX_CELLS:
-        raise ValueError(f"n = {n} needs {2 + n % 2} * 3^{n // 2 - 1} "
-                         f"cells, over the limit of {_MAX_CELLS}")
-    if count_distinguished(n, k) > limit:
+        return 1
+    count = count_distinguished(n, k)
+    if count > limit:
         raise ValueError(f"more than {limit} {what} at n = {n}, k = {k}")
     # Python before 3.10.7 has no limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -334,18 +331,22 @@ def _check_size(n: int, k: int, p: int | None = None,
         raise ValueError(f"entries of D(n = {n}, k = {k}) at p = {p} have "
                          f"more than {digits} decimal digits, the limit for "
                          f"integer string conversion")
+    return count
 
 
 def _enumerate_depths(box: SearchBox, jobs: int) -> dict[Weight, int]:
     """``enumerate_distinguished``'s weights mapped to their depths, which
-    are those ``scatter_records`` gives at cap k."""
+    are those ``scatter_records`` gives at cap k.  Raises RuntimeError,
+    before the bound filters anything, unless the construction gives
+    count(n, k) distinct weights."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _check_size(box.n, box.k)
-    return {
-        w: d for w, d in _construct(box.n, box.k, box.p).items()
-        if not w or w[0] <= box.bound
-    }
+    count = _check_size(box.n, box.k)
+    depths = _construct(box.n, box.k, box.p)
+    if len(depths) != count:
+        raise RuntimeError(f"D(n = {box.n}, k = {box.k}) at p = {box.p} has "
+                           f"{len(depths)} weights, but count(n, k) = {count}")
+    return {w: d for w, d in depths.items() if not w or w[0] <= box.bound}
 
 
 # Closed-form families for n <= 4 ---------------------------------------------

@@ -226,7 +226,8 @@ class TestEnumerateCommand:
         assert "exceed" in err
 
     @pytest.mark.parametrize("n,k,p,match", [
-        (30, 1, 31, "cells, over the limit of 20000"),
+        (37, 1, 41, "more than 20000 distinguished weights"),
+        (21, 2, 23, "more than 20000 distinguished weights"),
         (8, 1000, 11, "more than 20000 distinguished weights"),
         (2, 10**9, 3, "more than 20000 distinguished weights"),
     ])

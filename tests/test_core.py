@@ -9,6 +9,7 @@ from lvweights import (
     PartitionMult,
     dom,
     format_weight,
+    kappa,
     omega_from_json,
     omega_from_pair,
     omega_to_json,
@@ -16,6 +17,7 @@ from lvweights import (
     parse_weight,
     reverse_negate,
     reverse_negate_omega,
+    validate_diagram,
     validate_weight,
 )
 
@@ -97,6 +99,10 @@ class TestOmegaElement:
         (((1,), ()), "last component mu_s must be nonempty"),
         (((3, 1), [1, 2, 2]), "mu_2 is not weakly decreasing: (1, 2, 2)"),
         (((0, 1), (2, 3)), "mu_1 is not weakly decreasing: (0, 1)"),
+        (((1.5,),), "mu_1 has non-integer entry 1.5"),
+        (((2, 1), (True,)), "mu_2 has non-integer entry True"),
+        # Order is checked first.
+        (((1, 2.0), (0.5,)), "mu_1 is not weakly decreasing: (1, 2.0)"),
     ])
     def test_error_messages(self, mu, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -153,6 +159,25 @@ class TestValidateWeight:
         assert next(gen, None) is None
 
 
+class TestValidateDiagram:
+    def test_rows_become_tuples(self):
+        assert validate_diagram([[3, 1], (2,), []]) == ((3, 1), (2,), ())
+
+    @pytest.mark.parametrize("rows, message", [
+        (((1, 1.5),), "row 1 has non-integer entry 1.5"),
+        (((2,), (1, True)), "row 2 has non-integer entry True"),
+        (((0,), (), (False,)), "row 3 has non-integer entry False"),
+    ])
+    def test_rejects_entries_that_are_not_ints(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_diagram(rows)
+
+    def test_staged_map_refuses_a_bool(self):
+        # True once passed as 1: kappa(((1, True),)) gave mu_2 = (2,).
+        with pytest.raises(ValueError, match="non-integer entry True"):
+            kappa(((1, True),))
+
+
 class TestPartitionMult:
     def test_parts(self):
         assert PartitionMult((2, 0, 2)).parts == (3, 3, 1, 1)
@@ -174,6 +199,18 @@ class TestPartitionMult:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             PartitionMult((-1, 1))
+
+    @pytest.mark.parametrize("mult, message", [
+        ((1.5,), "non-integer multiplicity in (1.5,)"),
+        ((True,), "non-integer multiplicity in (True,)"),
+        ((2, 0.0, 1), "non-integer multiplicity in (2, 0.0, 1)"),
+        # The existing checks come first.
+        ((-1.0, 1), "negative multiplicity in (-1.0, 1)"),
+        ((1, 0.0), "largest recorded part must actually occur"),
+    ])
+    def test_rejects_multiplicities_that_are_not_ints(self, mult, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PartitionMult(mult)
 
 
 class TestOmegaPair:
@@ -271,3 +308,12 @@ class TestOmegaJson:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             omega_from_json("[1,2]")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"mu":[[1.5]]}', "mu_1 has non-integer entry 1.5"),
+        ('{"mu":[[true]]}', "mu_1 has non-integer entry True"),
+        ('{"mu":[[2],[1,0.0]]}', "mu_2 has non-integer entry 0.0"),
+    ])
+    def test_rejects_entries_that_are_not_ints(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            omega_from_json(text)

@@ -190,6 +190,17 @@ class TestCountDistinguished:
         for n, k in [(24, 5), (10, 40)]:
             assert shared.count(n, k) == per_partition_counts(n, k)[n][k]
 
+    def test_filled_rows_need_no_groups(self):
+        # A query whose rows are all filled to its level reads them and
+        # builds, or even looks up, no multiplicity group.
+        queries = [(n, k) for n in range(31) for k in (0, 1, 7, 15, 10**6)]
+        expected = [CountTable().count(n, k) for n, k in queries]
+        table = CountTable()
+        table.count(30, 15)  # every row to its top level, floor(n/2)
+        before = _multiplicity_groups.cache_info()
+        assert [table.count(n, k) for n, k in queries] == expected
+        assert _multiplicity_groups.cache_info() == before
+
     def test_fresh_table_matches_shared(self):
         table = CountTable()
         assert table.count(6, 10) == count_distinguished(6, 10)

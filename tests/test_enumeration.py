@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -239,6 +240,42 @@ class TestConstruction:
         assert len(enumeration._construct(6, 5, 7)) == count_distinguished(6, 5)
         assert len(built) == len(set(built))
 
+    def test_level_two_preimages_at_length_20(self, forward_checked):
+        # A seeded sample of the targets of D(20, 2) less D(20, 1): a shape
+        # alpha != (20) and omega_i in D(l_i, 1), not all zero.
+        rng = random.Random(20)
+        shapes = [a.mult for a in partitions_mult(20) if len(a.mult) < 20]
+        level_one = {l: [(0,) * l, *enumeration._neutral_elements(l)]
+                     for l in range(21)}
+        targets = set()
+        while len(targets) < 200:
+            omega = tuple(rng.choice(level_one[l]) for l in rng.choice(shapes))
+            if any(map(any, omega)):
+                targets.add(omega)
+        with forward_checked() as checked:
+            for omega in sorted(targets):
+                enumeration._preimage(omega, 20, 23)
+        assert len(set(checked)) == 200
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("wrong", [
+        lambda hs: hs[:-1] + hs[:1],  # the first twice, the last lost
+        lambda hs: hs[1:],
+    ], ids=["duplicate", "lost"])
+    def test_a_wrong_count_never_returns(self, monkeypatch, wrong, k):
+        # The count is checked on every call, before the bound filters:
+        # bound 0 keeps only the zero weight.
+        neutral_elements = enumeration._neutral_elements
+        monkeypatch.setattr(enumeration, "_neutral_elements",
+                            lambda l: wrong(neutral_elements(l)))
+        with pytest.raises(RuntimeError, match=r"but count\(n, k\) = "):
+            enumerate_distinguished(SearchBox(6, k, 0, 7))
+
+    def test_longest_k1_length_the_tests_enumerate(self):
+        weights = enumerate_distinguished(SearchBox(24, 1, 23, 29))
+        assert len(weights) == count_distinguished(24, 1) == 1575
+        assert weights[0][0] == default_bound(24, 1, 29) == 23
+
     def test_lengths_below_two(self):
         assert enumeration._construct(0, 5, 7) == {(): 0}
         assert enumeration._construct(1, 5, 7) == {(0,): 0}
@@ -314,24 +351,29 @@ def partition_number(n):
 
 class TestLevelOne:
     # D(n, 1) = {h_lambda : lambda |- n}, whatever p: lv(h_lambda) is the
-    # zero omega of shape lambda'.  n <= 19 is every length the size guard
-    # lets the construction reach.
+    # zero omega of shape lambda'.  The size guard lets a k = 1 run reach
+    # n = 36 (count(37, 1) is over the limit) and a run with k >= 2 reach
+    # n = 20, so level 1 is checked at every length to 36, on every lambda
+    # for n <= 24 and n = 36 and on a seeded sample in between.
 
-    @pytest.mark.parametrize("n", range(20))
+    @pytest.mark.parametrize("n", range(37))
     def test_neutral_elements_map_to_zero_of_the_conjugate_shape(self, n):
-        hs = []
-        for alpha in partitions_mult(n):
-            h = neutral(alpha.parts)
-            mu = enumeration._lv_mu(h)
-            assert not any(map(any, mu)), (alpha.parts, mu)
+        alphas = partitions_mult(n)
+        # lambda = (1^n), last, gives zero, which level 1 leaves out.
+        hs = [*enumeration._neutral_elements(n), (0,) * n]
+        assert len(set(hs)) == len(hs) == len(alphas)
+        checked = range(len(hs))
+        if 24 < n < 36:
+            checked = random.Random(n).sample(checked, 200)
+        for i in checked:
+            parts = alphas[i].parts
+            assert hs[i] == neutral(parts), parts
+            mu = enumeration._lv_mu(hs[i])
+            assert not any(map(any, mu)), (parts, mu)
             assert PartitionMult(tuple(map(len, mu))).parts == conjugate(
-                alpha.parts)
-            hs.append(h)
-        assert len(set(hs)) == len(hs)
-        assert hs[-1] == (0,) * n  # lambda = (1^n), last, gives zero
-        assert enumeration._neutral_elements(n) == hs[:-1]
+                parts)
 
-    @pytest.mark.parametrize("n", range(2, 20))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_cells_invert_zero_targets_to_the_closed_form(self, n):
         # Two inverses that share no code past ``_template``.
         for alpha in partitions_mult(n):
@@ -445,12 +487,12 @@ class TestCellTable:
 
 
 class TestSizeGuards:
-    """``enumerate`` refuses, before any work, a cell table or a D(n, k)
-    over its documented limit."""
+    """``enumerate`` refuses, before any work, a D(n, k) over its
+    documented limit."""
 
     @pytest.mark.parametrize("n,k,p,match", [
-        (30, 1, 31, "cells, over the limit of 20000"),
-        (20, 1, 23, "cells, over the limit of 20000"),
+        (37, 1, 41, "more than 20000 distinguished weights"),
+        (21, 2, 23, "more than 20000 distinguished weights"),
         (8, 1000, 11, "more than 20000 distinguished weights"),
         (2, 10**9, 3, "more than 20000 distinguished weights"),
     ])
@@ -468,13 +510,28 @@ class TestSizeGuards:
         assert cells.cache_info().currsize == before
 
     def test_limits_are_tight(self):
-        # n = 19 is the longest length whose cells fit; D(n, k) may hold
-        # exactly the limit.
-        enumeration._check_size(19, 1)
-        assert count_distinguished(2, 19_999) == enumeration._MAX_WEIGHTS
-        enumeration._check_size(2, 19_999)
-        with pytest.raises(ValueError):
-            enumeration._check_size(2, 20_000)
+        # n = 36 is the longest length allowed at k = 1 and n = 20 at
+        # k = 2; D(n, k) may hold exactly the limit.  The guard returns the
+        # count the construction is checked against.
+        limit = enumeration._MAX_WEIGHTS
+        for n, k in [(36, 1), (20, 2), (2, 19_999)]:
+            assert enumeration._check_size(n, k) == count_distinguished(n, k)
+        assert count_distinguished(2, 19_999) == limit
+        for n, k in [(37, 1), (21, 2), (2, 20_000)]:
+            with pytest.raises(ValueError):
+                enumeration._check_size(n, k)
+        assert enumeration._check_size(40, 0) == 1
+        assert enumeration._check_size(1, 10**9) == 1
+
+    def test_the_cell_index_stays_within_length_20(self):
+        # count(n, k) does not fall as k grows, so every length past 20 is
+        # refused at each k >= 2, the only runs that build ``_cells``; past
+        # 36 every k >= 1 is, and past 64 ``count_distinguished`` refuses.
+        limit = enumeration._MAX_WEIGHTS
+        for n in range(64, 1, -1):  # the longest first fills every row
+            assert (count_distinguished(n, 2) > limit) == (n > 20), n
+            assert (count_distinguished(n, 1) > limit) == (n > 36), n
+        assert sum(map(len, enumeration._cells(20).values())) == 39_366
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 7)])
     def test_entry_size_limit_is_tight(self, n, p):
@@ -771,6 +828,23 @@ class TestScatter:
             ScatterRecord((1, 2), 0)
         with pytest.raises(ValueError):
             ScatterRecord((2, -1), 0)
+
+    @pytest.mark.parametrize("coords, depth, message", [
+        ((1.5, 0.5), 1, "weight has non-integer entry 1.5"),
+        ((3, True), 1, "weight has non-integer entry True"),
+        ((3, 1), True, "depth must be an integer, got True"),
+        ((3, 1), 1.0, "depth must be an integer, got 1.0"),
+        # The order, end and sign checks come first.
+        ((1, 2.0), 0, "not weakly decreasing at position 0: 1 < 2.0"),
+        ((2, -1), 1.5, "coords must end >= 0: (2, -1)"),
+        ((3, 1), -1.0, "depth must be >= 0, got -1.0"),
+    ])
+    def test_record_refuses_what_is_not_an_int(self, coords, depth,
+                                               message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScatterRecord(coords, depth)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScatterRecord(list(coords), depth)
 
     def test_csv(self, tmp_path):
         path = tmp_path / "pts.csv"

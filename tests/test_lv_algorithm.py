@@ -22,7 +22,7 @@ from lvweights import (
     reverse_negate_omega,
 )
 from lvweights import lv_algorithm
-from lvweights.core import diagram_column, dom
+from lvweights.core import dom
 from lvweights.lv_algorithm import (
     PlacementError,
     _correct_columns,
@@ -30,6 +30,13 @@ from lvweights.lv_algorithm import (
     _phi_rows,
     _template,
 )
+
+
+def diagram_column(x, j):
+    """Entries of 1-based column ``j`` of the diagram ``x``, top to
+    bottom."""
+    return tuple(row[j - 1] for row in x if len(row) >= j)
+
 
 GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
 GOLDEN_PHI = ((46, 45, 46), (1,), (-1,), (-45, -46, -46))
