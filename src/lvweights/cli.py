@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/parse error, 2 domain error (invalid weight,
-p <= n, precondition or I/O failures, or a RecursionError from any call).
+p <= n, precondition or I/O failures, a construction fault such as a wrong
+count of weights, or a RecursionError from any call).
 Data goes to stdout, diagnostics to stderr.  Output is byte-identical for
 identical inputs and flags; ``enumerate --jobs`` must be at least 1 and
 does not change the output, because every subcommand runs in one process.
@@ -197,12 +198,12 @@ def run(argv) -> int:
                     print(f"{name}: ok")
             if any(bad for _, bad in checks):
                 return 2
-    except (ValueError, OSError) as exc:
-        print(f"lvweights: error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
+    except RecursionError:  # a RuntimeError, so before the next clause
         print("lvweights: error: iteration too deep for the interpreter's "
               "recursion limit", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"lvweights: error: {exc}", file=sys.stderr)
         return 2
     return 0
 

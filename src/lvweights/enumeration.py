@@ -33,8 +33,9 @@ pattern exactly when d_0 >= ... >= d_{m-1} >= 0, and then lv maps it to
 p * target (``_compile_cell``).  The true preimage lies in its own cell,
 which proposes it, so the order in which cells are tried does not matter.
 
-``_cells`` indexes the cells of each length by shape, and ``_preimage``
-compiles a cell the first time a target tries it.
+``_cells`` compiles every cell of a length once, for every p, and indexes
+it by the shape the forward map gives its least weight, so a cell's shape
+has one source; ``_preimage`` tries the cells of the target's shape.
 
 Input is checked at the entry points: ``closed_family``, the ``ScatterRecord``
 constructor, ``scatter_records`` and ``write_scatter_csv``'s coordinate count.
@@ -49,12 +50,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import accumulate, product
 from operator import attrgetter
 
 from .core import Weight, dom, validate_weight
 from .counting import count_distinguished, partitions_mult
-from .lv_algorithm import _clump_plan, _lv_mu, _template
+from .lv_algorithm import _clump_plan, _lv_mu
 from .modular_iteration import (ModularContext, _bounded_depth,
                                 distinguished_depth)
 
@@ -129,14 +130,15 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
 
 
 def _compile_cell(least: Weight):
-    """The cell of the anti-symmetric least weight ``least`` as ``(least,
-    owners, equations)``: the ``(clump, sign)`` that owns each entry, clump
-    j of ``_clump_plan`` moving up by d_j and its mirror -1-j down by d_j,
-    and a middle clump (the middle zero, or the clump that straddles zero)
-    owned by ``(None, 0)``; and for each row, in ``_lv_mu``'s order, ``(c,
-    coef, base)``: the row sum is base + coef * d_c.  A weight of the cell
-    has the same clump templates in the same order, so its rows keep their
-    positions and each row sum moves by len(row) times its clump's move."""
+    """The row-length shape of the anti-symmetric least weight ``least``
+    and its cell ``(least, owners, equations)``: the ``(clump, sign)`` that
+    owns each entry, clump j of ``_clump_plan`` moving up by d_j and its
+    mirror -1-j down by d_j, and a middle clump (the middle zero, or the
+    clump that straddles zero) owned by ``(None, 0)``; and for each row, in
+    ``_lv_mu``'s order, ``(c, coef, base)``: the row sum is base + coef *
+    d_c.  A weight of the cell has the same clump templates in the same
+    order, so its rows keep their positions and each row sum moves by
+    len(row) times its clump's move."""
     plan = _clump_plan(least, 1)
     mu = _lv_mu(least)
     owners, owned = [], [[] for _ in mu]  # owned: row owners by length
@@ -149,66 +151,24 @@ def _compile_cell(least: Weight):
     equations = tuple((c, sign * length or 1, s)
                       for length, part in enumerate(mu, 1)
                       for (c, sign), s in zip(owned[length - 1], part))
-    return least, tuple(owners), equations
-
-
-def _add_clump(total: list[int], mults: tuple[int, ...], times: int):
-    """``total`` plus ``times`` the column sizes of the clump ``mults``."""
-    total = total[:]
-    for j, c in enumerate(_template(mults, 1)[2]):
-        total[j] += times * c
-    return total
+    return tuple(map(len, mu)), (least, tuple(owners), equations)
 
 
 @cache
 def _cells(n: int) -> dict[tuple[int, ...], list]:
-    """Every cell of anti-symmetric weights of length n >= 2, keyed by
-    row-length shape, as ``[x, None, None]`` with x the free coordinates of
-    its least weight.  ``_preimage`` replaces an entry in place by the
-    compiled cell (``_compile_cell``, independent of p) the first time a
-    target tries it.  A least weight has every gap in {0, 1, 2}, and its
-    bottom coordinate is 0 or 1 for even n (middle gap 2*x_h) and 0, 1 or
-    2 for odd n (x_h).  Only levels >= 2 use the index, and the weight
-    limit of ``_check_size`` keeps those runs to n <= 20: 39,366 cells.
-
-    The shape is read off the clump templates alone: column j of the
-    diagram holds the entries of every clump's column j, and the rows of
-    length L are the entries of column L less those of column L + 1.
-    ``lv`` commutes with reverse-negate, so a clump's mirror has the
-    clump's column sizes.  So the walk, which prepends free coordinates
-    bottom up with the last gap varying fastest, counts them twice for a
-    clump above the middle one, and once for the middle clump: the one
-    that holds the middle zero (odd n) or x_h = 0 and its mirror (even
-    n), and grows at both ends.
-    """
-    h = n // 2
+    """Every cell of anti-symmetric weights of length n >= 2, compiled
+    (``_compile_cell``, independent of p) and keyed by the row-length shape
+    the forward map gives its least weight.  A least weight has every gap
+    in {0, 1, 2}, and its bottom coordinate x_h is 0 or 1 for even n
+    (middle gap 2*x_h) and 0, 1 or 2 for odd n; the bottom coordinate
+    varies slowest and the top gap fastest.  Only levels >= 2 use the
+    index, and the weight limit of ``_check_size`` keeps those runs to
+    n <= 20: 39,366 cells, compiled in about 2 s."""
     cells: dict[tuple[int, ...], list] = {}
-
-    def walk(x, closed, mults, times):
-        # closed: column sizes of the clumps below the top one, mirrors
-        # included; mults: the top clump's, still open; times: 1 when it
-        # is the middle clump, else 2.
-        if len(x) == h:
-            total = _add_clump(closed, mults, times)
-            shape = tuple(a - b for a, b in zip(total, total[1:]) if a)
-            cells.setdefault(shape, []).append([x, None, None])
-            return
-        same = (mults[0] + 1,) + mults[1:]  # gap 0: one more top value
-        if times == 1:
-            same = same[:-1] + (same[-1] + 1,)
-        walk((x[0],) + x, closed, same, times)
-        walk((x[0] + 1,) + x, closed,  # gap 1: a new top value
-             (1,) + mults + (1,) if times == 1 else (1,) + mults, times)
-        walk((x[0] + 2,) + x, _add_clump(closed, mults, times), (1,), 2)
-
-    zero = [0] * (n + 1)  # column sizes; the columns past the last stay 0
-    if n % 2 == 0:
-        walk((0,), zero, (2,), 1)
-        walk((1,), zero, (1,), 2)
-    else:
-        walk((0,), zero, (3,), 1)
-        walk((1,), zero, (1, 1, 1), 1)
-        walk((2,), _add_clump(zero, (1,), 1), (1,), 2)
+    bottoms = (0, 1, 2) if n % 2 else (0, 1)
+    for gaps in product(bottoms, *[(0, 1, 2)] * (n // 2 - 1)):  # bottom up
+        shape, cell = _compile_cell(_mirror(tuple(accumulate(gaps))[::-1], n))
+        cells.setdefault(shape, []).append(cell)
     return cells
 
 
@@ -222,11 +182,8 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
     d_0 >= ... >= d_{m-1} >= 0 (see the module docstring), give the preimage.
     """
     sums = [p * v for part in target for v in part]
-    for cell in _cells(n).get(tuple(map(len, target)), ()):
-        least, owners, equations = cell
-        if owners is None:  # first try: ``least`` holds free coordinates
-            cell[:] = least, owners, equations = _compile_cell(
-                _mirror(least, n))
+    cells = _cells(n).get(tuple(map(len, target)), ())
+    for least, owners, equations in cells:
         moves: dict[int | None, int] = {None: 0}
         for (c, coef, base), s in zip(equations, sums):
             d, r = divmod(s - base, coef)

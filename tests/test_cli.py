@@ -277,6 +277,19 @@ class TestEnumerateCommand:
         assert (code, out) == (0, "")
         assert csv.read_bytes() == b"depth\n0\n"
 
+    def test_construction_fault_exits_2(self, capout, monkeypatch):
+        # A lost weight fails the count check: a RuntimeError, reported as
+        # one error line, not a traceback with the usage-error code.
+        neutral_elements = enumeration._neutral_elements
+        monkeypatch.setattr(enumeration, "_neutral_elements",
+                            lambda l: neutral_elements(l)[1:])
+        code, out, err = capout("enumerate", "--n", "6", "--prime", "7",
+                                "--k", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("lvweights: error: D(n = 6, k = 1) at p = 7 ")
+        assert "but count(n, k) = 11" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_nonpositive_jobs(self, capout, jobs):
         code, out, err = capout("enumerate", "--n", "4", "--prime", "5",
@@ -427,6 +440,21 @@ class TestFamiliesCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert "more than 50000 family members" in err
+
+    @pytest.mark.parametrize("n,p,k", [(2, 3, 12), (3, 7, 30), (4, 5, 20),
+                                       (4, 11, 40)])
+    def test_csv_matches_enumerate(self, capout, tmp_path, n, p, k):
+        # The closed families and the construction through the cells are
+        # two routes to D(n, k) for n <= 4; their CSV files agree byte for
+        # byte, depths included.
+        built, closed = tmp_path / "built.csv", tmp_path / "closed.csv"
+        assert capout("enumerate", "--n", str(n), "--prime", str(p),
+                      "--k", str(k), "--csv", str(built)) == (0, "", "")
+        assert capout("families", "--n", str(n), "--prime", str(p),
+                      "--max-k", str(k), "--csv", str(closed)) == (0, "", "")
+        lines = built.read_bytes().count(b"\n")
+        assert lines == count_distinguished(n, k) + 1
+        assert built.read_bytes() == closed.read_bytes()
 
 
 class TestVerifyCommand:

@@ -310,8 +310,7 @@ class TestConstruction:
         # the cell, tried first, must not give the answer.
         p = 7
         cells = enumeration._cells(6)[(2, 2)]
-        assert least in [least_of(entry, 6) for entry in cells]
-        cell = enumeration._compile_cell(least)
+        cell = next(c for c in cells if c[0] == least)
         _, owners, equations = cell
         assert [base + coef * moves[c] for c, coef, base in equations] == [
             p * v for part in target for v in part
@@ -321,8 +320,6 @@ class TestConstruction:
         assert not moves[0] >= moves[1] >= 0
         assert proposal != preimage
         assert enumeration._lv_mu(preimage, 1, p) == target
-        # The list mixes a compiled cell with entries not compiled yet, as
-        # the index does once some targets have tried it.
         monkeypatch.setattr(enumeration, "_cells",
                             lambda n: {(2, 2): [cell, *cells]})
         assert enumeration._preimage(target, 6, p) == preimage
@@ -399,14 +396,6 @@ class TestLevelOne:
             assert count_distinguished(n, 1) == partition_number(n), n
 
 
-def least_of(entry, n):
-    """The least weight of an entry of ``enumeration._cells(n)``: its
-    free coordinates, mirrored, until a target has tried it; then the
-    first item of its compiled cell."""
-    x, owners, _ = entry
-    return x if owners else enumeration._mirror(x, n)
-
-
 def raw_compile_cell(weight):
     """The cell of ``weight`` on a route of its own, the oracle of
     ``enumeration._compile_cell``: the whole weight's ``phi`` rows and
@@ -433,7 +422,7 @@ def raw_compile_cell(weight):
 
 
 class TestCellTable:
-    @pytest.mark.parametrize("n", range(2, 15))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_matches_the_raw_compile(self, n):
         # The least weights in the index's order: the bottom coordinate
         # outermost, then each gap up from it; the last gap varies fastest.
@@ -445,45 +434,24 @@ class TestCellTable:
                       + tuple(-c for c in bottom_up))
             shape, cell = raw_compile_cell(weight)
             table.setdefault(shape, []).append(cell)
-        index = enumeration._cells(n)
-        assert list(index) == list(table)
-        for shape, entries in index.items():
-            raw = table[shape]
-            leasts = [least_of(entry, n) for entry in entries]
-            assert leasts == [cell[0] for cell in raw]
-            assert list(map(enumeration._compile_cell, leasts)) == raw
-            # An entry a target has tried holds the same compiled cell.
-            assert all(tuple(entry) == cell
-                       for entry, cell in zip(entries, raw) if entry[1])
+        assert list(enumeration._cells(n).items()) == list(table.items())
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_shapes_match_the_forward_map(self, n):
-        # The index reads each shape off the clump templates' column sizes;
-        # the forward map builds the rows themselves.
-        for shape, entries in enumeration._cells(n).items():
-            for entry in entries:
-                least = least_of(entry, n)
-                assert tuple(map(len, enumeration._lv_mu(least))) == shape
-
-    def test_compiles_only_the_cells_it_tries(self, monkeypatch):
-        # (14, 1, 17) tries 134 of the 1,458 cells of length 14.
-        compiled = []
-        compile_cell = enumeration._compile_cell
-
-        def record(least):
-            compiled.append(least)
-            return compile_cell(least)
-
-        monkeypatch.setattr(enumeration, "_compile_cell", record)
-        enumeration._cells.cache_clear()
-        weights = enumerate_distinguished(
-            SearchBox(14, 1, default_bound(14, 1, 17), 17))
-        assert len(weights) == count_distinguished(14, 1)
-        entries = [e for es in enumeration._cells(14).values() for e in es]
-        assert len(entries) == 1458
-        tried = [e for e in entries if e[1]]
-        assert len(compiled) == len(tried) < len(entries) // 10
-        assert len(set(compiled)) == len(compiled)
+        # The index keys a cell by its least weight's shape.  Every weight
+        # of the cell has it, with the row sums its equations give: here
+        # the m clumps above the middle move by d_j = m - j, which keeps
+        # d_0 >= ... >= d_{m-1} >= 0.
+        for shape, cells in enumeration._cells(n).items():
+            for least, owners, equations in cells:
+                m = len({c for c, _ in owners} - {None})
+                moves = {c: 0 if c is None else m - c for c, _ in owners}
+                w = tuple(v + sign * moves[c]
+                          for v, (c, sign) in zip(least, owners))
+                mu = enumeration._lv_mu(w)
+                assert tuple(map(len, mu)) == shape, w
+                assert [v for part in mu for v in part] == [
+                    base + coef * moves[c] for c, coef, base in equations], w
 
 
 class TestSizeGuards:
