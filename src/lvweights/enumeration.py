@@ -33,11 +33,13 @@ pattern exactly when d_0 >= ... >= d_{m-1} >= 0, and then lv maps it to
 p * target (``_compile_cell``).  The true preimage lies in its own cell,
 which proposes it, so the order in which cells are tried does not matter.
 
-``_cells`` compiles every cell of a length once, for every p, and indexes
-it by the shape the forward map gives its least weight, so a cell's shape
-has one source; ``_preimage`` tries the cells of the target's shape.
+``_cells`` compiles every cell of a length once, for every p, into its
+least weight and row equations, and indexes it by the shape the forward map
+gives its least weight, so a cell's shape has one source; ``_preimage``
+tries the cells of the target's shape.
 
-Input is checked at the entry points: ``closed_family``, the ``ScatterRecord``
+Input is checked at the entry points: the ``SearchBox`` constructor (n, k
+and bound of type ``int`` and >= 0), ``closed_family``, the ``ScatterRecord``
 constructor, ``scatter_records`` and ``write_scatter_csv``'s coordinate count.
 The family members ``_family_params`` lists and the CLI's records
 (``ScatterRecord._of``) are built valid and skip the checks; every member's
@@ -51,6 +53,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, product
+from numbers import Real
 from operator import attrgetter
 
 from .core import Weight, dom, validate_weight
@@ -92,6 +95,8 @@ class SearchBox:
     p: int
 
     def __post_init__(self):
+        if not {int}.issuperset(map(type, (self.n, self.k, self.bound))):
+            raise ValueError("n, k and bound must be integers")
         if self.n < 0 or self.k < 0 or self.bound < 0:
             raise ValueError("n, k and bound must be >= 0")
         ModularContext(self.p).check_length(self.n)
@@ -109,7 +114,7 @@ class ScatterRecord:
         object.__setattr__(self, "coords", validate_weight(self.coords))
         if self.coords and self.coords[-1] < 0:
             raise ValueError(f"coords must end >= 0: {self.coords}")
-        if self.depth < 0:
+        if isinstance(self.depth, Real) and self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if type(self.depth) is not int:  # bools and floats too
             raise ValueError(f"depth must be an integer, got {self.depth!r}")
@@ -131,27 +136,26 @@ def _mirror(coords: tuple[int, ...], n: int) -> Weight:
 
 def _compile_cell(least: Weight):
     """The row-length shape of the anti-symmetric least weight ``least``
-    and its cell ``(least, owners, equations)``: the ``(clump, sign)`` that
-    owns each entry, clump j of ``_clump_plan`` moving up by d_j and its
-    mirror -1-j down by d_j, and a middle clump (the middle zero, or the
-    clump that straddles zero) owned by ``(None, 0)``; and for each row, in
-    ``_lv_mu``'s order, ``(c, coef, base)``: the row sum is base + coef *
-    d_c.  A weight of the cell has the same clump templates in the same
+    and its cell ``(least, equations)``: for each row, in ``_lv_mu``'s
+    order, ``(c, coef, base)``, where the row sum is base + coef * d_c.
+    Clump j of ``_clump_plan`` moves up by d_j and its mirror -1-j down by
+    d_j, so a row of length L has coef L or -L; a row of the middle clump
+    (the middle zero, or the clump that straddles zero) has c = None and
+    coef 1.  A weight of the cell has the same clump templates in the same
     order, so its rows keep their positions and each row sum moves by
     len(row) times its clump's move."""
     plan = _clump_plan(least, 1)
     mu = _lv_mu(least)
-    owners, owned = [], [[] for _ in mu]  # owned: row owners by length
-    for j, ((rows, _, cols), _) in enumerate(plan):
+    owned = [[] for _ in mu]  # the (clump, sign) of each row, by length
+    for j, ((rows, _, _), _) in enumerate(plan):
         m = len(plan) - 1 - j
         owner = (j, 1) if j < m else (m, -1) if j > m else (None, 0)
-        owners += [owner] * sum(cols)
         for row in rows:
             owned[len(row) - 1].append(owner)
     equations = tuple((c, sign * length or 1, s)
                       for length, part in enumerate(mu, 1)
                       for (c, sign), s in zip(owned[length - 1], part))
-    return tuple(map(len, mu)), (least, tuple(owners), equations)
+    return tuple(map(len, mu)), (least, equations)
 
 
 @cache
@@ -179,11 +183,13 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
     Each cell of the target's shape pairs its rows with the target's
     entries by position in ``_lv_mu``'s order; each row pins its clump's
     move.  Moves that are exact, agree and keep the candidate in its cell,
-    d_0 >= ... >= d_{m-1} >= 0 (see the module docstring), give the preimage.
+    d_0 >= ... >= d_{m-1} >= 0 (see the module docstring), give the preimage:
+    each free coordinate moves by its clump's d_j, where the clump index
+    rises at every gap > 1 and the middle clump, index m, stays put.
     """
     sums = [p * v for part in target for v in part]
     cells = _cells(n).get(tuple(map(len, target)), ())
-    for least, owners, equations in cells:
+    for least, equations in cells:
         moves: dict[int | None, int] = {None: 0}
         for (c, coef, base), s in zip(equations, sums):
             d, r = divmod(s - base, coef)
@@ -192,8 +198,9 @@ def _preimage(target: tuple[Weight, ...], n: int, p: int) -> Weight:
         else:
             if all(moves[j] >= moves.get(j + 1, 0)  # d_m = 0
                    for j in range(len(moves) - 1)):  # keys None, 0..m-1
-                return tuple([v + sign * moves[c]
-                              for v, (c, sign) in zip(least, owners)])
+                rises = (a - b > 1 for a, b in zip(least, least[1:n // 2]))
+                return _mirror(tuple([v + moves.get(j, 0) for v, j in zip(
+                    least, accumulate(rises, initial=0))]), n)
     raise RuntimeError(
         f"no anti-symmetric weight of length {n} maps to {p} * {target}"
     )
@@ -382,7 +389,7 @@ def closed_family(
     if len(params) != arity:
         raise ValueError(f"family {family_id} takes {arity} parameter(s), "
                          f"got {params}")
-    if any(x < 0 for x in params):
+    if any(isinstance(x, Real) and x < 0 for x in params):
         raise ValueError(f"family parameters must be >= 0, got {params}")
     if not {int}.issuperset(map(type, params)):  # bools and floats too
         raise ValueError(f"family parameters must be integers, got {params}")
@@ -403,20 +410,13 @@ def _check_family_depth(family_id, params, depth, actual) -> None:
 
 def _family_params(n: int, max_k: int):
     """(family id, params) of every member for n in {2, 3, 4} whose stated
-    depth is <= max_k."""
-    if n == 2:
-        for m in range(max_k + 1):
-            yield "A", (m,)
-    elif n == 3:
-        for m in range(max_k + 1):
-            yield "A", (m,)
+    depth is <= max_k: A and F1 have depth m, B and F2 depth m + 1."""
+    for m in range(max_k + 1):
+        yield FAMILY_IDS[n][0], (m,)
+    if n > 2:
         for m in range(max_k):
-            yield "B", (m,)
-    else:
-        for m in range(max_k + 1):
-            yield "F1", (m,)
-        for m in range(max_k):
-            yield "F2", (m,)
+            yield FAMILY_IDS[n][1], (m,)
+    if n == 4:
         for total in range(1, max_k + 1):  # depth m + k + 1 = total
             for k in range(total):
                 yield "F3", (total - 1 - k, k)

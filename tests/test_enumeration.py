@@ -50,8 +50,16 @@ class TestSearchBox:
             SearchBox(5, 1, 10, 5)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n, k and bound must be >= 0$"):
             SearchBox(2, -1, 10, 5)
+
+    @pytest.mark.parametrize("n,k,bound", [
+        (4, True, 100), (4, 1, 1.5), (4, 2.0, 10), ("4", 1, 10),
+        (4.0, 1, 10), (4, 1, None), (-1.0, 1, 10),
+    ])
+    def test_rejects_what_is_not_an_int(self, n, k, bound):
+        with pytest.raises(ValueError, match="^n, k and bound must be integers$"):
+            SearchBox(n, k, bound, 5)
 
     @pytest.mark.parametrize("p", [9, 15, 25])
     def test_rejects_composite_prime(self, p):
@@ -311,12 +319,11 @@ class TestConstruction:
         p = 7
         cells = enumeration._cells(6)[(2, 2)]
         cell = next(c for c in cells if c[0] == least)
-        _, owners, equations = cell
+        _, equations = cell
         assert [base + coef * moves[c] for c, coef, base in equations] == [
             p * v for part in target for v in part
         ]
-        assert tuple(v + sign * moves[c]
-                     for v, (c, sign) in zip(least, owners)) == proposal
+        assert move_clumps(least, moves) == proposal
         assert not moves[0] >= moves[1] >= 0
         assert proposal != preimage
         assert enumeration._lv_mu(preimage, 1, p) == target
@@ -396,6 +403,16 @@ class TestLevelOne:
             assert count_distinguished(n, 1) == partition_number(n), n
 
 
+def move_clumps(least, moves):
+    """``least`` with clump j of its ``maximal_clumps`` moved up by
+    moves[j] and its mirror, clump K-1-j of K, down by as much; a middle
+    clump, whose index is no key of ``moves``, stays put."""
+    clumps = maximal_clumps(least)
+    last = len(clumps) - 1
+    return tuple(v + moves.get(j, 0) - moves.get(last - j, 0)
+                 for j, clump in enumerate(clumps) for v in clump)
+
+
 def raw_compile_cell(weight):
     """The cell of ``weight`` on a route of its own, the oracle of
     ``enumeration._compile_cell``: the whole weight's ``phi`` rows and
@@ -403,12 +420,11 @@ def raw_compile_cell(weight):
     entry, and the rows stably sorted by length, so rows of one length
     stay in ``phi`` order."""
     clumps = maximal_clumps(weight)
-    owners = []
+    owner_of = {}
     for j, clump in enumerate(clumps):
         m = len(clumps) - 1 - j
         owner = (j, 1) if j < m else (m, -1) if j > m else (None, 0)
-        owners += [owner] * len(clump)
-    owner_of = dict(zip(weight, owners))
+        owner_of.update(dict.fromkeys(clump, owner))
     rows = _phi_rows(weight, 1)
     firsts = [row[0] for row in rows]
     rows = _correct_columns(rows)
@@ -418,7 +434,7 @@ def raw_compile_cell(weight):
         shape[len(row) - 1] += 1
         c, sign = owner_of[first]
         equations.append((c, sign * len(row) or 1, sum(row)))
-    return tuple(shape), (weight, tuple(owners), tuple(equations))
+    return tuple(shape), (weight, tuple(equations))
 
 
 class TestCellTable:
@@ -436,22 +452,36 @@ class TestCellTable:
             table.setdefault(shape, []).append(cell)
         assert list(enumeration._cells(n).items()) == list(table.items())
 
+    @staticmethod
+    def moved(least):
+        """The moves d_j = m - j of the m clumps above the middle, which
+        keep d_0 >= ... >= d_{m-1} >= 0, and the weight they give."""
+        m = len(maximal_clumps(least)) // 2
+        moves = {None: 0, **{j: m - j for j in range(m)}}
+        return moves, move_clumps(least, moves)
+
     @pytest.mark.parametrize("n", range(2, 17))
     def test_shapes_match_the_forward_map(self, n):
         # The index keys a cell by its least weight's shape.  Every weight
-        # of the cell has it, with the row sums its equations give: here
-        # the m clumps above the middle move by d_j = m - j, which keeps
-        # d_0 >= ... >= d_{m-1} >= 0.
+        # of the cell has it, with the row sums its equations give.
         for shape, cells in enumeration._cells(n).items():
-            for least, owners, equations in cells:
-                m = len({c for c, _ in owners} - {None})
-                moves = {c: 0 if c is None else m - c for c, _ in owners}
-                w = tuple(v + sign * moves[c]
-                          for v, (c, sign) in zip(least, owners))
+            for least, equations in cells:
+                moves, w = self.moved(least)
                 mu = enumeration._lv_mu(w)
                 assert tuple(map(len, mu)) == shape, w
                 assert [v for part in mu for v in part] == [
                     base + coef * moves[c] for c, coef, base in equations], w
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_preimage_rebuilds_the_moved_weight(self, n):
+        # ``_preimage`` rebuilds the weight from the least weight's gaps;
+        # the moved weight comes from its maximal clumps.  Odd and even n,
+        # with and without a middle clump.
+        for cells in enumeration._cells(n).values():
+            for least, _ in cells:
+                _, w = self.moved(least)
+                assert enumeration._preimage(
+                    enumeration._lv_mu(w), n, 1) == w, least
 
 
 class TestSizeGuards:
@@ -611,6 +641,11 @@ class TestClosedFamily:
          "family parameters must be integers, got (True,)"),
         (4, "F4", (0, 1.0), 5,
          "family parameters must be integers, got (0, 1.0)"),
+        (2, "A", ("1",), 5, "family parameters must be integers, got ('1',)"),
+        (4, "F3", (1, None), 5,
+         "family parameters must be integers, got (1, None)"),
+        (4, "F3", ("1", -1), 5,
+         "family parameters must be >= 0, got ('1', -1)"),
     ])
     def test_refusal_messages_in_order(self, n, family_id, params, p,
                                        message):
@@ -806,6 +841,8 @@ class TestScatter:
         ((1, 2.0), 0, "not weakly decreasing at position 0: 1 < 2.0"),
         ((2, -1), 1.5, "coords must end >= 0: (2, -1)"),
         ((3, 1), -1.0, "depth must be >= 0, got -1.0"),
+        ((1,), None, "depth must be an integer, got None"),
+        ((3, 1), "1", "depth must be an integer, got '1'"),
     ])
     def test_record_refuses_what_is_not_an_int(self, coords, depth,
                                                message):
