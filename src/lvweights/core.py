@@ -94,11 +94,12 @@ def validate_diagram(rows) -> Diagram:
     every row of length >= j.
     """
     out = []
-    for i, row in enumerate(rows):
+    for row in rows:  # len(out) numbers the row, cheaper than enumerate
         r = tuple(row)
         for v in r:
             if type(v) is not int:  # bools and floats too
-                raise ValueError(f"row {i + 1} has non-integer entry {v!r}")
+                raise ValueError(
+                    f"row {len(out) + 1} has non-integer entry {v!r}")
         out.append(r)
     return tuple(out)
 

@@ -84,6 +84,8 @@ class ModularContext:
     p: int
 
     def __post_init__(self):
+        if type(self.p) is not int:  # bools, floats and strings too
+            raise ValueError(f"p must be an int, got {self.p!r}")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
 

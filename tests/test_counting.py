@@ -10,7 +10,8 @@ from lvweights import (
     partitions_mult,
     telephone,
 )
-from lvweights.counting import _MAX_COUNT_N, _multiplicity_groups
+from lvweights import counting
+from lvweights.counting import _MAX_COUNT_N
 
 # Closed polynomials for n = 1..6 that the recursion must reproduce.
 POLYNOMIALS = {
@@ -67,19 +68,6 @@ def per_partition_counts(max_n, max_k):
     return c
 
 
-def grouped_partitions(n):
-    """Differential oracle for ``_multiplicity_groups(n)[n]``: the
-    partitions of n other than (n) and (1, ..., 1), counted by the sorted
-    multiset of their multiplicities >= 2."""
-    groups = {}
-    for alpha in partitions_mult(n):
-        if alpha.parts in ((n,), (1,) * n):
-            continue
-        mults = tuple(sorted(l for l in alpha.mult if l >= 2))
-        groups[mults] = groups.get(mults, 0) + 1
-    return groups
-
-
 def fraction_coefficients(n):
     """Differential oracle for ``leading_coefficient``: the even/odd
     recursion on reduced fractions, from the base values 1, 1, 1, 2, 1,
@@ -91,23 +79,6 @@ def fraction_coefficients(n):
         else:
             b.append(2 * (b[j - 2] + b[j - 3] + b[j - 4]) / (j - 1))
     return b[: n + 1]
-
-
-class TestMultiplicityGroups:
-    def test_matches_grouped_partitions(self):
-        groups = _multiplicity_groups(22)
-        assert groups[:2] == ((), ())
-        for n in range(2, 23):
-            assert dict(groups[n]) == grouped_partitions(n), n
-            assert dict(_multiplicity_groups(n)[n]) == grouped_partitions(n)
-
-    def test_multiplicities_below_length(self):
-        # The count table reads each factor from a row already filled.
-        for n, groups in enumerate(_multiplicity_groups(30)):
-            for mults, size in groups:
-                assert size > 0
-                assert mults == tuple(sorted(mults))
-                assert all(2 <= l < n for l in mults), (n, mults)
 
 
 class TestCountDistinguished:
@@ -151,6 +122,18 @@ class TestCountDistinguished:
                 assert table.count(n, k) == expected[n][k], (n, k)
                 assert count_distinguished(n, k) == expected[n][k], (n, k)
 
+    def test_product_matches_per_partition_sum_to_32(self):
+        # Every length to 32 at every level to 20, so the tables of longer
+        # lengths reach past floor(n/2) on their short rows; a fresh table
+        # queried in increasing order rebuilds at each new length, one in
+        # decreasing order builds once.
+        expected = per_partition_counts(32, 20)
+        queries = [(n, k) for n in range(33) for k in range(21)]
+        for order in (queries, queries[::-1]):
+            table = CountTable()
+            for n, k in order:
+                assert table.count(n, k) == expected[n][k], (n, k)
+
     def test_top_difference_is_leading_coefficient(self):
         # A check of the growth law independent of both of
         # leading_coefficient's formulas: the d-th difference of
@@ -168,15 +151,15 @@ class TestCountDistinguished:
         assert max(len(row) for row in table._rows) == 24 // 2 + 1
 
     def test_length_limit(self):
-        # n = 64 builds its groups in about half a second, and count(n, 1)
-        # is the number of partitions of n; n = 65 is refused before any
-        # multiplicity group is built.
+        # count(n, 1) is the number of partitions of n; n = 65 is refused
+        # before the shared table grows.
         assert _MAX_COUNT_N == 64
         assert count_distinguished(64, 1) == 1_741_630
-        before = _multiplicity_groups.cache_info().currsize
+        rows = counting._TABLE._rows
+        before = [row[:] for row in rows]
         with pytest.raises(ValueError, match="n = 65 is over the limit of 64"):
             count_distinguished(65, 1)
-        assert _multiplicity_groups.cache_info().currsize == before
+        assert counting._TABLE._rows is rows and rows == before
 
     def test_query_order_does_not_matter(self):
         # Rows 2..10 grow past rows 11..24, then all rows grow again.
@@ -190,16 +173,17 @@ class TestCountDistinguished:
         for n, k in [(24, 5), (10, 40)]:
             assert shared.count(n, k) == per_partition_counts(n, k)[n][k]
 
-    def test_filled_rows_need_no_groups(self):
-        # A query whose rows are all filled to its level reads them and
-        # builds, or even looks up, no multiplicity group.
+    def test_filled_rows_are_left_untouched(self):
+        # A query inside the filled table, no longer than its rows and no
+        # deeper than its level or past floor(n/2), only reads the rows.
         queries = [(n, k) for n in range(31) for k in (0, 1, 7, 15, 10**6)]
         expected = [CountTable().count(n, k) for n, k in queries]
         table = CountTable()
-        table.count(30, 15)  # every row to its top level, floor(n/2)
-        before = _multiplicity_groups.cache_info()
+        table.count(30, 15)  # every row to level 15 = floor(30/2)
+        rows = table._rows
+        before = [row[:] for row in rows]
         assert [table.count(n, k) for n, k in queries] == expected
-        assert _multiplicity_groups.cache_info() == before
+        assert table._rows is rows and rows == before
 
     def test_fresh_table_matches_shared(self):
         table = CountTable()

@@ -61,6 +61,11 @@ class TestSearchBox:
         with pytest.raises(ValueError, match="^n, k and bound must be integers$"):
             SearchBox(n, k, bound, 5)
 
+    def test_rejects_a_float_prime(self):
+        # A float p would give float weights such as (18.0, 6.0, -6.0, -18.0).
+        with pytest.raises(ValueError, match="^p must be an int, got 5.0$"):
+            SearchBox(4, 2, 100, 5.0)
+
     @pytest.mark.parametrize("p", [9, 15, 25])
     def test_rejects_composite_prime(self, p):
         with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
@@ -526,7 +531,7 @@ class TestSizeGuards:
         # refused at each k >= 2, the only runs that build ``_cells``; past
         # 36 every k >= 1 is, and past 64 ``count_distinguished`` refuses.
         limit = enumeration._MAX_WEIGHTS
-        for n in range(64, 1, -1):  # the longest first fills every row
+        for n in range(2, 65):
             assert (count_distinguished(n, 2) > limit) == (n > 20), n
             assert (count_distinguished(n, 1) > limit) == (n > 36), n
         assert sum(map(len, enumeration._cells(20).values())) == 39_366

@@ -96,6 +96,15 @@ class TestModularContext:
         with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
             ModularContext(p)
 
+    @pytest.mark.parametrize("p,shown", [
+        (5.0, "5.0"), ("5", "'5'"), (True, "True"), (7.5, "7.5"),
+    ])
+    def test_rejects_what_is_not_an_int(self, p, shown):
+        # Refused by type before the primality test, which would accept
+        # 5.0 and True's int value, and raise a TypeError on "5".
+        with pytest.raises(ValueError, match=f"^p must be an int, got {shown}$"):
+            ModularContext(p)
+
     def test_length_guard(self):
         with pytest.raises(ValueError, match="exceed"):
             lv_p((1, 0, -1), ModularContext(3))
