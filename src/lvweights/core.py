@@ -8,9 +8,11 @@ produces.  Partitions are stored as multiplicity vectors because the count
 recursion consumes them in that shape.
 
 Everything here is an immutable value and every function is pure, so values
-can be shared freely between threads and processes.  All arithmetic is on
-Python ints: entries grow like p^k under repeated un-division, far past any
-fixed machine width.
+can be shared freely between threads and processes.  The value types are
+slotted classes on ``_Value``, cheap to import: they compare and hash as the
+tuple of their fields, and assigning to a field raises ``AttributeError``.
+All arithmetic is on Python ints: entries grow like p^k under repeated
+un-division, far past any fixed machine width.
 
 Input is checked at the boundary: ``validate_weight``, ``parse_weight``,
 ``validate_diagram``, ``omega_from_pair``, ``omega_from_json`` and the
@@ -23,9 +25,8 @@ builds holds by construction and skips re-validation (``OmegaElement._of``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
+from operator import attrgetter, lt
 
 __all__ = [
     "Weight",
@@ -64,15 +65,18 @@ def validate_weight(seq) -> Weight:
     w = tuple(seq)
     above = w[0] if w else 0
     for v in w:  # one pass for both checks; the first break is found below
-        if above < v or type(v) is not int:
+        if type(v) is not int or above < v:
             break
         above = v
     else:
         return w
-    for i in range(len(w) - 1):
-        if w[i] < w[i + 1]:
-            raise ValueError(
-                f"not weakly decreasing at position {i}: {w[i]} < {w[i + 1]}")
+    try:  # an entry that does not compare with the others is named below
+        for i in range(len(w) - 1):
+            if w[i] < w[i + 1]:
+                raise ValueError(f"not weakly decreasing at position {i}: "
+                                 f"{w[i]} < {w[i + 1]}")
+    except TypeError:
+        pass
     bad = next(v for v in w if type(v) is not int)
     raise ValueError(f"weight has non-integer entry {bad!r}")
 
@@ -104,8 +108,48 @@ def validate_diagram(rows) -> Diagram:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class OmegaElement:
+class _Value:
+    """Base of the value types: a subclass names its fields in ``__slots__``
+    and sets them in ``__init__`` with ``object.__setattr__``; ``copy`` and
+    ``pickle`` call the class on the fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._get = attrgetter(*cls.__slots__)  # a bare value for one field
+        cls._single = len(cls.__slots__) == 1
+
+    def _fields(self) -> tuple:
+        v = self._get(self)
+        return (v,) if self._single else v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._get
+        return get(self) == get(other)
+
+    def __hash__(self):
+        v = self._get(self)  # ``_fields`` inlined: one call fewer
+        return hash((v,) if self._single else v)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in
+                           zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class OmegaElement(_Value):
     """Tuple (mu_1, ..., mu_s) of weakly decreasing integer sequences.
 
     Invariants: each mu_i is weakly decreasing, and mu_s is nonempty when
@@ -113,16 +157,20 @@ class OmegaElement:
     is the unique element for n = 0.
     """
 
-    mu: tuple[Weight, ...]
+    __slots__ = ("mu",)
 
-    def __post_init__(self):
-        mu = tuple(tuple(m) for m in self.mu)
+    def __init__(self, mu: tuple[Weight, ...]):
+        mu = tuple(tuple(m) for m in mu)
         object.__setattr__(self, "mu", mu)
         if mu and not mu[-1]:
             raise ValueError("last component mu_s must be nonempty")
         for i, m in enumerate(mu):
-            if any(map(lt, m, m[1:])):
-                raise ValueError(f"mu_{i + 1} is not weakly decreasing: {m}")
+            try:  # an entry that does not compare is named below
+                if any(map(lt, m, m[1:])):
+                    raise ValueError(
+                        f"mu_{i + 1} is not weakly decreasing: {m}")
+            except TypeError:
+                pass
             if not {int}.issuperset(map(type, m)):  # bools and floats too
                 bad = next(v for v in m if type(v) is not int)
                 raise ValueError(f"mu_{i + 1} has non-integer entry {bad!r}")
@@ -148,23 +196,25 @@ def reverse_negate_omega(o: OmegaElement) -> OmegaElement:
     return OmegaElement._of(tuple(reverse_negate(m) for m in o.mu))
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionMult:
+class PartitionMult(_Value):
     """A partition of n stored as multiplicities (l_1, ..., l_a).
 
     l_i is the multiplicity of part i; l_a >= 1 unless the partition is
     empty (n = 0).
     """
 
-    mult: tuple[int, ...]
+    __slots__ = ("mult",)
 
-    def __post_init__(self):
-        mult = tuple(self.mult)
+    def __init__(self, mult: tuple[int, ...]):
+        mult = tuple(mult)
         object.__setattr__(self, "mult", mult)
-        if any(m < 0 for m in mult):
-            raise ValueError(f"negative multiplicity in {mult}")
-        if mult and mult[-1] < 1:
-            raise ValueError("largest recorded part must actually occur")
+        try:  # an entry that does not compare is named below
+            if any(m < 0 for m in mult):
+                raise ValueError(f"negative multiplicity in {mult}")
+            if mult and mult[-1] < 1:
+                raise ValueError("largest recorded part must actually occur")
+        except TypeError:
+            pass
         if not {int}.issuperset(map(type, mult)):  # bools and floats too
             raise ValueError(f"non-integer multiplicity in {mult}")
 

@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, product
 from numbers import Real
 from operator import attrgetter
 
-from .core import Weight, dom, validate_weight
+from .core import Weight, _Value, dom, validate_weight
 from .counting import count_distinguished, partitions_mult
 from .lv_algorithm import _clump_plan, _lv_mu
 from .modular_iteration import (ModularContext, _bounded_depth,
@@ -84,40 +83,38 @@ def default_bound(n: int, k: int, p: int) -> int:
     return (n - 1) * (p**k - 1) // (p - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBox:
+class SearchBox(_Value):
     """Enumeration parameters: weight length n, depth budget k, the
     largest absolute entry kept, and the prime."""
 
-    n: int
-    k: int
-    bound: int
-    p: int
+    __slots__ = ("n", "k", "bound", "p")
 
-    def __post_init__(self):
-        if not {int}.issuperset(map(type, (self.n, self.k, self.bound))):
+    def __init__(self, n: int, k: int, bound: int, p: int):
+        if not {int}.issuperset(map(type, (n, k, bound))):
             raise ValueError("n, k and bound must be integers")
-        if self.n < 0 or self.k < 0 or self.bound < 0:
+        if n < 0 or k < 0 or bound < 0:
             raise ValueError("n, k and bound must be >= 0")
-        ModularContext(self.p).check_length(self.n)
+        ModularContext(p).check_length(n)
+        for name, v in zip(self.__slots__, (n, k, bound, p)):
+            object.__setattr__(self, name, v)
 
 
-@dataclass(frozen=True, slots=True)
-class ScatterRecord:
+class ScatterRecord(_Value):
     """Leading floor(n/2) coordinates of a distinguished weight plus its
     minimal iteration depth."""
 
-    coords: tuple[int, ...]
-    depth: int
+    __slots__ = ("coords", "depth")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", validate_weight(self.coords))
-        if self.coords and self.coords[-1] < 0:
-            raise ValueError(f"coords must end >= 0: {self.coords}")
-        if isinstance(self.depth, Real) and self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if type(self.depth) is not int:  # bools and floats too
-            raise ValueError(f"depth must be an integer, got {self.depth!r}")
+    def __init__(self, coords: tuple[int, ...], depth: int):
+        coords = validate_weight(coords)
+        if coords and coords[-1] < 0:
+            raise ValueError(f"coords must end >= 0: {coords}")
+        if isinstance(depth, Real) and depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
+        if type(depth) is not int:  # bools and floats too
+            raise ValueError(f"depth must be an integer, got {depth!r}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "depth", depth)
 
     @classmethod
     def _of(cls, coords: tuple[int, ...], depth: int) -> "ScatterRecord":

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
-from .core import OmegaElement, PartitionMult, Weight, validate_weight
+from .core import (OmegaElement, PartitionMult, Weight, _Value,
+                   validate_weight)
 from .lv_algorithm import _lv_mu
 
 __all__ = [
@@ -77,17 +77,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class ModularContext:
+class ModularContext(_Value):
     """A fixed prime p; each processed weight must satisfy p > len(weight)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if type(self.p) is not int:  # bools, floats and strings too
-            raise ValueError(f"p must be an int, got {self.p!r}")
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+    def __init__(self, p: int):
+        if type(p) is not int:  # bools, floats and strings too
+            raise ValueError(f"p must be an int, got {p!r}")
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        object.__setattr__(self, "p", p)
 
     def check_length(self, n: int) -> None:
         if self.p <= n:
@@ -96,8 +96,7 @@ class ModularContext:
             )
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class IterationTrace:
+class IterationTrace(_Value):
     """One node of the iteration tree.
 
     ``depth`` counts expansions consumed from the root to this node.
@@ -109,10 +108,14 @@ class IterationTrace:
     8 levels as "...", so a trace of any depth can be used as a value.
     """
 
-    seq: Weight
-    status: str
-    depth: int
-    children: tuple["IterationTrace", ...] = field(default=())
+    __slots__ = ("seq", "status", "depth", "children")
+
+    def __init__(self, seq: Weight, status: str, depth: int,
+                 children: tuple[IterationTrace, ...] = ()):
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "children", children)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -149,15 +152,17 @@ class IterationTrace:
                 stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True, slots=True)
-class RefinementChain:
+class RefinementChain(_Value):
     """Per-level partition lists read off a fully distinguished trace.
 
     Level t+1 refines level t: each nonzero multiplicity l_i of a level-t
     partition is partitioned by exactly one level-(t+1) entry, in order.
     """
 
-    levels: tuple[tuple[PartitionMult, ...], ...]
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[tuple[PartitionMult, ...], ...]):
+        object.__setattr__(self, "levels", levels)
 
 
 def lv_p(w, ctx: ModularContext) -> OmegaElement | None:

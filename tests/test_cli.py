@@ -1,7 +1,9 @@
 import json
 import math
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -569,3 +571,16 @@ class TestDeterminism:
         b = capout("enumerate", "--n", "4", "--prime", "7", "--k", "2",
                    "--jobs", "2")
         assert a == b
+
+
+def test_cold_import_loads_no_dataclasses_or_introspection():
+    # -I -S: no site packages and no PYTHONPATH, so only what the package
+    # itself imports is loaded.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lvweights.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
+            " & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[]\n"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -5,8 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lvweights import (
+    IterationTrace,
+    ModularContext,
     OmegaElement,
     PartitionMult,
+    RefinementChain,
+    ScatterRecord,
+    SearchBox,
     dom,
     format_weight,
     kappa,
@@ -17,6 +24,7 @@ from lvweights import (
     parse_weight,
     reverse_negate,
     reverse_negate_omega,
+    trace_to_json,
     validate_diagram,
     validate_weight,
 )
@@ -103,6 +111,7 @@ class TestOmegaElement:
         (((2, 1), (True,)), "mu_2 has non-integer entry True"),
         # Order is checked first.
         (((1, 2.0), (0.5,)), "mu_1 is not weakly decreasing: (1, 2.0)"),
+        (((1, "a"),), "mu_1 has non-integer entry 'a'"),
     ])
     def test_error_messages(self, mu, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -137,6 +146,8 @@ class TestValidateWeight:
         # Order is checked first, over the whole weight.
         ((3, 1.0, 2), "not weakly decreasing at position 1: 1.0 < 2"),
         ((2.0, 1, 3), "not weakly decreasing at position 1: 1 < 3"),
+        ((3, None), "weight has non-integer entry None"),
+        ((1, "a"), "weight has non-integer entry 'a'"),
     ])
     def test_rejects_entries_that_are_not_ints(self, w, message):
         for given_as in (w, list(w), iter(w)):
@@ -207,10 +218,69 @@ class TestPartitionMult:
         # The existing checks come first.
         ((-1.0, 1), "negative multiplicity in (-1.0, 1)"),
         ((1, 0.0), "largest recorded part must actually occur"),
+        ((None,), "non-integer multiplicity in (None,)"),
+        (("a",), "non-integer multiplicity in ('a',)"),
     ])
     def test_rejects_multiplicities_that_are_not_ints(self, mult, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PartitionMult(mult)
+
+
+_LEAF = IterationTrace((0,), "zeros", 1)
+
+# Each value type with the values of its fields, in field order.
+VALUES = [
+    (OmegaElement, (((3, 1), (2,)),)),
+    (PartitionMult, ((2, 0, 1),)),
+    (ModularContext, (5,)),
+    (IterationTrace, ((2, -2), "expanded", 0, (_LEAF, _LEAF))),
+    (RefinementChain, (((PartitionMult((2,)),), (PartitionMult((1,)),)),)),
+    (SearchBox, (4, 2, 10, 5)),
+    (ScatterRecord, ((3, 1), 1)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", VALUES,
+                         ids=[cls.__name__ for cls, _ in VALUES])
+class TestValueTypes:
+    def test_fields_are_the_match_args(self, cls, fields):
+        v = cls(*fields)
+        assert tuple(getattr(v, name) for name in cls.__match_args__) == fields
+
+    def test_equal_only_within_a_class(self, cls, fields):
+        v = cls(*fields)
+        assert v == cls(*fields) and not v != cls(*fields)
+        assert v != fields and fields != v
+        assert v.__eq__(fields) is NotImplemented
+        other_cls, other_fields = VALUES[VALUES.index((cls, fields)) - 1]
+        assert v != other_cls(*other_fields)
+
+    def test_hash(self, cls, fields):
+        v = cls(*fields)
+        if cls is IterationTrace:
+            assert hash(v) == hash(trace_to_json(v))
+        else:
+            assert hash(v) == hash(fields)
+
+    def test_repr(self, cls, fields):
+        named = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(cls.__match_args__, fields))
+        assert repr(cls(*fields)) == f"{cls.__name__}({named})"
+
+    def test_fields_cannot_be_set_or_deleted(self, cls, fields):
+        v = cls(*fields)
+        for name in (*cls.__match_args__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert tuple(getattr(v, name) for name in cls.__match_args__) == fields
+
+    def test_copy_and_pickle(self, cls, fields):
+        v = cls(*fields)
+        for twin in (copy.copy(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert type(twin) is cls and twin == v
 
 
 class TestOmegaPair:
