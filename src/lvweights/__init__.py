@@ -2,118 +2,18 @@
 
 Forward map on dominant weights, its prime-division iteration, the
 distinguished weights that iterate to zero, and their enumeration,
-counting, and growth asymptotics.
+counting, and growth asymptotics.  Each module's ``__all__`` is the one
+list of its public names; the package exports them all.
 """
 
-from .core import (
-    Diagram,
-    OmegaElement,
-    PartitionMult,
-    Rational,
-    Weight,
-    dom,
-    format_weight,
-    omega_from_json,
-    omega_from_pair,
-    omega_to_json,
-    omega_to_pair,
-    parse_weight,
-    reverse_negate,
-    reverse_negate_omega,
-    validate_diagram,
-    validate_weight,
-)
-from .counting import (
-    CountTable,
-    count_distinguished,
-    leading_coefficient,
-    partitions_mult,
-    telephone,
-)
-from .enumeration import (
-    ScatterRecord,
-    SearchBox,
-    closed_family,
-    default_bound,
-    enumerate_distinguished,
-    generate_family_set,
-    scatter_records,
-    write_scatter_csv,
-    write_scatter_svg,
-)
-from .lv_algorithm import (
-    PlacementError,
-    apply_E,
-    apply_E_inverse,
-    kappa,
-    lv,
-    maximal_clumps,
-    phi,
-    phi_inverse,
-)
-from .modular_iteration import (
-    IterationTrace,
-    ModularContext,
-    RefinementChain,
-    distinguished_depth,
-    iterate,
-    lv_p,
-    refinement_chain,
-    rho_family,
-    trace_from_json,
-    trace_to_json,
-)
+from . import core, counting, enumeration, lv_algorithm, modular_iteration
+from .core import *  # noqa: F401,F403
+from .counting import *  # noqa: F401,F403
+from .enumeration import *  # noqa: F401,F403
+from .lv_algorithm import *  # noqa: F401,F403
+from .modular_iteration import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Diagram",
-    "OmegaElement",
-    "PartitionMult",
-    "Rational",
-    "Weight",
-    "dom",
-    "format_weight",
-    "omega_from_json",
-    "omega_from_pair",
-    "omega_to_json",
-    "omega_to_pair",
-    "parse_weight",
-    "reverse_negate",
-    "reverse_negate_omega",
-    "validate_diagram",
-    "validate_weight",
-    "CountTable",
-    "count_distinguished",
-    "leading_coefficient",
-    "partitions_mult",
-    "telephone",
-    "ScatterRecord",
-    "SearchBox",
-    "closed_family",
-    "default_bound",
-    "enumerate_distinguished",
-    "generate_family_set",
-    "scatter_records",
-    "write_scatter_csv",
-    "write_scatter_svg",
-    "PlacementError",
-    "apply_E",
-    "apply_E_inverse",
-    "kappa",
-    "lv",
-    "maximal_clumps",
-    "phi",
-    "phi_inverse",
-    "IterationTrace",
-    "ModularContext",
-    "RefinementChain",
-    "distinguished_depth",
-    "iterate",
-    "lv_p",
-    "refinement_chain",
-    "rho_family",
-    "trace_from_json",
-    "trace_to_json",
-    "__version__",
-]
+__all__ = [*core.__all__, *counting.__all__, *enumeration.__all__,
+           *lv_algorithm.__all__, *modular_iteration.__all__, "__version__"]

@@ -14,7 +14,8 @@ import argparse
 import math
 import sys
 
-from .core import format_weight, omega_to_json, parse_weight
+from .core import (_int_arg, _printable, format_weight, omega_to_json,
+                   parse_weight)
 from .counting import count_distinguished, leading_coefficient
 from .enumeration import (
     ScatterRecord,
@@ -115,17 +116,6 @@ def _weight_arg(args):
     return parse_weight(args.weight, sort=args.sort)
 
 
-def _printable(value: int | None, what: str, log10_at_least: float = 0.0):
-    """Refuse ``value`` if it has more digits than the interpreter prints,
-    or unseen (None) if a lower bound on its log10 passes that limit + 1."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and (log10_at_least > digits + 1 or
-                   value is not None and value >= 10**digits):
-        raise ValueError(f"{what} has more than {digits} decimal digits, "
-                         "the limit for integer string conversion")
-    return value
-
-
 def _coeff_log10_at_least(n: int) -> float:
     """log10(h!/m^(m/2)) (inf past a float), at most log10 of the reduced
     denominator of coeff n = a_m/h! (m = floor((n+1)/2), h = floor(n/2)):
@@ -175,12 +165,13 @@ def run(argv) -> int:
             print("not-distinguished" if depth is None else depth)
         elif args.command == "enumerate":
             ctx = ModularContext(args.prime)
+            _int_arg("--jobs", args.jobs, 1)
             _check_size(args.n, args.k, args.prime)  # before p**k
             bound = args.bound
             if bound is None:
                 bound = default_bound(args.n, args.k, args.prime)
             box = SearchBox(args.n, args.k, bound, args.prime)
-            _emit_weights(_enumerate_depths(box, args.jobs), args, ctx.p)
+            _emit_weights(_enumerate_depths(box), args, ctx.p)
         elif args.command == "count":
             print(_printable(count_distinguished(args.n, args.k), "the count"))
         elif args.command == "coeff":
@@ -195,8 +186,7 @@ def run(argv) -> int:
                         "family members")  # before p**k
             _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
-            if args.samples < 1:
-                raise ValueError(f"--samples must be >= 1, got {args.samples}")
+            _int_arg("--samples", args.samples, 1)
             checks = [
                 ("reverse-negate commutation",
                  r_commutation_failures(args.samples, args.seed)),

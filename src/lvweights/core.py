@@ -14,19 +14,25 @@ tuple of their fields, and assigning to a field raises ``AttributeError``.
 All arithmetic is on Python ints: entries grow like p^k under repeated
 un-division, far past any fixed machine width.
 
-Input is checked at the boundary: ``validate_weight``, ``parse_weight``,
-``validate_diagram``, ``omega_from_pair``, ``omega_from_json`` and the
-``OmegaElement`` and ``PartitionMult`` constructors reject malformed values,
-and the other modules' public functions pass their input through them.  An
-``OmegaElement`` that ``lv``, ``lv_p``, ``kappa`` or ``reverse_negate_omega``
-builds holds by construction and skips re-validation (``OmegaElement._of``).
+Input is checked at the boundary, each rule by one kernel: ``_int_arg``
+for an integer argument (type ``int``, then its lower bound),
+``validate_weight`` for a weight, ``validate_diagram`` for a diagram and
+``_printable`` for a value the interpreter must print.  Arguments are
+checked in signature order, each one's type before its sign, and a
+malformed one raises ``ValueError`` naming it.  ``parse_weight``,
+``omega_from_pair``, ``omega_from_json`` and the ``OmegaElement`` and
+``PartitionMult`` constructors go through them, and so do the other
+modules' public functions.  An ``OmegaElement`` that ``lv``, ``lv_p``,
+``kappa`` or ``reverse_negate_omega`` builds holds by construction and
+skips re-validation (``OmegaElement._of``).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
-from operator import attrgetter, lt
+from operator import attrgetter
 
 __all__ = [
     "Weight",
@@ -52,6 +58,28 @@ Diagram = tuple[tuple[int, ...], ...]
 
 # Reduced fraction of unbounded integers; denominator always positive.
 Rational = Fraction
+
+
+def _int_arg(name: str, value, low: int | None = 0) -> int:
+    """``value`` if it is an ``int`` (not a bool) >= ``low``, else a
+    ``ValueError`` naming ``name``; ``low`` None checks the type alone."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _printable(value: int | None, what: str, log10_at_least: float = 0.0):
+    """Refuse ``value`` if it has more digits than the interpreter prints,
+    or unseen (None) if a lower bound on its log10 passes that limit + 1.
+    Python before 3.10.7 has no limit."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and (log10_at_least > digits + 1 or
+                   value is not None and value >= 10**digits):
+        raise ValueError(f"{what} has more than {digits} decimal digits, "
+                         "the limit for integer string conversion")
+    return value
 
 
 def dom(seq) -> Weight:
@@ -164,16 +192,11 @@ class OmegaElement(_Value):
         object.__setattr__(self, "mu", mu)
         if mu and not mu[-1]:
             raise ValueError("last component mu_s must be nonempty")
-        for i, m in enumerate(mu):
-            try:  # an entry that does not compare is named below
-                if any(map(lt, m, m[1:])):
-                    raise ValueError(
-                        f"mu_{i + 1} is not weakly decreasing: {m}")
-            except TypeError:
-                pass
-            if not {int}.issuperset(map(type, m)):  # bools and floats too
-                bad = next(v for v in m if type(v) is not int)
-                raise ValueError(f"mu_{i + 1} has non-integer entry {bad!r}")
+        for i, m in enumerate(mu, 1):
+            try:
+                validate_weight(m)
+            except ValueError as exc:
+                raise ValueError(f"mu_{i}: {exc}") from None
 
     @classmethod
     def _of(cls, mu: tuple[Weight, ...]) -> "OmegaElement":
@@ -208,15 +231,10 @@ class PartitionMult(_Value):
     def __init__(self, mult: tuple[int, ...]):
         mult = tuple(mult)
         object.__setattr__(self, "mult", mult)
-        try:  # an entry that does not compare is named below
-            if any(m < 0 for m in mult):
-                raise ValueError(f"negative multiplicity in {mult}")
-            if mult and mult[-1] < 1:
-                raise ValueError("largest recorded part must actually occur")
-        except TypeError:
-            pass
-        if not {int}.issuperset(map(type, mult)):  # bools and floats too
-            raise ValueError(f"non-integer multiplicity in {mult}")
+        for m in mult:
+            _int_arg("multiplicity", m)
+        if mult and mult[-1] < 1:
+            raise ValueError("largest recorded part must actually occur")
 
     @property
     def n(self) -> int:
@@ -233,8 +251,8 @@ class PartitionMult(_Value):
     @classmethod
     def from_parts(cls, parts) -> "PartitionMult":
         parts = tuple(parts)
-        if any(p < 1 for p in parts):
-            raise ValueError(f"parts must be positive, got {parts}")
+        for p in parts:
+            _int_arg("part", p, 1)
         a = max(parts, default=0)
         mult = [0] * a
         for p in parts:

@@ -42,7 +42,7 @@ from functools import cache
 from math import comb, factorial
 from operator import add
 
-from .core import PartitionMult, Rational
+from .core import PartitionMult, Rational, _int_arg
 
 __all__ = [
     "CountTable",
@@ -67,9 +67,8 @@ def _part_lists(n: int, max_part: int):
 def partitions_mult(n: int) -> tuple[PartitionMult, ...]:
     """All partitions of n as multiplicity vectors, in the deterministic
     order of descending lexicographic part lists."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return tuple(PartitionMult.from_parts(p) for p in _part_lists(n, n))
+    return tuple(PartitionMult.from_parts(p)
+                 for p in _part_lists(_int_arg("n", n), n))
 
 
 class CountTable:
@@ -92,8 +91,8 @@ class CountTable:
         self._rows: list[list[int]] = [[1]]  # count(0, .) = 1
 
     def count(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise ValueError("n and k must be >= 0")
+        _int_arg("n", n)
+        _int_arg("k", k)
         if len(self._rows) <= n:
             self._rows = [[1] for _ in range(n + 1)]  # count(l, 0) = 1
         rows = self._rows
@@ -126,17 +125,15 @@ _MAX_COUNT_N = 64  # a cold count(64, 32): 0.03-0.05 s (Py 3.11, Xeon)
 def count_distinguished(n: int, k: int) -> int:
     """Exact number of length-n distinguished weights reachable within k
     iteration levels, via the memoized recursion; n is at most 64."""
-    if n > _MAX_COUNT_N:  # before the table grows
+    if _int_arg("n", n) > _MAX_COUNT_N:  # before the table grows
         raise ValueError(f"count n = {n} is over the limit of {_MAX_COUNT_N}")
     return _TABLE.count(n, k)
 
 
 def telephone(i: int) -> int:
     """a_0 = a_1 = 1, a_i = a_{i-1} + (i-1) a_{i-2} (involution counts)."""
-    if i < 0:
-        raise ValueError(f"i must be >= 0, got {i}")
     a, b = 1, 1  # a_{j-1}, a_j
-    for j in range(1, i + 1):
+    for j in range(1, _int_arg("i", i) + 1):
         a, b = b, b + (j - 1) * a
     return a if i == 0 else b
 
@@ -154,10 +151,8 @@ def leading_coefficient(n: int) -> Rational:
     then B_j = B_{j-2} + (t-1) B_{j-4} for j = 2t and B_j = B_{j-2} +
     B_{j-3} + (t-1) B_{j-4} for j = 2t + 1.  Only the result is reduced.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     b = [1, 1, 1, 2, 2]
-    for j in range(5, n + 1):
+    for j in range(5, _int_arg("n", n) + 1):
         t = j // 2
         if j % 2 == 0:
             b.append(b[j - 2] + (t - 1) * b[j - 4])

@@ -38,24 +38,25 @@ least weight and row equations, and indexes it by the shape the forward map
 gives its least weight, so a cell's shape has one source; ``_preimage``
 tries the cells of the target's shape.
 
-Input is checked at the entry points: the ``SearchBox`` constructor (n, k
-and bound of type ``int`` and >= 0), ``closed_family``, the ``ScatterRecord``
-constructor, ``scatter_records`` and ``write_scatter_csv``'s coordinate count.
-The family members ``_family_params`` lists and the CLI's records
-(``ScatterRecord._of``) are built valid and skip the checks; every member's
-depth is still confirmed by iteration.
+Input is checked at the entry points, by ``core``'s kernels, in signature
+order and each argument's type before its sign: ``default_bound``, the
+``SearchBox`` constructor (n, k and bound, ``int`` and >= 0, then the
+prime), ``enumerate_distinguished``'s ``jobs`` (>= 1), ``closed_family``,
+the ``ScatterRecord`` constructor, ``scatter_records`` and
+``write_scatter_csv``'s coordinate count.  The family members
+``_family_params`` lists and the CLI's records (``ScatterRecord._of``) are
+built valid and skip the checks; every member's depth is still confirmed
+by iteration.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from functools import cache
 from itertools import accumulate, product
-from numbers import Real
 from operator import attrgetter
 
-from .core import Weight, _Value, dom, validate_weight
+from .core import Weight, _int_arg, _printable, _Value, dom, validate_weight
 from .counting import count_distinguished, partitions_mult
 from .lv_algorithm import _clump_plan, _lv_mu
 from .modular_iteration import (ModularContext, _bounded_depth,
@@ -78,6 +79,8 @@ def default_bound(n: int, k: int, p: int) -> int:
     """(n-1)(p^k - 1)/(p - 1): the largest entry of the scaled staircase,
     the default bound of ``enumerate``.  The tests check that it is the
     largest entry of D(n, k) on every case they construct."""
+    _int_arg("n", n)
+    _int_arg("k", k)
     if n <= 1:
         return 0
     return (n - 1) * (p**k - 1) // (p - 1)
@@ -90,13 +93,10 @@ class SearchBox(_Value):
     __slots__ = ("n", "k", "bound", "p")
 
     def __init__(self, n: int, k: int, bound: int, p: int):
-        if not {int}.issuperset(map(type, (n, k, bound))):
-            raise ValueError("n, k and bound must be integers")
-        if n < 0 or k < 0 or bound < 0:
-            raise ValueError("n, k and bound must be >= 0")
+        for name, v in zip(self.__slots__, (n, k, bound)):
+            object.__setattr__(self, name, _int_arg(name, v))
         ModularContext(p).check_length(n)
-        for name, v in zip(self.__slots__, (n, k, bound, p)):
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "p", p)
 
 
 class ScatterRecord(_Value):
@@ -109,12 +109,8 @@ class ScatterRecord(_Value):
         coords = validate_weight(coords)
         if coords and coords[-1] < 0:
             raise ValueError(f"coords must end >= 0: {coords}")
-        if isinstance(depth, Real) and depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        if type(depth) is not int:  # bools and floats too
-            raise ValueError(f"depth must be an integer, got {depth!r}")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "depth", _int_arg("depth", depth))
 
     @classmethod
     def _of(cls, coords: tuple[int, ...], depth: int) -> "ScatterRecord":
@@ -250,10 +246,11 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     """Every distinguished weight of length n and depth <= k whose entries
     lie in [-bound, bound], sorted lexicographically descending.
 
-    ``jobs`` must be >= 1 and does not change the result: the construction
-    runs in the calling process.
+    ``jobs`` must be an int >= 1 and does not change the result: the
+    construction runs in the calling process.
     """
-    return sorted(_enumerate_depths(box, jobs), reverse=True)
+    _int_arg("jobs", jobs, 1)
+    return sorted(_enumerate_depths(box), reverse=True)
 
 
 # The limits of ``_check_size``, in the README: D(n, k) and, for ``families``,
@@ -282,24 +279,18 @@ def _check_size(n: int, k: int, p: int | None = None,
     count = count_distinguished(n, k)
     if count > limit:
         raise ValueError(f"more than {limit} {what} at n = {n}, k = {k}")
-    # Python before 3.10.7 has no limit.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if p is not None and digits and (
-            (k - 1) * math.log10(p) > digits + 1
-            or default_bound(n, k, p) >= 10**digits):
-        raise ValueError(f"entries of D(n = {n}, k = {k}) at p = {p} have "
-                         f"more than {digits} decimal digits, the limit for "
-                         f"integer string conversion")
+    if p is not None:
+        top = f"the largest entry of D(n = {n}, k = {k}) at p = {p}"
+        _printable(None, top, (k - 1) * math.log10(p))
+        _printable(default_bound(n, k, p), top)
     return count
 
 
-def _enumerate_depths(box: SearchBox, jobs: int) -> dict[Weight, int]:
+def _enumerate_depths(box: SearchBox) -> dict[Weight, int]:
     """``enumerate_distinguished``'s weights mapped to their depths, which
     are those ``scatter_records`` gives at cap k.  Raises RuntimeError,
     before the bound filters anything, unless the construction gives
     count(n, k) distinct weights."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     count = _check_size(box.n, box.k)
     depths = _construct(box.n, box.k, box.p)
     if len(depths) != count:
@@ -384,10 +375,8 @@ def closed_family(
     if len(params) != arity:
         raise ValueError(f"family {family_id} takes {arity} parameter(s), "
                          f"got {params}")
-    if any(isinstance(x, Real) and x < 0 for x in params):
-        raise ValueError(f"family parameters must be >= 0, got {params}")
-    if not {int}.issuperset(map(type, params)):  # bools and floats too
-        raise ValueError(f"family parameters must be integers, got {params}")
+    for x in params:
+        _int_arg(f"family {family_id} parameter", x)
     w, depth = _family_weight(n, family_id, params, ctx.p)
     _check_family_depth(
         family_id, params, depth, distinguished_depth(w, ctx, cap=depth)
@@ -433,11 +422,10 @@ def _family_depths(
     confirmed depth is therefore the one ``scatter_records`` gives at cap
     ``max_k``.
     """
-    if max_k < 0:
-        raise ValueError(f"max_k must be >= 0, got {max_k}")
     if n not in FAMILY_IDS:
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
     ctx.check_length(n)
+    _int_arg("max_k", max_k)
     memo: dict = {}
     depths: dict[Weight, int] = {}
     for family_id, params in _family_params(n, max_k):
@@ -465,8 +453,7 @@ def scatter_records(
     All weights share one depth memo (one cap, one p), so a chain that
     several weights divide down to is walked once.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
+    _int_arg("cap", cap)  # before the weights, read one at a time
     memo: dict = {}
     records = []
     for w in weights:

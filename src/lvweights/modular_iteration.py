@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 
-from .core import (OmegaElement, PartitionMult, Weight, _Value,
+from .core import (OmegaElement, PartitionMult, Weight, _int_arg, _Value,
                    validate_weight)
 from .lv_algorithm import _lv_mu
 
@@ -83,9 +83,7 @@ class ModularContext(_Value):
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if type(p) is not int:  # bools, floats and strings too
-            raise ValueError(f"p must be an int, got {p!r}")
-        if not _is_prime(p):
+        if not _is_prime(_int_arg("p", p, None)):  # p < 2 is not prime
             raise ValueError(f"p must be prime, got {p}")
         object.__setattr__(self, "p", p)
 
@@ -185,11 +183,9 @@ def iterate(w, ctx: ModularContext, cap: int) -> IterationTrace:
     could still expand when the budget runs out is marked "exhausted"
     without computing its next step.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
     w = validate_weight(w)
     ctx.check_length(len(w))
-    return _build(w, cap, ctx.p)
+    return _build(w, _int_arg("cap", cap), ctx.p)
 
 
 def _build(seq: Weight, cap: int, p: int) -> IterationTrace:
@@ -280,11 +276,9 @@ def _bounded_depth(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
 def distinguished_depth(w, ctx: ModularContext, cap: int) -> int | None:
     """Minimal k <= cap such that iteration reaches all zeros everywhere,
     or None if no such k exists within the cap."""
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
     w = validate_weight(w)
     ctx.check_length(len(w))
-    return _bounded_depth(w, cap, ctx.p, {})
+    return _bounded_depth(w, _int_arg("cap", cap), ctx.p, {})
 
 
 def refinement_chain(trace: IterationTrace) -> RefinementChain:
@@ -330,9 +324,8 @@ def rho_family(n: int, m: int, ctx: ModularContext) -> Weight:
     Iterating division-by-p on the result peels one scale factor per level,
     so its distinguished depth is exactly m.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be >= 0")
-    scale = (ctx.p**m - 1) // (ctx.p - 1)
+    _int_arg("n", n)
+    scale = (ctx.p**_int_arg("m", m) - 1) // (ctx.p - 1)
     return tuple((n - 1 - 2 * i) * scale for i in range(n))
 
 

@@ -105,6 +105,13 @@ class TestIterateCommand:
         assert out.count('"status":"expanded"') == 600
         assert out.count('"status":"zeros"') == 1
 
+    @pytest.mark.parametrize("command", ["iterate", "check"])
+    def test_a_negative_cap_is_refused(self, capout, command):
+        code, out, err = capout(command, "--weight", "2,0,-2", "--prime", "5",
+                                "--cap", "-1")
+        assert (code, out) == (2, "")
+        assert err == "lvweights: error: cap must be >= 0, got -1\n"
+
 
 class TestCheckCommand:
     def test_not_distinguished(self, capout):
@@ -344,6 +351,16 @@ class TestEnumerateCommand:
                                 "--k", "1", "--jobs", jobs)
         assert (code, out) == (2, "")
         assert "jobs must be >= 1" in err
+
+    def test_jobs_are_refused_before_any_work(self, capout, monkeypatch):
+        def sized(*args):
+            raise AssertionError("the size check ran before the refusal")
+
+        monkeypatch.setattr(cli, "_check_size", sized)
+        code, out, err = capout("enumerate", "--n", "4", "--prime", "5",
+                                "--k", "1", "--jobs", "0")
+        assert (code, out) == (2, "")
+        assert err == "lvweights: error: --jobs must be >= 1, got 0\n"
 
     def test_any_job_count_prints_serial_bytes(self, capout):
         # Any job count prints the serial bytes, however many it asks for.

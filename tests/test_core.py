@@ -103,15 +103,28 @@ class TestOmegaElement:
         with pytest.raises(ValueError):
             OmegaElement(((1, 2),))
 
+    # Each component goes through validate_weight, whose message follows
+    # "mu_i: ".  A case's id names what is wrong with its input; ids are
+    # fixed so that a change of message text does not rename a case.
     @pytest.mark.parametrize("mu, message", [
         (((1,), ()), "last component mu_s must be nonempty"),
-        (((3, 1), [1, 2, 2]), "mu_2 is not weakly decreasing: (1, 2, 2)"),
-        (((0, 1), (2, 3)), "mu_1 is not weakly decreasing: (0, 1)"),
-        (((1.5,),), "mu_1 has non-integer entry 1.5"),
-        (((2, 1), (True,)), "mu_2 has non-integer entry True"),
+        pytest.param(((3, 1), [1, 2, 2]),
+                     "mu_2: not weakly decreasing at position 0: 1 < 2",
+                     id="mu1-mu_2 is not weakly decreasing: (1, 2, 2)"),
+        pytest.param(((0, 1), (2, 3)),
+                     "mu_1: not weakly decreasing at position 0: 0 < 1",
+                     id="mu2-mu_1 is not weakly decreasing: (0, 1)"),
+        pytest.param(((1.5,),), "mu_1: weight has non-integer entry 1.5",
+                     id="mu3-mu_1 has non-integer entry 1.5"),
+        pytest.param(((2, 1), (True,)),
+                     "mu_2: weight has non-integer entry True",
+                     id="mu4-mu_2 has non-integer entry True"),
         # Order is checked first.
-        (((1, 2.0), (0.5,)), "mu_1 is not weakly decreasing: (1, 2.0)"),
-        (((1, "a"),), "mu_1 has non-integer entry 'a'"),
+        pytest.param(((1, 2.0), (0.5,)),
+                     "mu_1: not weakly decreasing at position 0: 1 < 2.0",
+                     id="mu5-mu_1 is not weakly decreasing: (1, 2.0)"),
+        pytest.param(((1, "a"),), "mu_1: weight has non-integer entry 'a'",
+                     id="mu6-mu_1 has non-integer entry 'a'"),
     ])
     def test_error_messages(self, mu, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -211,15 +224,23 @@ class TestPartitionMult:
         with pytest.raises(ValueError):
             PartitionMult((-1, 1))
 
+    # Each multiplicity in order, its type before its sign, then the last
+    # one's l_a >= 1.  Ids are fixed, as in TestOmegaElement.
     @pytest.mark.parametrize("mult, message", [
-        ((1.5,), "non-integer multiplicity in (1.5,)"),
-        ((True,), "non-integer multiplicity in (True,)"),
-        ((2, 0.0, 1), "non-integer multiplicity in (2, 0.0, 1)"),
-        # The existing checks come first.
-        ((-1.0, 1), "negative multiplicity in (-1.0, 1)"),
-        ((1, 0.0), "largest recorded part must actually occur"),
-        ((None,), "non-integer multiplicity in (None,)"),
-        (("a",), "non-integer multiplicity in ('a',)"),
+        pytest.param((1.5,), "multiplicity must be an int, got 1.5",
+                     id="mult0-non-integer multiplicity in (1.5,)"),
+        pytest.param((True,), "multiplicity must be an int, got True",
+                     id="mult1-non-integer multiplicity in (True,)"),
+        pytest.param((2, 0.0, 1), "multiplicity must be an int, got 0.0",
+                     id="mult2-non-integer multiplicity in (2, 0.0, 1)"),
+        pytest.param((-1.0, 1), "multiplicity must be an int, got -1.0",
+                     id="mult3-negative multiplicity in (-1.0, 1)"),
+        pytest.param((1, 0.0), "multiplicity must be an int, got 0.0",
+                     id="mult4-largest recorded part must actually occur"),
+        pytest.param((None,), "multiplicity must be an int, got None",
+                     id="mult5-non-integer multiplicity in (None,)"),
+        pytest.param(("a",), "multiplicity must be an int, got 'a'",
+                     id="mult6-non-integer multiplicity in ('a',)"),
     ])
     def test_rejects_multiplicities_that_are_not_ints(self, mult, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -379,10 +400,15 @@ class TestOmegaJson:
         with pytest.raises(ValueError):
             omega_from_json("[1,2]")
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"mu":[[1.5]]}', "mu_1 has non-integer entry 1.5"),
-        ('{"mu":[[true]]}', "mu_1 has non-integer entry True"),
-        ('{"mu":[[2],[1,0.0]]}', "mu_2 has non-integer entry 0.0"),
+    @pytest.mark.parametrize("text, message", [  # ids fixed
+        pytest.param('{"mu":[[1.5]]}', "mu_1: weight has non-integer entry 1.5",
+                     id='{"mu":[[1.5]]}-mu_1 has non-integer entry 1.5'),
+        pytest.param('{"mu":[[true]]}',
+                     "mu_1: weight has non-integer entry True",
+                     id='{"mu":[[true]]}-mu_1 has non-integer entry True'),
+        pytest.param('{"mu":[[2],[1,0.0]]}',
+                     "mu_2: weight has non-integer entry 0.0",
+                     id='{"mu":[[2],[1,0.0]]}-mu_2 has non-integer entry 0.0'),
     ])
     def test_rejects_entries_that_are_not_ints(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

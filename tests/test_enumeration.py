@@ -52,15 +52,26 @@ class TestSearchBox:
             SearchBox(5, 1, 10, 5)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="^n, k and bound must be >= 0$"):
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
             SearchBox(2, -1, 10, 5)
 
-    @pytest.mark.parametrize("n,k,bound", [
-        (4, True, 100), (4, 1, 1.5), (4, 2.0, 10), ("4", 1, 10),
-        (4.0, 1, 10), (4, 1, None), (-1.0, 1, 10),
+    # n, k and bound in signature order, each one's type before its sign.
+    @pytest.mark.parametrize("n,k,bound,message", [
+        pytest.param(4, True, 100, "k must be an int, got True",
+                     id="4-True-100"),
+        pytest.param(4, 1, 1.5, "bound must be an int, got 1.5", id="4-1-1.5"),
+        pytest.param(4, 2.0, 10, "k must be an int, got 2.0", id="4-2.0-10"),
+        pytest.param("4", 1, 10, "n must be an int, got '4'", id="4-1-10"),
+        pytest.param(4.0, 1, 10, "n must be an int, got 4.0", id="4.0-1-10"),
+        pytest.param(4, 1, None, "bound must be an int, got None",
+                     id="4-1-None"),
+        pytest.param(-1.0, 1, 10, "n must be an int, got -1.0",
+                     id="-1.0-1-10"),
+        pytest.param(-1, 1.5, 10, "n must be >= 0, got -1",
+                     id="sign-of-n-before-type-of-k"),
     ])
-    def test_rejects_what_is_not_an_int(self, n, k, bound):
-        with pytest.raises(ValueError, match="^n, k and bound must be integers$"):
+    def test_rejects_what_is_not_an_int(self, n, k, bound, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SearchBox(n, k, bound, 5)
 
     def test_rejects_a_float_prime(self):
@@ -183,7 +194,7 @@ class TestSieveAgainstOracle:
         # lv, into constructed weights of the shorter lengths, the deepest
         # of them exactly one level shallower.
         ctx = ModularContext(p)
-        depths = enumeration._enumerate_depths(SearchBox(n, k, bound, p), 1)
+        depths = enumeration._enumerate_depths(SearchBox(n, k, bound, p))
         sets = {}
         for w, depth in depths.items():
             if not any(w):
@@ -719,28 +730,49 @@ class TestClosedFamily:
         (3, "F1", (-1, 0, 0), 5, "unknown family 'F1' for n=3"),
         (4, "F1", (1, 5), 5, "family F1 takes 1 parameter(s), got (1, 5)"),
         (4, "F3", [-1], 5, "family F3 takes 2 parameter(s), got (-1,)"),
-        (2, "A", (-1,), 5, "family parameters must be >= 0, got (-1,)"),
-        (4, "F4", (0, -1), 5, "family parameters must be >= 0, got (0, -1)"),
+        pytest.param(2, "A", (-1,), 5, "family A parameter must be >= 0, got -1",
+                     id="2-A-params6-5-family parameters must be >= 0, got (-1,)"),
+        pytest.param(4, "F4", (0, -1), 5,
+                     "family F4 parameter must be >= 0, got -1",
+                     id="4-F4-params7-5-family parameters must be >= 0, "
+                        "got (0, -1)"),
         (4, "F4", (0, 1), 5, "F4 requires m >= 1"),
         (4, "F4", (2, 0), 2, "non-integral closed-form value 5/2"),
-        (2, "A", (-1.0,), 5, "family parameters must be >= 0, got (-1.0,)"),
-        (4, "F3", (1.0, 2), 5,
-         "family parameters must be integers, got (1.0, 2)"),
-        (2, "A", (True,), 5,
-         "family parameters must be integers, got (True,)"),
-        (4, "F4", (0, 1.0), 5,
-         "family parameters must be integers, got (0, 1.0)"),
-        (2, "A", ("1",), 5, "family parameters must be integers, got ('1',)"),
-        (4, "F3", (1, None), 5,
-         "family parameters must be integers, got (1, None)"),
-        (4, "F3", ("1", -1), 5,
-         "family parameters must be >= 0, got ('1', -1)"),
+        pytest.param(2, "A", (-1.0,), 5,
+                     "family A parameter must be an int, got -1.0",
+                     id="2-A-params10-5-family parameters must be >= 0, "
+                        "got (-1.0,)"),
+        pytest.param(4, "F3", (1.0, 2), 5,
+                     "family F3 parameter must be an int, got 1.0",
+                     id="4-F3-params11-5-family parameters must be integers, "
+                        "got (1.0, 2)"),
+        pytest.param(2, "A", (True,), 5,
+                     "family A parameter must be an int, got True",
+                     id="2-A-params12-5-family parameters must be integers, "
+                        "got (True,)"),
+        pytest.param(4, "F4", (0, 1.0), 5,
+                     "family F4 parameter must be an int, got 1.0",
+                     id="4-F4-params13-5-family parameters must be integers, "
+                        "got (0, 1.0)"),
+        pytest.param(2, "A", ("1",), 5,
+                     "family A parameter must be an int, got '1'",
+                     id="2-A-params14-5-family parameters must be integers, "
+                        "got ('1',)"),
+        pytest.param(4, "F3", (1, None), 5,
+                     "family F3 parameter must be an int, got None",
+                     id="4-F3-params15-5-family parameters must be integers, "
+                        "got (1, None)"),
+        pytest.param(4, "F3", ("1", -1), 5,
+                     "family F3 parameter must be an int, got '1'",
+                     id="4-F3-params16-5-family parameters must be >= 0, "
+                        "got ('1', -1)"),
     ])
     def test_refusal_messages_in_order(self, n, family_id, params, p,
                                        message):
-        # The checks run in the order n, family id, arity, sign, int type,
-        # F4's m >= 1, integrality; a case that breaks several gets the
-        # first one's message.  p = 2 is the only prime where F4's halves
+        # The checks run in the order n, family id, arity, each parameter's
+        # int type then sign, F4's m >= 1, integrality; a case that breaks
+        # several gets the first one's message.  Ids of cases whose message
+        # changed are fixed, as in test_core.  p = 2 is the only prime where F4's halves
         # can be non-integral, and never with m = 0.
         with pytest.raises(ValueError) as exc:
             closed_family(n, family_id, params, ModularContext(p))
@@ -921,17 +953,22 @@ class TestScatter:
         with pytest.raises(ValueError):
             ScatterRecord((2, -1), 0)
 
-    @pytest.mark.parametrize("coords, depth, message", [
+    @pytest.mark.parametrize("coords, depth, message", [  # ids fixed
         ((1.5, 0.5), 1, "weight has non-integer entry 1.5"),
         ((3, True), 1, "weight has non-integer entry True"),
-        ((3, 1), True, "depth must be an integer, got True"),
-        ((3, 1), 1.0, "depth must be an integer, got 1.0"),
-        # The order, end and sign checks come first.
+        pytest.param((3, 1), True, "depth must be an int, got True",
+                     id="coords2-True-depth must be an integer, got True"),
+        pytest.param((3, 1), 1.0, "depth must be an int, got 1.0",
+                     id="coords3-1.0-depth must be an integer, got 1.0"),
+        # The coordinates come first, and depth's type before its sign.
         ((1, 2.0), 0, "not weakly decreasing at position 0: 1 < 2.0"),
         ((2, -1), 1.5, "coords must end >= 0: (2, -1)"),
-        ((3, 1), -1.0, "depth must be >= 0, got -1.0"),
-        ((1,), None, "depth must be an integer, got None"),
-        ((3, 1), "1", "depth must be an integer, got '1'"),
+        pytest.param((3, 1), -1.0, "depth must be an int, got -1.0",
+                     id="coords6--1.0-depth must be >= 0, got -1.0"),
+        pytest.param((1,), None, "depth must be an int, got None",
+                     id="coords7-None-depth must be an integer, got None"),
+        pytest.param((3, 1), "1", "depth must be an int, got '1'",
+                     id="coords8-1-depth must be an integer, got '1'"),
     ])
     def test_record_refuses_what_is_not_an_int(self, coords, depth,
                                                message):
