@@ -1,8 +1,11 @@
-"""Command-line front end.
-
-Exit codes: 0 success, 1 usage/parse error, 2 domain error (invalid weight,
-p <= n, precondition or I/O failures, a construction fault such as a wrong
-count of weights, or a RecursionError from any call).
+"""Command-line front end, ``lvweights COMMAND [flags]``, its flags read from
+one table: ``--flag value`` or ``--flag=value`` (the form for a value that
+starts with "-" and is no negative number), a unique prefix of a long flag,
+the last of a repeated flag; -h/--help prints the commands, or after a
+command its flags.  Exit codes: 0 success or help, 1 usage/parse
+error, 2 domain error (invalid weight, p <= n, precondition or I/O
+failures, a construction fault such as a wrong count of weights, or a
+RecursionError from any call).
 Data goes to stdout, diagnostics to stderr.  Output is byte-identical for
 identical inputs and flags; ``enumerate --jobs`` must be at least 1 and
 does not change the output, because every subcommand runs in one process.
@@ -10,106 +13,131 @@ does not change the output, because every subcommand runs in one process.
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
+from types import SimpleNamespace
 
 from .core import (_int_arg, _printable, format_weight, omega_to_json,
                    parse_weight)
 from .counting import count_distinguished, leading_coefficient
-from .enumeration import (
-    ScatterRecord,
-    SearchBox,
-    _MAX_MEMBERS,
-    _check_size,
-    _enumerate_depths,
-    _family_depths,
-    default_bound,
-    write_scatter_csv,
-    write_scatter_svg,
-)
+from .enumeration import (ScatterRecord, SearchBox, _MAX_MEMBERS, _check_size,
+                          _enumerate_depths, _family_depths, default_bound,
+                          write_scatter_csv, write_scatter_svg)
 from .lv_algorithm import lv
-from .modular_iteration import (
-    ModularContext,
-    distinguished_depth,
-    iterate,
-    trace_to_json,
-)
-from .verify import (
-    clump_commutation_failures,
-    r_commutation_failures,
-    round_trip_failures,
-)
+from .modular_iteration import (ModularContext, distinguished_depth, iterate,
+                                trace_to_json)
+from .verify import (clump_commutation_failures, r_commutation_failures,
+                     round_trip_failures)
 
 __all__ = ["main", "run", "build_parser"]
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for domain
-    # errors, so remap to 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+_REQUIRED = object()  # the default of a flag that must be given
+_W = (("--weight", str, _REQUIRED, "comma-separated, weakly decreasing"),
+      ("--sort", bool, False, "sort the entries instead of refusing them"))
+_N, _K = ("--n", int, _REQUIRED, "length"), ("--k", int, _REQUIRED, "depth")
+_P, _CAP = (("--prime", int, _REQUIRED, "a prime greater than n"),
+            ("--cap", int, 64, "largest depth tried (default 64)"))
+_FILES = (("--csv", str, None, "write scatter CSV here"),
+          ("--svg", str, None, "write log-scaled SVG here"))
+# command: (help, flags); a flag is (flag, type, default, help), its type
+# int, str, bool (a switch) or a tuple of the ints it allows.
+_COMMANDS = {
+    "lv": ("apply the forward map",
+           (*_W, ("--base", (0, 1), 1, "first column index (default 1)"))),
+    "iterate": ("full iteration trace as JSON", (*_W, _P, _CAP)),
+    "check": ("minimal iteration depth, if any", (*_W, _P, _CAP)),
+    "enumerate": ("construct the distinguished weights", (
+        _N, _P, _K, ("--bound", int, None, "largest |entry| kept (default: "
+                     "the staircase's)"),
+        ("--jobs", int, 1, "at least 1; the output is the same"), *_FILES)),
+    "count": ("exact count via the recursion", (_N, _K)),
+    "coeff": ("leading growth coefficient", (_N,)),
+    "families": ("closed-form families (n <= 4)", (
+        ("--n", (2, 3, 4), _REQUIRED, "length"), _P,
+        ("--max-k", int, _REQUIRED, "largest depth"), *_FILES)),
+    "verify": ("run the randomized property suite", (
+        ("--samples", int, 10000, "at least 1 (default 10000)"),
+        ("--seed", int, 0, "random seed (default 0)"))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lvweights", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(message: str):
+    print(f"lvweights: error: {message}", file=sys.stderr)
+    raise SystemExit(1)
 
-    def add_weight(p):
-        p.add_argument("--weight", required=True,
-                       help="comma-separated integers, weakly decreasing")
-        p.add_argument("--sort", action="store_true",
-                       help="sort the entries instead of rejecting unsorted input")
 
-    p_lv = sub.add_parser("lv", parents=[], help="apply the forward map")
-    add_weight(p_lv)
-    p_lv.add_argument("--base", type=int, choices=(0, 1), default=1,
-                      help="first column index (default 1)")
+def _flag(arg: str, names) -> str | None:
+    """The flag in ``names`` that ``arg`` gives, whole or as a unique prefix
+    of a long flag, before any "=value"; "" for an unknown flag; None for
+    a value: a word, "-", a negative number or words with a space."""
+    if arg == "--":
+        _fail('"--" is not supported')
+    name = arg.partition("=")[0]
+    found = [f for f in names if f == name] or [
+        f for f in names if name[:2] == "--" and f.startswith(name)]
+    if len(found) > 1:
+        _fail(f"{name} is ambiguous: {', '.join(found)}")
+    if arg[:1] != "-" or arg == "-" or not found and (
+            " " in arg or re.match(r"-\d+$|-\d*\.\d+$", arg)):
+        return None
+    return found[0] if found else ""
 
-    p_it = sub.add_parser("iterate", help="full iteration trace as JSON")
-    add_weight(p_it)
-    p_it.add_argument("--prime", type=int, required=True)
-    p_it.add_argument("--cap", type=int, default=64)
 
-    p_ck = sub.add_parser("check", help="minimal iteration depth, if any")
-    add_weight(p_ck)
-    p_ck.add_argument("--prime", type=int, required=True)
-    p_ck.add_argument("--cap", type=int, default=64)
+def _help(command) -> str:
+    line, table = _COMMANDS[command] if command else ("commands:", [
+        (c, bool, 0, h) for c, (h, _) in _COMMANDS.items()])
+    return "\n".join([f"usage: lvweights {command or 'COMMAND'} [flags]", line,
+                      *(f"  {f:<9} {h}" + " (required)" * (d is _REQUIRED)
+                        for f, _, d, h in table)])
 
-    p_en = sub.add_parser("enumerate",
-                          help="construct the distinguished weights")
-    p_en.add_argument("--n", type=int, required=True)
-    p_en.add_argument("--prime", type=int, required=True)
-    p_en.add_argument("--k", type=int, required=True)
-    p_en.add_argument("--bound", type=int, default=None,
-                      help="keep weights with max |entry| <= this "
-                           "(default: largest staircase entry)")
-    p_en.add_argument("--jobs", type=int, default=1,
-                      help="at least 1; does not change the output")
-    p_en.add_argument("--csv", default=None, help="write scatter CSV here")
-    p_en.add_argument("--svg", default=None, help="write log-scaled SVG here")
 
-    p_ct = sub.add_parser("count", help="exact count via the recursion")
-    p_ct.add_argument("--n", type=int, required=True)
-    p_ct.add_argument("--k", type=int, required=True)
+def _parse_args(argv) -> SimpleNamespace:
+    """``argv`` read against ``_COMMANDS`` (see the module docstring) into
+    ``command`` and its flags, each named with "_" for "-"."""
+    argv, command, flags, given, stray, i = list(argv), None, {}, {}, [], 0
+    kinds = [_flag(a, ("-h", "--help")) for a in argv]
+    while i < len(argv):
+        arg, flag, i = argv[i], kinds[i], i + 1
+        kind = flags[flag][1] if flag in flags else bool
+        if flag is None and command is None:
+            if arg not in _COMMANDS:
+                _fail(f"unknown command {arg!r}; see lvweights --help")
+            command, flags = arg, {f[0]: f for f in _COMMANDS[arg][1]}
+            kinds[i:] = [_flag(a, (*flags, "-h", "--help")) for a in argv[i:]]
+        elif not flag:
+            stray.append(arg)
+        elif "=" in arg and kind is bool:
+            _fail(f"{flag} takes no value")
+        elif flag not in flags:  # -h or --help
+            print(_help(command))
+            raise SystemExit(0)
+        elif kind is bool:
+            given[flag] = True
+        elif "=" not in arg and (i == len(argv) or kinds[i] is not None):
+            _fail(f"{flag} needs a value")
+        else:
+            text = arg.partition("=")[2] if "=" in arg else argv[i]
+            i += "=" not in arg
+            try:
+                given[flag] = text if kind is str else int(text)
+            except ValueError:
+                _fail(f"{flag} needs an int, got {text!r}")
+            if kind not in (int, str) and given[flag] not in kind:
+                _fail(f"{flag} must be one of {kind}, got {text!r}")
+    table = _COMMANDS[command][1] if command else _fail("no command given")
+    missing = [f for f, _, d, _ in table if d is _REQUIRED and f not in given]
+    if missing or stray:
+        _fail(f"{command} needs {', '.join(missing)}" if missing else
+              f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(command=command, **{
+        f[2:].replace("-", "_"): given.get(f, d) for f, _, d, _ in table})
 
-    p_cf = sub.add_parser("coeff", help="leading growth coefficient")
-    p_cf.add_argument("--n", type=int, required=True)
 
-    p_fa = sub.add_parser("families", help="closed-form families (n <= 4)")
-    p_fa.add_argument("--n", type=int, choices=(2, 3, 4), required=True)
-    p_fa.add_argument("--prime", type=int, required=True)
-    p_fa.add_argument("--max-k", type=int, required=True)
-    p_fa.add_argument("--csv", default=None)
-    p_fa.add_argument("--svg", default=None)
-
-    p_vf = sub.add_parser("verify", help="run the randomized property suite")
-    p_vf.add_argument("--samples", type=int, default=10000)
-    p_vf.add_argument("--seed", type=int, default=0)
-
-    return parser
+def build_parser() -> SimpleNamespace:
+    """The parser: ``build_parser().parse_args(argv)``."""
+    return SimpleNamespace(parse_args=_parse_args)
 
 
 def _weight_arg(args):
@@ -150,8 +178,8 @@ def run(argv) -> int:
     """Parse ``argv`` (excluding the program name) and dispatch."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # 0 after help, 1 on a usage error
+        return exc.code
 
     try:
         if args.command == "lv":

@@ -81,6 +81,7 @@ def default_bound(n: int, k: int, p: int) -> int:
     largest entry of D(n, k) on every case they construct."""
     _int_arg("n", n)
     _int_arg("k", k)
+    _int_arg("p", p, 2)
     if n <= 1:
         return 0
     return (n - 1) * (p**k - 1) // (p - 1)
@@ -366,7 +367,7 @@ def closed_family(
     equal the stated count for its parameters; parameters that fail are
     rejected rather than guessed around.
     """
-    if n not in FAMILY_IDS:
+    if _int_arg("n", n) not in FAMILY_IDS:
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
     params = tuple(params)
     if family_id not in FAMILY_IDS[n]:
@@ -422,7 +423,7 @@ def _family_depths(
     confirmed depth is therefore the one ``scatter_records`` gives at cap
     ``max_k``.
     """
-    if n not in FAMILY_IDS:
+    if _int_arg("n", n) not in FAMILY_IDS:
         raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
     ctx.check_length(n)
     _int_arg("max_k", max_k)
@@ -476,6 +477,7 @@ def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
         if not records:
             raise ValueError("ncoords is required for an empty record list")
         ncoords = len(records[0].coords)
+    _int_arg("ncoords", ncoords)
     header = ",".join([f"x{i + 1}" for i in range(ncoords)] + ["depth"])
     lines = [header]
     for rec in sorted(records, key=attrgetter("coords"), reverse=True):

@@ -30,6 +30,7 @@ from lvweights import (
     rho_family,
     scatter_records,
     telephone,
+    write_scatter_csv,
 )
 
 CTX = ModularContext(7)
@@ -56,6 +57,10 @@ ENTRY_POINTS = [
     ("rho_family.m", "m", 0, lambda v: rho_family(3, v, CTX)),
     ("default_bound.n", "n", 0, lambda v: default_bound(v, 1, 5)),
     ("default_bound.k", "k", 0, lambda v: default_bound(4, v, 5)),
+    ("default_bound.p", "p", 2, lambda v: default_bound(4, 1, v)),
+    ("closed_family.n", "n", 0, lambda v: closed_family(v, "A", (1,), CTX)),
+    ("generate_family_set.n", "n", 0,
+     lambda v: generate_family_set(v, CTX, 2)),
     ("partitions_mult", "n", 0, partitions_mult),
     ("CountTable.count.n", "n", 0, lambda v: CountTable().count(v, 1)),
     ("CountTable.count.k", "k", 0, lambda v: CountTable().count(1, v)),
@@ -109,6 +114,39 @@ class TestRegressions:
         # It once returned -1.0.
         with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
             default_bound(4, -1, 5)
+
+    @pytest.mark.parametrize("p, message", [
+        (1, "p must be >= 2, got 1"), (2.0, "p must be an int, got 2.0"),
+        (True, "p must be an int, got True"),
+    ])
+    def test_default_bound_refuses_a_bad_prime(self, p, message):
+        # p = 1 once raised ZeroDivisionError, and p = 2.0 returned 9.0.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_bound(4, 2, p)
+
+    def test_families_refuse_a_float_length(self):
+        # A float equal to a key of FAMILY_IDS once built the families:
+        # [(6, -6), (1, -1), (0, 0)] and (2, 0, -2).
+        with pytest.raises(ValueError, match="^n must be an int, got 2.0$"):
+            generate_family_set(2.0, ModularContext(5), 2)
+        with pytest.raises(ValueError, match="^n must be an int, got 3.0$"):
+            closed_family(3.0, "A", (1,), ModularContext(5))
+
+    @pytest.mark.parametrize("ncoords, message", [
+        (1.5, "ncoords must be an int, got 1.5"),
+        (True, "ncoords must be an int, got True"),
+        ("1", "ncoords must be an int, got '1'"),
+        (-1, "ncoords must be >= 0, got -1"),
+    ])
+    def test_scatter_csv_refuses_a_bad_ncoords(self, tmp_path, ncoords,
+                                               message):
+        # 1.5 once raised TypeError from range, and -1 with no records
+        # wrote a file of the header "depth" alone.  (None is not in the
+        # list: it asks for the records' own length.)
+        path = tmp_path / "pts.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_scatter_csv([], path, ncoords=ncoords)
+        assert not path.exists()
 
     def test_count_refuses_a_bool(self):
         with pytest.raises(ValueError, match="^n must be an int, got True$"):

@@ -1,5 +1,11 @@
+import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -25,10 +31,106 @@ from lvweights import (
 )
 from lvweights.cli import run
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# The argparse front end that the command table replaced, verbatim but for
+# its two names and the description: the oracle of the table's parser.
+class _ArgparseParser(argparse.ArgumentParser):
+    # argparse exits 2 on usage errors; this tool reserves 2 for domain
+    # errors, so remap to 1.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def build_argparse_parser() -> argparse.ArgumentParser:
+    parser = _ArgparseParser(prog="lvweights",
+                             description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_weight(p):
+        p.add_argument("--weight", required=True,
+                       help="comma-separated integers, weakly decreasing")
+        p.add_argument("--sort", action="store_true",
+                       help="sort the entries instead of rejecting unsorted input")
+
+    p_lv = sub.add_parser("lv", parents=[], help="apply the forward map")
+    add_weight(p_lv)
+    p_lv.add_argument("--base", type=int, choices=(0, 1), default=1,
+                      help="first column index (default 1)")
+
+    p_it = sub.add_parser("iterate", help="full iteration trace as JSON")
+    add_weight(p_it)
+    p_it.add_argument("--prime", type=int, required=True)
+    p_it.add_argument("--cap", type=int, default=64)
+
+    p_ck = sub.add_parser("check", help="minimal iteration depth, if any")
+    add_weight(p_ck)
+    p_ck.add_argument("--prime", type=int, required=True)
+    p_ck.add_argument("--cap", type=int, default=64)
+
+    p_en = sub.add_parser("enumerate",
+                          help="construct the distinguished weights")
+    p_en.add_argument("--n", type=int, required=True)
+    p_en.add_argument("--prime", type=int, required=True)
+    p_en.add_argument("--k", type=int, required=True)
+    p_en.add_argument("--bound", type=int, default=None,
+                      help="keep weights with max |entry| <= this "
+                           "(default: largest staircase entry)")
+    p_en.add_argument("--jobs", type=int, default=1,
+                      help="at least 1; does not change the output")
+    p_en.add_argument("--csv", default=None, help="write scatter CSV here")
+    p_en.add_argument("--svg", default=None, help="write log-scaled SVG here")
+
+    p_ct = sub.add_parser("count", help="exact count via the recursion")
+    p_ct.add_argument("--n", type=int, required=True)
+    p_ct.add_argument("--k", type=int, required=True)
+
+    p_cf = sub.add_parser("coeff", help="leading growth coefficient")
+    p_cf.add_argument("--n", type=int, required=True)
+
+    p_fa = sub.add_parser("families", help="closed-form families (n <= 4)")
+    p_fa.add_argument("--n", type=int, choices=(2, 3, 4), required=True)
+    p_fa.add_argument("--prime", type=int, required=True)
+    p_fa.add_argument("--max-k", type=int, required=True)
+    p_fa.add_argument("--csv", default=None)
+    p_fa.add_argument("--svg", default=None)
+
+    p_vf = sub.add_parser("verify", help="run the randomized property suite")
+    p_vf.add_argument("--samples", type=int, default=10000)
+    p_vf.add_argument("--seed", type=int, default=0)
+
+    return parser
+
+
+def parsed(build_parser, argv):
+    """(exit code, the namespace's attributes or None, stdout, stderr) of
+    ``build_parser().parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = vars(build_parser().parse_args(argv))
+        return 0, args, out.getvalue(), err.getvalue()
+    except SystemExit as exc:
+        return exc.code, None, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_argparse(argv):
+    """The table's parser gives argparse's exit code and namespace; when it
+    refuses argv, stdout is empty and stderr ends in one error line."""
+    code, args, out, err = parsed(cli.build_parser, argv)
+    assert (code, args) == parsed(build_argparse_parser, argv)[:2], argv
+    if code == 1:
+        assert out == "" and err.splitlines()[-1].startswith(
+            "lvweights: error: "), (argv, out, err)
+
 
 @pytest.fixture()
 def capout(capsys):
     def invoke(*argv):
+        assert_parses_as_argparse(list(argv))  # every argv the tests run
         code = run(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -590,14 +692,185 @@ class TestDeterminism:
         assert a == b
 
 
-def test_cold_import_loads_no_dataclasses_or_introspection():
-    # -I -S: no site packages and no PYTHONPATH, so only what the package
-    # itself imports is loaded.
+# Argvs at the edges of the grammar, each compared with argparse.  The `--`
+# forms are left out: argparse's reading of them changed from 3.10 to 3.12.
+EDGE_CASES = [
+    # --flag value, --flag=value, unique prefixes of long flags
+    ["count", "--n=4", "--k", "2"], ["lv", "--weight=1,0", "--base=0"],
+    ["families", "--n", "4", "--pr", "5", "--max", "3"],
+    ["enumerate", "--n", "2", "--p", "5", "--k", "1", "--b", "3", "--j", "2",
+     "--c", "x.csv", "--sv", "y.svg"],
+    ["lv", "--w", "1,0", "--s"], ["check", "--w=1,0", "--pr=5", "--ca=3"],
+    ["verify", "--sa", "5", "--se", "2"], ["verify", "--s", "1"],
+    ["verify", "-h", "--s"], ["count", "--=x"], ["--=x"],
+    # the last of a repeated flag wins
+    ["count", "--n", "4", "--n", "5", "--k", "1"],
+    ["lv", "--weight", "1", "--sort", "--sort", "--weight", "2,1"],
+    # int() reads each value
+    ["count", "--n", "+4", "--k", "1_0"], ["count", "--n", " 4 ", "--k", "1"],
+    ["count", "--n", "\u0664", "--k", "1"], ["count", "--n", "1" * 5000, "--k", "1"],
+    ["lv", "--weight", "1", "--base", "+1"], ["lv", "--weight", "1", "--base", "01"],
+    # a value that starts with "-": a negative number, "-", or words with
+    # a space; anything else only after "="
+    ["enumerate", "--n", "2", "--prime", "5", "--k", "1", "--bound", "-5"],
+    ["coeff", "--n", "-1"], ["count", "--n", "4", "--k", "-1.5"],
+    ["count", "--n", "-1.", "--k", "1"], ["count", "--n", "-.5", "--k", "1"],
+    ["lv", "--weight", "-1,-2"], ["lv", "--weight=-1,-2"],
+    ["lv", "--weight", "-1"], ["lv", "--weight", "-"], ["lv", "--weight", "- 1"],
+    ["lv", "--weight", "-1 ,-2"], ["lv", "--weight", "-5\n"],
+    ["families", "--n", "4", "--prime", "5", "--max-k", "2", "--svg=-"],
+    ["families", "--n", "2", "--prime", "5", "--max-k", "1", "--csv="],
+    ["iterate", "--weight", "1,0", "--prime", "5", "--cap", "-1"],
+    # unknown flags and stray words, refused after the rest is read
+    ["count", "--n", "1", "--k", "1", "--bogus"],
+    ["--bogus", "count", "--n", "1", "--k", "1"], ["--bogus"], ["--bogus", "x"],
+    ["count", "--bogus=-1", "--n", "1", "--k", "1"],
+    ["count", "-x", "--n", "1", "--k", "1"], ["count", "--bogus", "-h"],
+    ["count", "--n", "1", "--k", "1", "extra"], ["count", "x", "--n", "1"],
+    ["count", "-5", "--n", "1", "--k", "1"], ["count", "--n", "4", "--k", "1", "-"],
+    # missing values and required flags
+    ["count", "--n"], ["count", "--n", "--k", "1"], ["lv", "--weight", "--sort"],
+    ["count", "--n", "-h"], ["count", "--n", "1", "--k", "1", "--n", "-h"],
+    ["enumerate", "--n", "4", "--prime", "5", "--k", "1", "--csv", "--svg"],
+    ["count", "--n=", "--k", "1"], ["count", "--n", "4"], ["lv"], [],
+    ["families", "--n", "2", "--prime", "5"], ["verify"],
+    # a bad int or choice; a switch given a value
+    ["count", "--n", "x", "--k", "1"], ["lv", "--weight", "1", "--base", "2"],
+    ["lv", "--weight", "1", "--base=x"], ["families", "--n", "5", "--prime", "7",
+                                          "--max-k", "1"],
+    ["lv", "--weight", "1", "--sort=x"], ["lv", "--weight", "1", "--sort="],
+    # commands, and help wherever it stands
+    ["bogus"], ["Count"], ["coun"], ["-"], ["-5"], ["bogus", "-h"],
+    ["-h", "bogus"], ["-h"], ["--help"], ["--h"], ["--hel"], ["-h=x"],
+    ["--help=x"], ["-hx"], ["--bogus", "-h"], ["count", "-h"], ["count", "--he"],
+    ["count", "--n", "x", "-h"], ["count", "-h", "--n", "x"],
+    ["lv", "--weight", "1", "-h=x"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv)[:40] or "(none)"
+
+
+def _documented_argvs():
+    """Each argv that the README's examples and the CI workflow run, a
+    shell variable or substitution read as 7."""
+    argvs = []
+    for path in (ROOT / "README.md", ROOT / ".github/workflows/tests.yml"):
+        for line in path.read_text().splitlines():
+            m = re.search(r"(?:lvweights(?:\.cli)?|refuse|usage) ((?:lv|iterate|"
+                          r"check|enumerate|count|coeff|families|verify)\b"
+                          r"[^|)#`]*)", line)
+            if m:
+                argvs.append(shlex.split(
+                    re.sub(r"\$\(.*|\$\{?\w+\}?", "7", m.group(1))))
+    return argvs
+
+
+def _workload_argvs():
+    """Each argv of the bench's workloads, at full size and tiny."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclass
+    spec.loader.exec_module(workloads)
+    ops = [workloads.deep_check_op(workloads.FULL)] + [
+        op for sizes in (workloads.FULL, workloads.TINY)
+        for name in workloads.WORKLOADS
+        for op in workloads.pass_ops(name, sizes, 0)]
+    return [[a or "out.csv" for a in op["argv"]] for op in ops
+            if op["kind"] == "cli"]
+
+
+# One valid argv of each command: argparse names its flags.
+VALID = {
+    "lv": ["--weight", "1,0"], "iterate": ["--weight", "1,0", "--prime", "5"],
+    "check": ["--weight", "1,0", "--prime", "5"],
+    "enumerate": ["--n", "2", "--prime", "5", "--k", "1"],
+    "count": ["--n", "4", "--k", "2"], "coeff": ["--n", "4"],
+    "families": ["--n", "2", "--prime", "5", "--max-k", "1"], "verify": [],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", EDGE_CASES, ids=_argv_id)
+    def test_edge_cases_parse_as_argparse(self, argv):
+        assert_parses_as_argparse(argv)
+
+    @pytest.mark.parametrize("argv", _documented_argvs(), ids=_argv_id)
+    def test_documented_argvs_parse_as_argparse(self, argv):
+        assert_parses_as_argparse(argv)
+
+    def test_the_documents_were_read(self):
+        # The README's five examples and at least the CI's refusals.
+        assert len(_documented_argvs()) > 20
+
+    @pytest.mark.parametrize("argv", _workload_argvs(), ids=_argv_id)
+    def test_workload_argvs_parse_as_argparse(self, argv):
+        assert_parses_as_argparse(argv)
+        assert parsed(cli.build_parser, argv)[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "1", "--k", "1", "--"],
+        ["count", "--", "--n", "1", "--k", "1"],
+        ["count", "--n", "--", "1", "--k", "1"],
+        ["--", "count", "--n", "1", "--k", "1"],
+        ["count", "-h", "--"],
+    ], ids=_argv_id)
+    def test_double_dash_is_refused(self, capsys, argv):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == 'lvweights: error: "--" is not supported\n'
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_help_names_every_flag(self, capout, command):
+        flags = ["--" + name.replace("_", "-") for name in
+                 parsed(build_argparse_parser, [command, *VALID[command]])[1]
+                 if name != "command"]
+        for help_flag in ("-h", "--help"):
+            code, out, err = capout(command, *VALID[command], help_flag)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: lvweights {command} ")
+            for flag in flags:
+                assert re.search(rf"^  {flag}\b", out, re.M), (flag, out)
+
+    def test_help_names_every_command(self, capout):
+        code, out, err = capout("--help")
+        assert (code, err) == (0, "")
+        for command in VALID:
+            assert re.search(rf"^  {command}\b", out, re.M), (command, out)
+
+    def test_usage_errors_name_the_fault(self, capout):
+        assert capout("count", "--n", "4")[2] == (
+            "lvweights: error: count needs --k\n")
+        assert capout("coeff", "--n", "4", "--k", "1")[2] == (
+            "lvweights: error: unrecognized arguments: --k 1\n")
+        assert capout("families", "--n", "5", "--prime", "7", "--max-k",
+                      "1")[2] == ("lvweights: error: --n must be one of "
+                                  "(2, 3, 4), got '5'\n")
+
+
+def _cold_modules(code, names):
+    """The modules of ``names`` loaded after ``code`` runs in a cold
+    ``python -I -S``: no site packages and no PYTHONPATH, so only what the
+    package itself imports is loaded."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import lvweights.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
-            " & sys.modules.keys()))")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
-                         capture_output=True, text=True, check=True,
-                         timeout=60).stdout
-    assert out == "[]\n"
+    code = (f"import sys; sys.path.insert(0, {src!r}); {code}; "
+            f"print(sorted({set(names)!r} & sys.modules.keys()))")
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, check=True,
+                          timeout=60).stdout
+
+
+def test_cold_import_loads_no_dataclasses_or_introspection():
+    # Nor argparse, or the gettext and locale it loads for its messages.
+    assert _cold_modules("import lvweights.cli", [
+        "dataclasses", "inspect", "ast", "dis", "argparse", "gettext",
+        "locale"]) == "[]\n"
+
+
+def test_a_cli_run_loads_no_argparse_gettext_or_locale():
+    code = ("import lvweights.cli; "
+            "assert lvweights.cli.run(['count', '--n', '4', '--k', '2']) == 0")
+    assert _cold_modules(code, ["argparse", "gettext", "locale"]) == (
+        "11\n[]\n")
