@@ -162,12 +162,12 @@ def _emit_weights(depths, args, p) -> None:
     and anti-symmetric and each depth is exact within the command's cap,
     so the records, built unchecked, are those ``scatter_records`` gives."""
     weights = sorted(depths, reverse=True)
-    if args.csv or args.svg:
+    if args.csv is not None or args.svg is not None:
         h = args.n // 2
         records = [ScatterRecord._of(w[:h], depths[w]) for w in weights]
-        if args.csv:
+        if args.csv is not None:
             write_scatter_csv(records, args.csv, ncoords=h)
-        if args.svg:
+        if args.svg is not None:
             write_scatter_svg(records, args.svg, p)
     else:
         for w in weights:

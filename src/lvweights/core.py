@@ -19,12 +19,14 @@ for an integer argument (type ``int``, then its lower bound),
 ``validate_weight`` for a weight, ``validate_diagram`` for a diagram and
 ``_printable`` for a value the interpreter must print.  Arguments are
 checked in signature order, each one's type before its sign, and a
-malformed one raises ``ValueError`` naming it.  ``parse_weight``,
-``omega_from_pair``, ``omega_from_json`` and the ``OmegaElement`` and
-``PartitionMult`` constructors go through them, and so do the other
-modules' public functions.  An ``OmegaElement`` that ``lv``, ``lv_p``,
-``kappa`` or ``reverse_negate_omega`` builds holds by construction and
-skips re-validation (``OmegaElement._of``).
+malformed one raises ``ValueError`` naming it.  ``parse_weight`` and the
+``OmegaElement`` and ``PartitionMult`` constructors go through them, and so
+do the other modules' public functions; ``omega_from_pair`` and
+``omega_from_json`` check their own shape and leave each component,
+dominance included, to the ``OmegaElement`` constructor.  An
+``OmegaElement`` that ``lv``, ``lv_p``, ``kappa`` or
+``reverse_negate_omega`` builds holds by construction and skips
+re-validation (``OmegaElement._of``).
 """
 
 from __future__ import annotations
@@ -264,8 +266,9 @@ def omega_from_pair(alpha: PartitionMult, nu) -> OmegaElement:
     """Group a dominant sequence ``nu`` by the part sizes of ``alpha``.
 
     ``nu`` lists one integer per part of ``alpha`` taken in weakly
-    decreasing part order; entries attached to equal parts must be weakly
-    decreasing (dominance).  Entry j goes into mu_{parts[j]}.
+    decreasing part order, and entry j goes into mu_{parts[j]}; the
+    ``OmegaElement`` rule then holds the entries of equal parts to be
+    weakly decreasing (dominance).
     """
     parts = alpha.parts
     nu = tuple(nu)
@@ -273,17 +276,10 @@ def omega_from_pair(alpha: PartitionMult, nu) -> OmegaElement:
         raise ValueError(
             f"length mismatch: {len(parts)} parts but {len(nu)} entries"
         )
-    for i in range(len(parts) - 1):
-        if parts[i] == parts[i + 1] and nu[i] < nu[i + 1]:
-            raise ValueError(
-                f"dominance violation at position {i}: part {parts[i]} "
-                f"carries {nu[i]} < {nu[i + 1]}"
-            )
-    s = parts[0] if parts else 0
-    groups: list[list[int]] = [[] for _ in range(s)]
+    groups: list[list] = [[] for _ in range(parts[0] if parts else 0)]
     for p, v in zip(parts, nu):
         groups[p - 1].append(v)
-    return OmegaElement(tuple(dom(g) for g in groups))
+    return OmegaElement(groups)
 
 
 def omega_to_pair(o: OmegaElement) -> tuple[PartitionMult, tuple[int, ...]]:
@@ -326,7 +322,9 @@ def omega_to_json(o: OmegaElement) -> str:
 
 
 def omega_from_json(text: str) -> OmegaElement:
+    """Inverse of ``omega_to_json``; ``mu`` must be a list of lists."""
     data = json.loads(text)
-    if not isinstance(data, dict) or "mu" not in data:
-        raise ValueError("expected an object with a 'mu' key")
-    return OmegaElement(tuple(tuple(m) for m in data["mu"]))
+    mu = data.get("mu") if isinstance(data, dict) else None
+    if not (isinstance(mu, list) and all(isinstance(m, list) for m in mu)):
+        raise ValueError("expected an object whose 'mu' is a list of lists")
+    return OmegaElement(mu)

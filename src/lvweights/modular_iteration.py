@@ -11,12 +11,15 @@ their depth.
 A mandatory ``cap`` bounds every iteration entry point so termination never
 depends on number-theoretic luck.  Traces are immutable once built and the
 expansion of distinct children is independent, so callers may parallelize
-over weights freely.
+over weights freely.  ``trace_to_json`` writes a trace as compact JSON and
+``trace_from_json`` is its exact inverse: it reads a text only when writing
+the result gives that text back.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 
 from .core import (OmegaElement, PartitionMult, Weight, _int_arg, _Value,
@@ -360,51 +363,33 @@ def trace_to_json(t: IterationTrace) -> str:
     return "".join(out)
 
 
-_decode = json.JSONDecoder().raw_decode
-
-
-def _expect(text: str, i: int, token: str) -> int:
-    """The offset just past ``token``, which must start at offset i."""
-    if not text.startswith(token, i):
-        raise ValueError(f"trace: expected {token!r} at offset {i}")
-    return i + len(token)
+# The opening of a node, closed at once on a leaf, or the close of a child
+# list: the tokens ``trace_to_json`` writes between its commas.  Compiled
+# on first use, not at import.
+_TOKEN = (r'\{"seq":\[(-?\d+(?:,-?\d+)*)?\],"status":'
+         r'("(?:[^"\\]|\\.)*")(?:(\})|,"children":\[)|\]\}')
 
 
 def trace_from_json(text: str) -> IterationTrace:
-    """Inverse of ``trace_to_json``: reads exactly the compact form it
-    writes, and raises ``ValueError`` on any other text.
+    """Inverse of ``trace_to_json``: the trace that writes ``text``, or
+    ``ValueError`` when no trace writes it.
 
-    Read on an explicit stack, so a trace of any depth is read; only each
-    ``seq`` and ``status`` value goes through the JSON decoder.
+    The tree is built on an explicit stack, so a trace of any depth is read.
     """
-    # Expanded nodes still open, above a holder for the finished root.
+    # Nodes still open, above a holder for the finished root.
     stack: list[tuple] = [((), "", [])]
-    i = 0
-    while True:
-        seq, i = _decode(text, _expect(text, i, '{"seq":'))
-        status, i = _decode(text, _expect(text, i, ',"status":'))
-        if not (isinstance(seq, list) and isinstance(status, str)
-                and all(type(v) is int for v in seq)):
-            raise ValueError(f"trace: bad seq or status before offset {i}")
-        if text.startswith(',"children":[', i):
-            i += 13
-            stack.append((tuple(seq), status, []))
-            if not text.startswith("]", i):
+    for entries, status, leaf in re.findall(_TOKEN, text):
+        if status:
+            seq = tuple(map(int, entries.split(","))) if entries else ()
+            stack.append((seq, json.loads(status), []))
+            if not leaf:
                 continue
-        else:
-            i = _expect(text, i, "}")
-            leaf = IterationTrace(tuple(seq), status, len(stack) - 1)
-            stack[-1][2].append(leaf)
-        # Close every node whose child list ends here, until a sibling
-        # follows or the root is done.
-        while len(stack) > 1 and not text.startswith(",", i):
-            i = _expect(text, i, "]}")
-            seq, status, children = stack.pop()
-            stack[-1][2].append(
-                IterationTrace(seq, status, len(stack) - 1, tuple(children))
-            )
-        if len(stack) == 1:
-            if i != len(text):
-                raise ValueError(f"trace: extra text at offset {i}")
-            return stack[0][2][0]
-        i = _expect(text, i, ",")
+        if len(stack) == 1:  # a close with no node open
+            break
+        seq, status, children = stack.pop()
+        stack[-1][2].append(
+            IterationTrace(seq, status, len(stack) - 1, tuple(children)))
+    roots = stack[0][2]
+    if roots and trace_to_json(roots[0]) == text:
+        return roots[0]
+    raise ValueError("trace: not the compact JSON that trace_to_json writes")

@@ -137,12 +137,13 @@ class TestRegressions:
         (True, "ncoords must be an int, got True"),
         ("1", "ncoords must be an int, got '1'"),
         (-1, "ncoords must be >= 0, got -1"),
+        (None, "ncoords is required for an empty record list"),
     ])
     def test_scatter_csv_refuses_a_bad_ncoords(self, tmp_path, ncoords,
                                                message):
         # 1.5 once raised TypeError from range, and -1 with no records
-        # wrote a file of the header "depth" alone.  (None is not in the
-        # list: it asks for the records' own length.)
+        # wrote a file of the header "depth" alone.  None asks for the
+        # records' own length, which an empty list does not have.
         path = tmp_path / "pts.csv"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_scatter_csv([], path, ncoords=ncoords)

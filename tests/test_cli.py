@@ -623,6 +623,18 @@ class TestFamiliesCommand:
         assert lines == count_distinguished(n, k) + 1
         assert built.read_bytes() == closed.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--csv=", "--svg="])
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "2", "--prime", "5", "--k", "1"],
+        ["families", "--n", "2", "--prime", "5", "--max-k", "1"],
+    ], ids=["enumerate", "families"])
+    def test_empty_path_is_refused(self, capout, argv, flag):
+        # An empty path cannot be opened; it once sent the weights to
+        # stdout and exited 0.
+        code, out, err = capout(*argv, flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("lvweights: error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_small_run(self, capout):

@@ -326,8 +326,19 @@ class TestOmegaPair:
             omega_from_pair(PartitionMult((1, 1)), (4,))
 
     def test_dominance_violation(self):
-        with pytest.raises(ValueError, match="dominance"):
+        # Equal parts carry weakly decreasing entries: OmegaElement's rule.
+        message = "mu_1: not weakly decreasing at position 0: 1 < 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             omega_from_pair(PartitionMult((2,)), (1, 2))
+
+    @pytest.mark.parametrize("nu, message", [
+        ((None, 1), "mu_1: weight has non-integer entry None"),
+        (("a", 1), "mu_1: weight has non-integer entry 'a'"),
+    ])
+    def test_entries_that_do_not_compare(self, nu, message):
+        # They once raised TypeError from the dominance comparison.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            omega_from_pair(PartitionMult((2,)), nu)
 
     def test_round_trip(self):
         alpha = PartitionMult((2, 0, 2))
@@ -397,8 +408,10 @@ class TestOmegaJson:
         assert omega_from_json(omega_to_json(o)) == o
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            omega_from_json("[1,2]")
+        # The last three once raised TypeError: mu is not a list of lists.
+        for text in ["[1,2]", '{"mu":[1]}', '{"mu":null}', '{"mu":5}']:
+            with pytest.raises(ValueError):
+                omega_from_json(text)
 
     @pytest.mark.parametrize("text, message", [  # ids fixed
         pytest.param('{"mu":[[1.5]]}', "mu_1: weight has non-integer entry 1.5",

@@ -820,6 +820,11 @@ class TestGenerateFamilySet:
     def test_n3_zero_budget(self):
         assert generate_family_set(3, ModularContext(11), 0) == [(0, 0, 0)]
 
+    def test_rejects_n_without_families(self):
+        message = "closed families exist only for n in {2, 3, 4}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_family_set(5, ModularContext(7), 1)
+
     def test_n4_large_budget_count(self):
         got = generate_family_set(4, ModularContext(5), 20)
         assert len(got) == 20**2 + 3 * 20 + 1
@@ -998,6 +1003,14 @@ class TestScatter:
         path = tmp_path / "none.csv"
         write_scatter_csv([ScatterRecord((), 0)], path)
         assert path.read_bytes() == b"depth\n0\n"
+
+    def test_csv_refuses_a_record_of_another_length(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        recs = [ScatterRecord((3, 1), 1), ScatterRecord((0,), 0)]
+        with pytest.raises(ValueError, match="^record has 1 coordinates, "
+                                             "expected 2$"):
+            write_scatter_csv(recs, path)
+        assert not path.exists()
 
     def test_svg_deterministic(self, tmp_path):
         ctx = ModularContext(5)

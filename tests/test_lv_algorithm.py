@@ -216,6 +216,9 @@ class TestPhi:
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             phi((1, 0), base=2)
+        with pytest.raises(ValueError, match="^column base must be 0 or 1, "
+                                             "got 2$"):
+            lv((1, 0), base=2)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -521,10 +522,34 @@ class TestTraceJson:
         '{"seq":[1,0],"status":"expanded","children":[{"seq":[],'
         '"status":"zeros"},]}',
         '{"seq":[0],"status":"zeros"}{"seq":[0],"status":"zeros"}',
+        # Read once as the trace that writes the text without these forms.
+        '{"seq":[1, 0],"status":"zeros"}',
+        '{"seq":[-0],"status":"zeros"}',
+        '{"seq":[ ],"status":"zeros"}',
+        '{"seq":[0],"status":"\\u007aeros"}',
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             trace_from_json(text)
+
+    def test_reads_a_mutant_only_as_the_trace_that_writes_it(self):
+        # A one-character edit of a written trace is refused with
+        # ValueError, or read as a trace that writes the edited text.
+        rng = random.Random(25)
+        chars = '{}[]",:-0123456789aeosuz \\'
+        for _ in range(40):
+            w = sorted((rng.randint(-40, 40) for _ in range(rng.randint(0, 6))),
+                       reverse=True)
+            s = trace_to_json(iterate(w, ModularContext(7), rng.randint(0, 3)))
+            for _ in range(30):
+                i = rng.randrange(len(s) + 1)
+                cut = rng.randint(0, 1)
+                text = s[:i] + rng.choice(("", *chars)) + s[i + cut:]
+                try:
+                    t = trace_from_json(text)
+                except ValueError:
+                    continue
+                assert trace_to_json(t) == text, (s, text)
 
     def test_children_omitted_on_leaves(self):
         t = iterate((0, 0), ModularContext(5), cap=2)
