@@ -21,9 +21,9 @@ from types import SimpleNamespace
 from .core import (_int_arg, _printable, format_weight, omega_to_json,
                    parse_weight)
 from .counting import count_distinguished, leading_coefficient
-from .enumeration import (ScatterRecord, SearchBox, _MAX_MEMBERS, _check_size,
-                          _enumerate_depths, _family_depths, default_bound,
-                          write_scatter_csv, write_scatter_svg)
+from .enumeration import (FAMILY_IDS, ScatterRecord, SearchBox, _MAX_MEMBERS,
+                          _check_size, _enumerate_depths, _family_depths,
+                          default_bound, write_scatter_csv, write_scatter_svg)
 from .lv_algorithm import lv
 from .modular_iteration import (ModularContext, distinguished_depth, iterate,
                                 trace_to_json)
@@ -55,7 +55,7 @@ _COMMANDS = {
     "count": ("exact count via the recursion", (_N, _K)),
     "coeff": ("leading growth coefficient", (_N,)),
     "families": ("closed-form families (n <= 4)", (
-        ("--n", (2, 3, 4), _REQUIRED, "length"), _P,
+        ("--n", tuple(FAMILY_IDS), _REQUIRED, "length"), _P,
         ("--max-k", int, _REQUIRED, "largest depth"), *_FILES)),
     "verify": ("run the randomized property suite", (
         ("--samples", int, 10000, "at least 1 (default 10000)"),
@@ -194,7 +194,7 @@ def run(argv) -> int:
         elif args.command == "enumerate":
             ctx = ModularContext(args.prime)
             _int_arg("--jobs", args.jobs, 1)
-            _check_size(args.n, args.k, args.prime)  # before p**k
+            _check_size(args.n, args.k, args.prime)  # before a power of p
             bound = args.bound
             if bound is None:
                 bound = default_bound(args.n, args.k, args.prime)
@@ -211,7 +211,7 @@ def run(argv) -> int:
         elif args.command == "families":
             ctx = ModularContext(args.prime)
             _check_size(args.n, args.max_k, args.prime, _MAX_MEMBERS,
-                        "family members")  # before p**k
+                        "family members")  # before a power of p
             _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
             _int_arg("--samples", args.samples, 1)

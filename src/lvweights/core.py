@@ -16,8 +16,9 @@ un-division, far past any fixed machine width.
 
 Input is checked at the boundary, each rule by one kernel: ``_int_arg``
 for an integer argument (type ``int``, then its lower bound),
-``validate_weight`` for a weight, ``validate_diagram`` for a diagram and
-``_printable`` for a value the interpreter must print.  Arguments are
+``validate_weight`` for a weight, ``validate_diagram`` for a diagram,
+``_printable`` for a value the interpreter must print and ``_WEIGHT`` for
+a weight's text (``parse_weight`` and the trace reader).  Arguments are
 checked in signature order, each one's type before its sign, and a
 malformed one raises ``ValueError`` naming it.  ``parse_weight`` and the
 ``OmegaElement`` and ``PartitionMult`` constructors go through them, and so
@@ -32,6 +33,7 @@ re-validation (``OmegaElement._of``).
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from operator import attrgetter
@@ -60,6 +62,9 @@ Diagram = tuple[tuple[int, ...], ...]
 
 # Reduced fraction of unbounded integers; denominator always positive.
 Rational = Fraction
+
+# A nonempty weight as text: decimal entries joined by commas, nothing else.
+_WEIGHT = r"-?[0-9]+(?:,-?[0-9]+)*"
 
 
 def _int_arg(name: str, value, low: int | None = 0) -> int:
@@ -190,7 +195,10 @@ class OmegaElement(_Value):
     __slots__ = ("mu",)
 
     def __init__(self, mu: tuple[Weight, ...]):
-        mu = tuple(tuple(m) for m in mu)
+        try:
+            mu = tuple(tuple(m) for m in mu)
+        except TypeError:
+            raise ValueError(f"mu must hold weights, got {mu!r}") from None
         object.__setattr__(self, "mu", mu)
         if mu and not mu[-1]:
             raise ValueError("last component mu_s must be nonempty")
@@ -271,7 +279,10 @@ def omega_from_pair(alpha: PartitionMult, nu) -> OmegaElement:
     weakly decreasing (dominance).
     """
     parts = alpha.parts
-    nu = tuple(nu)
+    try:
+        nu = tuple(nu)
+    except TypeError:
+        raise ValueError(f"nu must hold ints, got {nu!r}") from None
     if len(nu) != len(parts):
         raise ValueError(
             f"length mismatch: {len(parts)} parts but {len(nu)} entries"
@@ -298,19 +309,15 @@ def format_weight(w) -> str:
 
 
 def parse_weight(text: str, sort: bool = False) -> Weight:
-    """Parse the canonical comma-separated form.
+    """Parse the canonical form: "" or text that ``_WEIGHT`` matches whole.
 
     Rejects non-weakly-decreasing input unless ``sort`` is set, in which
     case the entries are sorted (callers opt in explicitly; silent
     normalization would mask bugs).
     """
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        entries = tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse weight from {text!r}") from None
+    if not isinstance(text, str) or text and not re.fullmatch(_WEIGHT, text):
+        raise ValueError(f"cannot parse weight from {text!r}")
+    entries = tuple(map(int, text.split(","))) if text else ()
     if sort:
         return dom(entries)
     return validate_weight(entries)

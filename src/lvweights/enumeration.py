@@ -42,11 +42,11 @@ Input is checked at the entry points, by ``core``'s kernels, in signature
 order and each argument's type before its sign: ``default_bound``, the
 ``SearchBox`` constructor (n, k and bound, ``int`` and >= 0, then the
 prime), ``enumerate_distinguished``'s ``jobs`` (>= 1), ``closed_family``,
-the ``ScatterRecord`` constructor, ``scatter_records`` and
-``write_scatter_csv``'s coordinate count.  The family members
-``_family_params`` lists and the CLI's records (``ScatterRecord._of``) are
-built valid and skip the checks; every member's depth is still confirmed
-by iteration.
+the ``ScatterRecord`` constructor, ``scatter_records``,
+``write_scatter_csv``'s coordinate count and ``write_scatter_svg``'s prime.
+The family members ``_family_params`` lists and the CLI's records
+(``ScatterRecord._of``) are built valid and skip the checks; every
+member's depth is still confirmed by iteration.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from operator import attrgetter
 from .core import Weight, _int_arg, _printable, _Value, dom, validate_weight
 from .counting import count_distinguished, partitions_mult
 from .lv_algorithm import _clump_plan, _lv_mu
-from .modular_iteration import (ModularContext, _bounded_depth,
+from .modular_iteration import (ModularContext, _bounded_depth, _geom, _rho,
                                 distinguished_depth)
 
 __all__ = [
@@ -76,15 +76,13 @@ __all__ = [
 
 
 def default_bound(n: int, k: int, p: int) -> int:
-    """(n-1)(p^k - 1)/(p - 1): the largest entry of the scaled staircase,
-    the default bound of ``enumerate``.  The tests check that it is the
-    largest entry of D(n, k) on every case they construct."""
+    """(n-1)(p^k - 1)/(p - 1), the top entry of ``rho_family(n, k)`` (0 for
+    n <= 1): the default bound of ``enumerate``.  The tests check that it
+    is the largest entry of D(n, k) on every case they construct."""
     _int_arg("n", n)
     _int_arg("k", k)
     _int_arg("p", p, 2)
-    if n <= 1:
-        return 0
-    return (n - 1) * (p**k - 1) // (p - 1)
+    return (n - 1) * _geom(p, k) if n > 1 else 0
 
 
 class SearchBox(_Value):
@@ -306,12 +304,6 @@ FAMILY_IDS = {2: ("A",), 3: ("A", "B"), 4: ("F1", "F2", "F3", "F4")}
 _FAMILY_ARITY = {"A": 1, "B": 1, "F1": 1, "F2": 1, "F3": 2, "F4": 2}
 
 
-@cache
-def _geom(p: int, m: int) -> int:
-    """1 + p + ... + p^(m-1) = (p^m - 1)/(p - 1)."""
-    return (p**m - 1) // (p - 1)
-
-
 def _exact_div(num: int, den: int) -> int:
     d, r = divmod(num, den)
     if r:
@@ -320,22 +312,15 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def _family_weight(n: int, family_id: str, params: tuple[int, ...], p: int):
-    """Weight and stated iteration depth of a member with checked params."""
-    if n == 2:
-        (m,) = params
-        c = _geom(p, m)
-        return (c, -c), m
-    if n == 3:
-        (m,) = params
-        if family_id == "A":
-            c = 2 * _geom(p, m)
-            return (c, 0, -c), m
+    """Weight and stated iteration depth of a member with checked params.
+    A (n = 2, 3) and F1 (n = 4) are ``rho_family``'s staircase of depth m;
+    the others are written with ``_geom``, the staircase's scale."""
+    m = params[0]
+    if family_id in ("A", "F1"):
+        return _rho(n, m, p), m
+    if family_id == "B":
         x = _geom(p, m + 1) + _geom(p, m)
         return (x, 0, -x), m + 1
-    m = params[0]
-    if family_id == "F1":
-        c = _geom(p, m)
-        return (3 * c, c, -c, -3 * c), m
     if family_id == "F2":
         x = _geom(p, m + 1) + 2 * _geom(p, m)
         y = _geom(p, m)
@@ -490,14 +475,15 @@ def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_scatter_svg(records, path, p: int, size: int = 640) -> None:
-    """Scatter plot of the first two coordinates with both axes log-scaled
-    base p.  Zero has no logarithm, so it is drawn in a dedicated origin
-    band one slot left of/below p^0.  Presentation plumbing only; the CSV
-    is the canonical artifact.
+def write_scatter_svg(records, path, p: int) -> None:
+    """Scatter plot of the first two coordinates, 640 px square, with both
+    axes log-scaled base p (an int >= 2).  Zero has no logarithm, so it is
+    drawn in a dedicated origin band one slot left of/below p^0.
+    Presentation plumbing only; the CSV is the canonical artifact.
     """
+    _int_arg("p", p, 2)
     records = list(records)
-    margin = 48.0
+    size, margin = 640, 48.0
     span = size - 2 * margin
 
     def logp(v: int) -> float:

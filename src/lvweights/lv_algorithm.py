@@ -46,7 +46,6 @@ from .core import (
 )
 
 __all__ = [
-    "Clump",
     "PlacementError",
     "maximal_clumps",
     "phi",
@@ -57,31 +56,17 @@ __all__ = [
     "lv",
 ]
 
-# A maximal clump: a contiguous block of a weight whose distinct values are
-# consecutive integers.
-Clump = tuple[int, ...]
-
-
 class PlacementError(RuntimeError):
     """No eligible row exists for a column entry during ``phi``.
 
-    This cannot happen for valid weakly decreasing input; it is raised with
-    a full diagnostic dump rather than silently patched, because it means
-    the construction's validity assumption was violated.
+    This cannot happen for valid weakly decreasing input; it is raised
+    rather than silently patched, because it means the construction's
+    validity assumption was violated.  Its message is the whole diagnostic:
+    the value, its column, the rows so far and the values still to place.
     """
 
-    def __init__(self, value: int, column: int, rows, remaining):
-        self.value = value
-        self.column = column
-        self.rows = [list(r) for r in rows]
-        self.remaining = list(remaining)
-        super().__init__(
-            f"no eligible row for value {value} in column {column}; "
-            f"rows={self.rows}, remaining={self.remaining}"
-        )
 
-
-def maximal_clumps(w) -> tuple[Clump, ...]:
+def maximal_clumps(w) -> tuple[Weight, ...]:
     """Split a weight into the minimal number of contiguous blocks whose
     distinct values are consecutive integers.
 
@@ -89,7 +74,7 @@ def maximal_clumps(w) -> tuple[Clump, ...]:
     what makes the splitting unique and minimal.
     """
     w = validate_weight(w)
-    clumps: list[Clump] = []
+    clumps: list[Weight] = []
     i, n = 0, len(w)
     while i < n:
         j = i + 1
@@ -145,7 +130,9 @@ def _phi_rows(w, base: int) -> list[list[int]]:
                         row.append(v)
                         break
                 else:
-                    raise PlacementError(v, r, rows, remaining)
+                    raise PlacementError(
+                        f"no eligible row for value {v} in column {r}; "
+                        f"rows={rows}, remaining={remaining}")
         for v in z:
             remaining.remove(v)
         r += 1

@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
+from functools import cache
 
-from .core import (OmegaElement, PartitionMult, Weight, _int_arg, _Value,
-                   validate_weight)
+from .core import (_WEIGHT, OmegaElement, PartitionMult, Weight, _int_arg,
+                   _Value, validate_weight)
 from .lv_algorithm import _lv_mu
 
 __all__ = [
@@ -321,15 +322,25 @@ def refinement_chain(trace: IterationTrace) -> RefinementChain:
         frontier = nxt
 
 
+@cache
+def _geom(p: int, m: int) -> int:
+    """1 + p + ... + p^(m-1) = (p^m - 1)/(p - 1)."""
+    return (p**m - 1) // (p - 1)
+
+
+def _rho(n: int, m: int, p: int) -> Weight:
+    """``rho_family`` on checked arguments."""
+    scale = _geom(p, m)
+    return tuple([v * scale for v in range(n - 1, -n, -2)])
+
+
 def rho_family(n: int, m: int, ctx: ModularContext) -> Weight:
     """The staircase (n-1, n-3, ..., 1-n) scaled by (p^m - 1)/(p - 1).
 
     Iterating division-by-p on the result peels one scale factor per level,
     so its distinguished depth is exactly m.
     """
-    _int_arg("n", n)
-    scale = (ctx.p**_int_arg("m", m) - 1) // (ctx.p - 1)
-    return tuple((n - 1 - 2 * i) * scale for i in range(n))
+    return _rho(_int_arg("n", n), _int_arg("m", m), ctx.p)
 
 
 # JSON trace form ------------------------------------------------------------
@@ -366,7 +377,7 @@ def trace_to_json(t: IterationTrace) -> str:
 # The opening of a node, closed at once on a leaf, or the close of a child
 # list: the tokens ``trace_to_json`` writes between its commas.  Compiled
 # on first use, not at import.
-_TOKEN = (r'\{"seq":\[(-?\d+(?:,-?\d+)*)?\],"status":'
+_TOKEN = (r'\{"seq":\[(' + _WEIGHT + r')?\],"status":'
          r'("(?:[^"\\]|\\.)*")(?:(\})|,"children":\[)|\]\}')
 
 

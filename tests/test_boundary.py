@@ -2,6 +2,7 @@
 ``core._int_arg``, and every public name is listed once, in its module's
 ``__all__``."""
 
+import os
 import re
 
 import pytest
@@ -10,6 +11,7 @@ import lvweights
 from lvweights import (
     CountTable,
     ModularContext,
+    OmegaElement,
     PartitionMult,
     ScatterRecord,
     SearchBox,
@@ -26,11 +28,13 @@ from lvweights import (
     leading_coefficient,
     lv_algorithm,
     modular_iteration,
+    omega_from_pair,
     partitions_mult,
     rho_family,
     scatter_records,
     telephone,
     write_scatter_csv,
+    write_scatter_svg,
 )
 
 CTX = ModularContext(7)
@@ -73,6 +77,8 @@ ENTRY_POINTS = [
      lambda v: PartitionMult.from_parts((2, v))),
     ("enumerate_distinguished", "jobs", 1,
      lambda v: enumerate_distinguished(SearchBox(2, 1, 5, 5), jobs=v)),
+    ("write_scatter_svg.p", "p", 2,
+     lambda v: write_scatter_svg([], os.devnull, v)),
 ]
 
 BAD_VALUES = [True, 1.0, "1", None, -1]
@@ -148,6 +154,29 @@ class TestRegressions:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_scatter_csv([], path, ncoords=ncoords)
         assert not path.exists()
+
+    @pytest.mark.parametrize("p, message", [
+        (1, "p must be >= 2, got 1"), (0, "p must be >= 2, got 0"),
+        (2.5, "p must be an int, got 2.5"),
+    ])
+    def test_scatter_svg_refuses_a_bad_prime(self, tmp_path, p, message):
+        # 1 once raised ZeroDivisionError, 0 "math domain error", and 2.5
+        # wrote a file.
+        path = tmp_path / "pts.svg"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_scatter_svg([ScatterRecord((3, 1), 1)], path, p)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: OmegaElement(5), "mu must hold weights, got 5"),
+        (lambda: OmegaElement([1]), "mu must hold weights, got [1]"),
+        (lambda: omega_from_pair(PartitionMult((2,)), 5),
+         "nu must hold ints, got 5"),
+    ], ids=["OmegaElement(5)", "OmegaElement([1])", "omega_from_pair-nu-5"])
+    def test_a_non_iterable_omega_is_refused(self, call, message):
+        # Each once raised TypeError: 'int' object is not iterable.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_count_refuses_a_bool(self):
         with pytest.raises(ValueError, match="^n must be an int, got True$"):

@@ -176,6 +176,15 @@ class TestLvCommand:
         assert code == 0
         assert json.loads(out) == {"mu": [[0], [0]]}
 
+    @pytest.mark.parametrize("argv", [
+        ("--weight", "2, 1"), ("--weight=+2,1",), ("--weight", "1_0,1"),
+    ])
+    def test_refuses_text_off_the_grammar(self, capout, argv):
+        # Each once exited 0; "1_0,1" printed {"mu":[[9,2]]}.
+        code, out, err = capout("lv", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("lvweights: error: cannot parse weight from ")
+
 
 class TestIterateCommand:
     def test_trace_json(self, capout):

@@ -393,6 +393,22 @@ class TestTextForms:
         with pytest.raises(ValueError):
             parse_weight("1,x")
 
+    @pytest.mark.parametrize("text", [
+        "2, 1", "+2,1", "1_0,1", " 2,1", "2,1\n", "1,,2", ",",
+        "\u0661,\u0660",  # Arabic-Indic 1,0: decimal to int(), not ASCII
+        None, b"2,1",
+    ])
+    def test_parse_reads_only_the_grammar(self, text):
+        # int() once read each entry of the stripped text, so all but
+        # "1,,2" and "," parsed, and a text that is no str raised
+        # AttributeError.
+        message = f"cannot parse weight from {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_weight(text)
+
+    def test_parse_reads_negative_zero(self):
+        assert parse_weight("-0,-0") == (0, 0)
+
     @given(weights)
     def test_round_trip(self, w):
         assert parse_weight(format_weight(w)) == w

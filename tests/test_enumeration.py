@@ -784,6 +784,20 @@ class TestClosedFamily:
         with pytest.raises(ValueError, match="parameter"):
             closed_family(4, "F3", (1,), ModularContext(5))
 
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_a_and_f1_are_the_staircase(self, p):
+        # Family A (n = 2, 3) and F1 (n = 4) are rho_family's staircase,
+        # and both are the literal closed forms with c = (p^m - 1)/(p - 1).
+        ctx = ModularContext(p)
+        for m in range(31):
+            c = (p**m - 1) // (p - 1)
+            literal = {2: (c, -c), 3: (2 * c, 0, -2 * c),
+                       4: (3 * c, c, -c, -3 * c)}
+            for n, family_id in ((2, "A"), (3, "A"), (4, "F1")):
+                w, depth = enumeration._family_weight(n, family_id, (m,), p)
+                assert w == rho_family(n, m, ctx) == literal[n], (n, m)
+                assert depth == m
+
     def test_f4_parity_split(self):
         ctx = ModularContext(5)
         # Hand-evaluate the two parity branches at k = 0.

@@ -595,9 +595,11 @@ class TestTemplateErrors:
         # the canonical clump (0, -1, -2).
         monkeypatch.setattr(lv_algorithm, "_select_column",
                             lambda remaining, r: [remaining[-1]])
+        message = (r"^no eligible row for value -1 in column 2; "
+                   r"rows=\[\[-2\]\], remaining=\[0, -1\]$")
         for _ in range(2):
             for call in (phi, lv):
-                with pytest.raises(PlacementError):
+                with pytest.raises(PlacementError, match=message):
                     call((9, 8, 7))
 
     def test_column_gap(self, monkeypatch):
