@@ -71,7 +71,8 @@ def _fail(message: str):
 def _flag(arg: str, names) -> str | None:
     """The flag in ``names`` that ``arg`` gives, whole or as a unique prefix
     of a long flag, before any "=value"; "" for an unknown flag; None for
-    a value: a word, "-", a negative number or words with a space."""
+    a value: a word, "-", a negative number or words with a space.  Its
+    pattern runs only after "-" and a "." or a ``\\d`` (``isdecimal``)."""
     if arg == "--":
         _fail('"--" is not supported')
     name = arg.partition("=")[0]
@@ -79,8 +80,9 @@ def _flag(arg: str, names) -> str | None:
         f for f in names if name[:2] == "--" and f.startswith(name)]
     if len(found) > 1:
         _fail(f"{name} is ambiguous: {', '.join(found)}")
-    if arg[:1] != "-" or arg == "-" or not found and (
-            " " in arg or re.match(r"-\d+$|-\d*\.\d+$", arg)):
+    if arg[:1] != "-" or arg == "-" or not found and (" " in arg or (
+            arg[1:2].isdecimal() or arg[1:2] == ".")
+            and re.match(r"-\d+$|-\d*\.\d+$", arg)):
         return None
     return found[0] if found else ""
 
@@ -170,8 +172,7 @@ def _emit_weights(depths, args, p) -> None:
         if args.svg is not None:
             write_scatter_svg(records, args.svg, p)
     else:
-        for w in weights:
-            print(format_weight(w))
+        sys.stdout.write("".join([f"{format_weight(w)}\n" for w in weights]))
 
 
 def run(argv) -> int:

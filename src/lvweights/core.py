@@ -246,6 +246,13 @@ class PartitionMult(_Value):
         if mult and mult[-1] < 1:
             raise ValueError("largest recorded part must actually occur")
 
+    @classmethod
+    def _of(cls, mult: tuple[int, ...]) -> "PartitionMult":
+        """Wrap ``mult``, built by the library as valid, without checking."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "mult", mult)
+        return a
+
     @property
     def n(self) -> int:
         return sum((i + 1) * m for i, m in enumerate(self.mult))
@@ -305,7 +312,7 @@ def omega_to_pair(o: OmegaElement) -> tuple[PartitionMult, tuple[int, ...]]:
 
 def format_weight(w) -> str:
     """Comma-separated decimal entries, no whitespace; empty weight -> ''."""
-    return ",".join(str(v) for v in w)
+    return ",".join(map(str, w))
 
 
 def parse_weight(text: str, sort: bool = False) -> Weight:

@@ -53,22 +53,33 @@ __all__ = [
 ]
 
 
-def _part_lists(n: int, max_part: int):
-    """Partitions of n with parts <= max_part, descending lexicographic."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _part_lists(n - first, first):
-            yield (first, *rest)
+def _mults(n: int):
+    """The mult tuples of the partitions of n >= 0, part lists descending
+    lexicographic from (n) to (1, ..., 1): each next lowers the last part
+    above 1 by one and refills the rest greedily with parts no larger."""
+    mult = [0] * (n - 1) + [1] if n else []
+    while True:
+        yield tuple(mult)
+        if len(mult) <= 1:
+            return
+        s = 1  # mult[s] counts the last part above 1, s + 1
+        while not mult[s]:
+            s += 1
+        mult[s] -= 1  # that part and the ones, refilled with parts s
+        q, r = divmod(mult[0] + s + 1, s)
+        mult[0] = 0
+        mult[s - 1] += q
+        if r:
+            mult[r - 1] += 1
+        if not mult[-1]:
+            mult.pop()
 
 
 @cache
 def partitions_mult(n: int) -> tuple[PartitionMult, ...]:
     """All partitions of n as multiplicity vectors, in the deterministic
-    order of descending lexicographic part lists."""
-    return tuple(PartitionMult.from_parts(p)
-                 for p in _part_lists(_int_arg("n", n), n))
+    order of descending lexicographic part lists (see ``_mults``)."""
+    return tuple(map(PartitionMult._of, _mults(_int_arg("n", n))))
 
 
 class CountTable:

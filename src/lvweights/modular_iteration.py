@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
-from functools import cache
+from functools import lru_cache
 
 from .core import (_WEIGHT, OmegaElement, PartitionMult, Weight, _int_arg,
                    _Value, validate_weight)
@@ -322,7 +322,7 @@ def refinement_chain(trace: IterationTrace) -> RefinementChain:
         frontier = nxt
 
 
-@cache
+@lru_cache(maxsize=1 << 10)  # bounded: any number of scales may be asked
 def _geom(p: int, m: int) -> int:
     """1 + p + ... + p^(m-1) = (p^m - 1)/(p - 1)."""
     return (p**m - 1) // (p - 1)

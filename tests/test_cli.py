@@ -736,6 +736,8 @@ EDGE_CASES = [
     ["enumerate", "--n", "2", "--prime", "5", "--k", "1", "--bound", "-5"],
     ["coeff", "--n", "-1"], ["count", "--n", "4", "--k", "-1.5"],
     ["count", "--n", "-1.", "--k", "1"], ["count", "--n", "-.5", "--k", "1"],
+    ["count", "--n", "-\u0664", "--k", "1"],  # a non-ASCII digit, read as -4
+    ["count", "--n", "-\u0664.5", "--k", "1"], ["count", "--n", "-.", "--k", "1"],
     ["lv", "--weight", "-1,-2"], ["lv", "--weight=-1,-2"],
     ["lv", "--weight", "-1"], ["lv", "--weight", "-"], ["lv", "--weight", "- 1"],
     ["lv", "--weight", "-1 ,-2"], ["lv", "--weight", "-5\n"],
@@ -773,11 +775,11 @@ def _argv_id(argv):
     return " ".join(argv)[:40] or "(none)"
 
 
-def _documented_argvs():
-    """Each argv that the README's examples and the CI workflow run, a
-    shell variable or substitution read as 7."""
+def _documented_argvs(paths=("README.md", ".github/workflows/tests.yml")):
+    """Each argv that the README's examples and the CI workflow (or the
+    files of ``paths``) run, a shell variable or substitution read as 7."""
     argvs = []
-    for path in (ROOT / "README.md", ROOT / ".github/workflows/tests.yml"):
+    for path in map(ROOT.joinpath, paths):
         for line in path.read_text().splitlines():
             m = re.search(r"(?:lvweights(?:\.cli)?|refuse|usage) ((?:lv|iterate|"
                           r"check|enumerate|count|coeff|families|verify)\b"
@@ -830,6 +832,17 @@ class TestParser:
     def test_workload_argvs_parse_as_argparse(self, argv):
         assert_parses_as_argparse(argv)
         assert parsed(cli.build_parser, argv)[0] == 0
+
+    @pytest.mark.parametrize("argv", _documented_argvs(["README.md"])
+                             + _workload_argvs(), ids=_argv_id)
+    def test_plain_argvs_run_no_pattern(self, monkeypatch, argv):
+        # No argv that the README or the bench runs holds a value that
+        # starts with "-", so none pays for the negative-number pattern.
+        def refuse(*args):
+            raise AssertionError(f"re.match{args}")
+        parsed_before = parsed(cli.build_parser, argv)
+        monkeypatch.setattr(cli.re, "match", refuse)
+        assert parsed(cli.build_parser, argv) == parsed_before
 
     @pytest.mark.parametrize("argv", [
         ["count", "--n", "1", "--k", "1", "--"],

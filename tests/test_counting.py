@@ -5,6 +5,7 @@ import pytest
 
 from lvweights import (
     CountTable,
+    PartitionMult,
     count_distinguished,
     leading_coefficient,
     partitions_mult,
@@ -24,7 +25,34 @@ POLYNOMIALS = {
 }
 
 
+def part_lists(n, max_part):
+    """Differential oracle for ``partitions_mult``: the partitions of n with
+    parts <= max_part as part lists, descending lexicographic, built
+    recursively (the generator the iterative one replaced)."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in part_lists(n - first, first):
+            yield (first, *rest)
+
+
 class TestPartitionsMult:
+    def test_matches_the_recursive_order(self):
+        for n in range(31):
+            got = partitions_mult(n)
+            assert [a.mult for a in got] == [
+                PartitionMult.from_parts(p).mult for p in part_lists(n, n)], n
+            # each wrapped unchecked, so each passes the checked constructor
+            assert all(PartitionMult(a.mult) == a for a in got), n
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0], ids=repr)
+    def test_refuses_a_bad_n(self, n):
+        partitions_mult(1)
+        partitions_mult(2)  # cached, and a cache hit must not skip the check
+        with pytest.raises(ValueError, match="^n must be"):
+            partitions_mult(n)
+
     def test_four(self):
         got = [p.parts for p in partitions_mult(4)]
         assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

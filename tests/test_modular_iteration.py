@@ -29,6 +29,7 @@ from lvweights.modular_iteration import (
     STATUS_NONINTEGRAL,
     STATUS_TERMINAL_SHORT,
     STATUS_ZEROS,
+    _geom,
 )
 
 GOLDEN_WEIGHT = (46, 46, 45, 1, -1, -45, -46, -46)
@@ -398,6 +399,15 @@ class TestRhoFamily:
                     assert len(node.children) == 1
                     node = node.children[0]
                 assert node.seq == lam
+
+    def test_the_scale_cache_is_bounded(self):
+        # An unbounded cache once kept every scale asked for: 5,000 depths
+        # left 5,000 entries (6 MB), 20,000 left about 99 MB.
+        ctx = ModularContext(13)
+        for m in range(5000):
+            assert rho_family(2, m, ctx) == ((13**m - 1) // 12,
+                                             -((13**m - 1) // 12))
+        assert _geom.cache_info().currsize <= 1024
 
     def test_monotone_membership(self):
         ctx = ModularContext(11)
