@@ -27,7 +27,10 @@ do the other modules' public functions; ``omega_from_pair`` and
 dominance included, to the ``OmegaElement`` constructor.  An
 ``OmegaElement`` that ``lv``, ``lv_p``, ``kappa`` or
 ``reverse_negate_omega`` builds holds by construction and skips
-re-validation (``OmegaElement._of``).
+re-validation (``OmegaElement._of``).  So does a diagram that ``phi``,
+``apply_E`` or ``apply_E_inverse`` returns, a ``_BuiltDiagram``: its rows
+are tuples of the ``int`` entries of a checked input plus ``int`` shifts,
+and a slice or sum of it is a plain tuple, checked again.
 """
 
 from __future__ import annotations
@@ -125,13 +128,24 @@ def reverse_negate(w) -> Weight:
     return tuple(-v for v in reversed(w))
 
 
+class _BuiltDiagram(tuple):
+    """A diagram built valid; a copy or pickle of it is a plain tuple."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 def validate_diagram(rows) -> Diagram:
     """Return ``rows`` as a diagram (tuple of integer row tuples).
 
     Row lengths may differ and rows are not required to be monotone; only
     the row/column grid structure matters.  Column j is the j-th entry of
-    every row of length >= j.
+    every row of length >= j.  A ``_BuiltDiagram`` is returned unchecked.
     """
+    if type(rows) is _BuiltDiagram:
+        return rows
     out = []
     for row in rows:  # len(out) numbers the row, cheaper than enumerate
         r = tuple(row)

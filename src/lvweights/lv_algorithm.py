@@ -34,12 +34,14 @@ round-trip testing.  All functions are pure and operate on immutable values.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 
 from .core import (
     Diagram,
     OmegaElement,
     Weight,
+    _BuiltDiagram,
     dom,
     validate_diagram,
     validate_weight,
@@ -200,14 +202,13 @@ def phi(w, base: int = 1) -> Diagram:
     if base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
-    return tuple(tuple(v + top for v in row)
-                 for (rows, _, _), top in _clump_plan(w, base) for row in rows)
+    return _BuiltDiagram([tuple([v + top for v in row]) for (rows, _, _), top
+                          in _clump_plan(w, base) for row in rows])
 
 
 def phi_inverse(x: Diagram) -> Weight:
     """Sort all diagram entries weakly decreasing."""
-    x = validate_diagram(x)
-    return dom(v for row in x for v in row)
+    return dom(chain.from_iterable(validate_diagram(x)))
 
 
 def apply_E(x: Diagram) -> Diagram:
@@ -255,15 +256,15 @@ def _correct_columns(x: Diagram, sign: int = 1) -> Diagram:
             above = v
             shift += step
         j += 1
-    return tuple(map(tuple, rows))
+    return _BuiltDiagram(map(tuple, rows))
 
 
 def kappa(x: Diagram) -> OmegaElement:
     """Group rows by length: mu_i is the sorted row sums of length-i rows."""
-    rows = [r for r in validate_diagram(x) if r]
-    width = max(map(len, rows), default=0)
+    x = validate_diagram(x)
+    width = max(map(len, x), default=0)
     buckets: list[list[int]] = [[] for _ in range(width)]
-    for row in rows:
+    for row in filter(None, x):  # an empty row goes in no bucket
         buckets[len(row) - 1].append(sum(row))
     return OmegaElement._of(tuple(map(dom, buckets)))
 

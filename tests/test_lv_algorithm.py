@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -22,7 +24,7 @@ from lvweights import (
     reverse_negate_omega,
 )
 from lvweights import lv_algorithm
-from lvweights.core import dom
+from lvweights.core import _BuiltDiagram, dom, validate_diagram
 from lvweights.lv_algorithm import (
     PlacementError,
     _correct_columns,
@@ -479,6 +481,86 @@ class TestTrustedResults:
         with pytest.raises(ValueError, match="mu_1: not weakly decreasing"):
             assert_trusted(lv_p(w, ModularContext(17)),
                            reference_lv_p(w, 17))
+
+
+def outcome(f, x):
+    """``f(x)``, or the type and text of the ``ValueError`` it raises."""
+    try:
+        return f(x)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+STAGES = (apply_E_inverse, apply_E, kappa, phi_inverse)
+
+
+class TestBuiltDiagrams:
+    """Differential oracle for the diagrams that ``phi`` and the column
+    correction build and ``validate_diagram`` passes unchecked: every stage
+    that takes a diagram gives the same result, or the same error, on a
+    plain tuple copy and on a list-of-lists copy, which it checks in
+    full."""
+
+    @given(st.one_of(weights, clump_weights(), multi_clump_weights()),
+           st.sampled_from([0, 1]))
+    @settings(max_examples=300)
+    def test_same_result_as_plain_input(self, w, base):
+        x = phi(w, base)
+        for built in (x, apply_E_inverse(x), apply_E(x)):
+            assert type(built) is _BuiltDiagram
+            assert validate_diagram(built) is built
+            plain = tuple(map(tuple, built))
+            lists = [list(row) for row in built]
+            for f in STAGES:
+                got = outcome(f, built)
+                assert outcome(f, plain) == got
+                assert outcome(f, lists) == got
+
+    @pytest.mark.parametrize("rows, message", [
+        (((1, 1.5),), "row 1 has non-integer entry 1.5"),
+        (((2,), (1, True)), "row 2 has non-integer entry True"),
+        (((0,), (), (False,)), "row 3 has non-integer entry False"),
+        (((3,), (None,)), "row 2 has non-integer entry None"),
+    ])
+    @pytest.mark.parametrize("f", STAGES)
+    def test_malformed_entries_keep_their_message(self, f, rows, message):
+        for x in (rows, [list(row) for row in rows]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                f(x)
+
+    def test_a_slice_or_sum_is_checked_again(self):
+        x = phi(GOLDEN_WEIGHT)
+        for derived in (x + ((1.5,),), x[:2], x[1:] * 2, ((1.5,),) + x):
+            assert type(derived) is tuple
+        n = len(x) + 1
+        for f in STAGES:
+            with pytest.raises(ValueError, match=(
+                    f"^row {n} has non-integer entry 1.5$")):
+                f(x + ((1.5,),))
+        with pytest.raises(ValueError, match="^column 1 gap below 2"):
+            apply_E_inverse(x[:1] + x[:1])
+
+    def test_reads_as_a_plain_tuple(self):
+        x = phi(GOLDEN_WEIGHT)
+        plain = tuple(map(tuple, x))
+        assert x == plain and plain == x and isinstance(x, tuple)
+        assert hash(x) == hash(plain) and repr(x) == repr(plain)
+
+    def test_a_copy_or_pickle_is_a_plain_tuple(self):
+        x = apply_E_inverse(phi(GOLDEN_WEIGHT))
+        copies = [copy.copy(x), copy.deepcopy(x)]
+        copies += [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert y == x == GOLDEN_EINV and type(y) is tuple
+
+    @given(ragged_diagrams)
+    def test_user_input_is_never_marked(self, x):
+        class Rows(tuple):
+            pass
+
+        for rows in (x, list(x), [list(row) for row in x], Rows(x)):
+            assert type(validate_diagram(rows)) is tuple
 
 
 class TestLvPAgainstReference:
