@@ -26,9 +26,9 @@ behind ``lv``, ``lv_p``, the depth search and the enumeration's inverse,
 which compiles its cells from it; ``apply_E_inverse`` and ``kappa`` take
 any diagram.
 
-``apply_E``, the entrywise inverse correction, runs the same kernel and
-sorts only a column out of order; with ``phi_inverse`` it supports
-round-trip testing.  All functions are pure and operate on immutable values.
+``apply_E``, the entrywise inverse correction, runs the same kernel on
+each column sorted by value; with ``phi_inverse`` it supports round-trip
+testing.  All functions are pure and operate on immutable values.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def apply_E(x: Diagram) -> Diagram:
     it as a (value, -row) pair.
 
     Equal pairs cannot occur since row indices differ, so the ranking is a
-    strict total order.  A column already weakly decreasing is not sorted.
+    strict total order.
     """
     return _correct_columns(validate_diagram(x), -1)
 
@@ -236,15 +236,15 @@ def apply_E_inverse(x: Diagram) -> Diagram:
 def _correct_columns(x: Diagram, sign: int = 1) -> Diagram:
     """``apply_E_inverse``, or ``apply_E`` when ``sign`` is -1, unvalidated:
     the t-th of a column's c entries, by value from the largest and ties top
-    row first, gains sign * (2t - (c-1)).  ``apply_E`` sorts a column only
-    if it is out of order; ``apply_E_inverse`` needs each entry at least 2
-    below the one above it and raises, quoting the entries as given."""
-    rows = [list(r) for r in x]
+    row first, gains sign * (2t - (c-1)).  ``apply_E`` sorts each column;
+    ``apply_E_inverse`` needs each entry at least 2 below the one above it
+    and raises, quoting the entries as given."""
+    rows = list(map(list, x))
     fall, step = 1 + sign, 2 * sign
     col, j = rows, 0
     while col := [row for row in col if len(row) > j]:
         order, shift = col, sign * (1 - len(col))
-        if sign < 0 and any(a[j] < b[j] for a, b in zip(col, col[1:])):
+        if sign < 0:  # a stable sort: ties keep the top row first
             order = sorted(col, key=itemgetter(j), reverse=True)
         above = order[0][j] + fall
         for row in order:

@@ -305,8 +305,9 @@ ragged_diagrams = st.lists(
 
 
 class TestApplyEAgainstReference:
-    """``apply_E`` shares its kernel with ``apply_E_inverse`` and sorts only
-    a column out of order; ``reference_apply_E`` always sorts."""
+    """``apply_E`` shares its kernel with ``apply_E_inverse`` and sorts
+    each column stably by value; ``reference_apply_E`` ranks (value, -row)
+    pairs."""
 
     @pytest.mark.parametrize("x", [
         ((0,), (0,), (0,)),          # a tie in every place
