@@ -3,17 +3,25 @@
 Forward map on dominant weights, its prime-division iteration, the
 distinguished weights that iterate to zero, and their enumeration,
 counting, and growth asymptotics.  Each module's ``__all__`` is the one
-list of its public names; the package exports them all.
+list of its public names.  The package's ``__getattr__`` looks a name up
+in those lists on first access, so ``Rational`` (``fractions.Fraction``)
+loads only when it is read.
 """
 
 from . import core, counting, enumeration, lv_algorithm, modular_iteration
-from .core import *  # noqa: F401,F403
-from .counting import *  # noqa: F401,F403
-from .enumeration import *  # noqa: F401,F403
-from .lv_algorithm import *  # noqa: F401,F403
-from .modular_iteration import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
+_MODULES = (core, counting, enumeration, lv_algorithm, modular_iteration)
+__all__ = [*(name for m in _MODULES for name in m.__all__), "__version__"]
 
-__all__ = [*core.__all__, *counting.__all__, *enumeration.__all__,
-           *lv_algorithm.__all__, *modular_iteration.__all__, "__version__"]
+
+def __getattr__(name: str):
+    for module in _MODULES:
+        if name in module.__all__:
+            globals()[name] = value = getattr(module, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,13 +14,12 @@ does not change the output, because every subcommand runs in one process.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from types import SimpleNamespace
 
 from .core import (_int_arg, _printable, format_weight, omega_to_json,
                    parse_weight)
-from .counting import count_distinguished, leading_coefficient
+from .counting import _leading_terms, count_distinguished
 from .enumeration import (FAMILY_IDS, ScatterRecord, SearchBox, _MAX_MEMBERS,
                           _check_size, _enumerate_depths, _family_depths,
                           default_bound, write_scatter_csv, write_scatter_svg)
@@ -71,8 +70,8 @@ def _fail(message: str):
 def _flag(arg: str, names) -> str | None:
     """The flag in ``names`` that ``arg`` gives, whole or as a unique prefix
     of a long flag, before any "=value"; "" for an unknown flag; None for
-    a value: a word, "-", a negative number or words with a space.  Its
-    pattern runs only after "-" and a "." or a ``\\d`` (``isdecimal``)."""
+    a value: a word, "-", a negative number or words with a space.  Only
+    "-" and a "." or a ``\\d`` (``isdecimal``) load ``re`` for its pattern."""
     if arg == "--":
         _fail('"--" is not supported')
     name = arg.partition("=")[0]
@@ -82,7 +81,7 @@ def _flag(arg: str, names) -> str | None:
         _fail(f"{name} is ambiguous: {', '.join(found)}")
     if arg[:1] != "-" or arg == "-" or not found and (" " in arg or (
             arg[1:2].isdecimal() or arg[1:2] == ".")
-            and re.match(r"-\d+$|-\d*\.\d+$", arg)):
+            and __import__("re").match(r"-\d+$|-\d*\.\d+$", arg)):
         return None
     return found[0] if found else ""
 
@@ -206,9 +205,9 @@ def run(argv) -> int:
         elif args.command == "coeff":
             what = f"coeff n = {args.n}"
             _printable(None, what, _coeff_log10_at_least(args.n))
-            c = leading_coefficient(args.n)
-            _printable(max(c.numerator, c.denominator), what)
-            print(f"{c.numerator}/{c.denominator}")
+            num, den = _leading_terms(args.n)
+            _printable(max(num, den), what)
+            print(f"{num}/{den}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)
             _check_size(args.n, args.max_k, args.prime, _MAX_MEMBERS,

@@ -35,10 +35,7 @@ and a slice or sum of it is a plain tuple, checked again.
 
 from __future__ import annotations
 
-import json
-import re
 import sys
-from fractions import Fraction
 from operator import attrgetter
 
 __all__ = [
@@ -63,8 +60,14 @@ __all__ = [
 Weight = tuple[int, ...]
 Diagram = tuple[tuple[int, ...], ...]
 
-# Reduced fraction of unbounded integers; denominator always positive.
-Rational = Fraction
+
+def __getattr__(name: str):  # Rational is fractions.Fraction, loaded late
+    if name != "Rational":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+    globals()["Rational"] = Fraction
+    return Fraction
+
 
 # A nonempty weight as text: decimal entries joined by commas, nothing else.
 _WEIGHT = r"-?[0-9]+(?:,-?[0-9]+)*"
@@ -336,6 +339,7 @@ def parse_weight(text: str, sort: bool = False) -> Weight:
     case the entries are sorted (callers opt in explicitly; silent
     normalization would mask bugs).
     """
+    import re
     if not isinstance(text, str) or text and not re.fullmatch(_WEIGHT, text):
         raise ValueError(f"cannot parse weight from {text!r}")
     entries = tuple(map(int, text.split(","))) if text else ()
@@ -346,11 +350,13 @@ def parse_weight(text: str, sort: bool = False) -> Weight:
 
 def omega_to_json(o: OmegaElement) -> str:
     """Canonical JSON form: {"mu":[[...],[...],...]}."""
+    import json
     return json.dumps({"mu": [list(m) for m in o.mu]}, separators=(",", ":"))
 
 
 def omega_from_json(text: str) -> OmegaElement:
     """Inverse of ``omega_to_json``; ``mu`` must be a list of lists."""
+    import json
     data = json.loads(text)
     mu = data.get("mu") if isinstance(data, dict) else None
     if not (isinstance(mu, list) and all(isinstance(m, list) for m in mu)):

@@ -37,12 +37,11 @@ unbounded ints and reduced fractions, no floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add
 
-from .core import PartitionMult, Rational, _int_arg
+from .core import PartitionMult, _int_arg
 
 __all__ = [
     "CountTable",
@@ -149,9 +148,16 @@ def telephone(i: int) -> int:
     return a if i == 0 else b
 
 
-def leading_coefficient(n: int) -> Rational:
-    """Leading coefficient of the k^floor(n/2) growth law, as an exact
-    reduced fraction.
+def leading_coefficient(n: int) -> Rational:  # core.Rational
+    """The k^floor(n/2) growth law's coefficient, ``_leading_terms`` as a
+    ``fractions.Fraction``."""
+    from fractions import Fraction
+    return Fraction(*_leading_terms(n))
+
+
+def _leading_terms(n: int) -> tuple[int, int]:
+    """The reduced numerator and denominator of ``leading_coefficient(n)``,
+    from integers alone, so the CLI prints them without ``fractions``.
 
     Computed twice -- by the even/odd recursion and by the closed form
     a_{floor((n+1)/2)} / floor(n/2)! -- and cross-checked; a mismatch would
@@ -176,4 +182,6 @@ def leading_coefficient(n: int) -> Rational:
             f"recursion {b[n]} vs closed form {closed} "
             f"(both over {n // 2}!)"
         )
-    return Fraction(b[n], factorial(n // 2))
+    d = factorial(n // 2)
+    g = gcd(b[n], d)
+    return b[n] // g, d // g

@@ -18,9 +18,6 @@ the result gives that text back.
 
 from __future__ import annotations
 
-import json
-import re
-from collections.abc import Iterator
 from functools import lru_cache
 
 from .core import (_WEIGHT, OmegaElement, PartitionMult, Weight, _int_arg,
@@ -353,6 +350,7 @@ def trace_to_json(t: IterationTrace) -> str:
     level and fails on a deep trace; the bytes are those of ``json.dumps``
     with separators (",", ":") on the nested dicts.
     """
+    import json
     out: list[str] = []
     todo: list = [t]  # nodes to write and literal text, next item last
     while todo:
@@ -387,6 +385,8 @@ def trace_from_json(text: str) -> IterationTrace:
 
     The tree is built on an explicit stack, so a trace of any depth is read.
     """
+    import json
+    import re
     # Nodes still open, above a holder for the finished root.
     stack: list[tuple] = [((), "", [])]
     for entries, status, leaf in re.findall(_TOKEN, text):

@@ -8,8 +8,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-import random
-
 from .core import dom, reverse_negate, reverse_negate_omega
 from .lv_algorithm import apply_E, apply_E_inverse, kappa, lv, phi, phi_inverse
 
@@ -44,6 +42,7 @@ def random_clump_weight(
 def _failures(samples: int, seed: int, draw, holds):
     """The weights among ``samples`` drawn by ``draw`` from
     ``random.Random(seed)`` for which ``holds`` is false."""
+    import random
     rng = random.Random(seed)
     return [w for w in (draw(rng) for _ in range(samples)) if not holds(w)]
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import lvweights
 import lvweights.cli as cli
 import lvweights.enumeration as enumeration
 from lvweights import (
@@ -319,7 +320,7 @@ class TestCountCoeff:
         def compute(n):
             raise AssertionError("the coefficient was computed")
 
-        monkeypatch.setattr(cli, "leading_coefficient", compute)
+        monkeypatch.setattr(cli, "_leading_terms", compute)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
@@ -331,6 +332,30 @@ class TestCountCoeff:
         assert (code, out) == (2, "")
         assert (f"coeff n = {n} has more than 4300 decimal digits, the limit "
                 "for integer string conversion") in err
+
+    def test_coeff_prints_the_reduced_fraction(self, capout):
+        # The CLI prints integers it reduces itself; leading_coefficient's
+        # Fraction is the oracle, numerator and denominator alike.
+        for n in [*range(201), 2000]:
+            c = leading_coefficient(n)
+            assert capout("coeff", "--n", str(n)) == (
+                0, f"{c.numerator}/{c.denominator}\n", ""), n
+
+    def test_coeff_refusal_is_that_of_the_fraction(self, capout):
+        # n = 3194 is refused whole, on the same value the Fraction gives:
+        # its larger term has 4,301 digits, n = 3193's has fewer.
+        big = [max(c.numerator, c.denominator) for c in
+               map(leading_coefficient, (3193, 3194))]
+        assert big[0] < 10**4300 <= big[1]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            refused = capout("coeff", "--n", "3194")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert refused == (2, "", "lvweights: error: coeff n = 3194 has more "
+                           "than 4300 decimal digits, the limit for integer "
+                           "string conversion\n")
 
     def test_coeff_bound_is_at_most_the_true_digits(self):
         # a_m / h! reduced, m = floor((n+1)/2), h = floor(n/2): the bound
@@ -841,7 +866,7 @@ class TestParser:
         def refuse(*args):
             raise AssertionError(f"re.match{args}")
         parsed_before = parsed(cli.build_parser, argv)
-        monkeypatch.setattr(cli.re, "match", refuse)
+        monkeypatch.setattr(re, "match", refuse)
         assert parsed(cli.build_parser, argv) == parsed_before
 
     @pytest.mark.parametrize("argv", [
@@ -908,3 +933,57 @@ def test_a_cli_run_loads_no_argparse_gettext_or_locale():
             "assert lvweights.cli.run(['count', '--n', '4', '--k', '2']) == 0")
     assert _cold_modules(code, ["argparse", "gettext", "locale"]) == (
         "11\n[]\n")
+
+
+# Standard modules that only some commands need: each is imported where it
+# is used, so a command loads only those it runs.
+_LATE = ["fractions", "decimal", "numbers", "json", "re", "random"]
+
+
+@pytest.mark.parametrize("code", ["import lvweights", "import lvweights.cli",
+                                  "import lvweights; dir(lvweights)"])
+def test_cold_import_loads_no_late_module(code):
+    assert _cold_modules(code, _LATE) == "[]\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["count", "--n", "4", "--k", "2"], []),
+    (["coeff", "--n", "2000"], []),
+    (["enumerate", "--n", "4", "--prime", "7", "--k", "2"], []),
+    (["families", "--n", "4", "--prime", "5", "--max-k", "3", "--csv"], []),
+    (["verify", "--samples", "20", "--seed", "1"], ["random"]),
+    (["check", "--weight", "2,0,-2", "--prime", "5"], ["re"]),
+    (["lv", "--weight", "3,1,0,-4"], ["json", "re"]),
+    (["iterate", "--weight", "2,0,-2", "--prime", "5"], ["json", "re"]),
+], ids=_argv_id)
+def test_a_command_loads_only_the_late_modules_it_runs(tmp_path, argv,
+                                                        loaded):
+    if argv[-1] == "--csv":
+        argv = [*argv, str(tmp_path / "out.csv")]
+    code = f"import lvweights.cli; assert lvweights.cli.run({argv!r}) == 0"
+    out = _cold_modules(code, _LATE)
+    assert out.splitlines()[-1] == repr(loaded), out
+
+
+@pytest.mark.parametrize("first", ["lvweights.Rational",
+                                   "lvweights.core.Rational"])
+def test_rational_is_fraction_loaded_on_first_access(first):
+    code = ("import lvweights; assert 'fractions' not in sys.modules; "
+            f"first = {first}; import fractions; "
+            "assert first is lvweights.Rational is lvweights.core.Rational "
+            "is fractions.Fraction")
+    assert _cold_modules(code, ["fractions"]) == "['fractions']\n"
+
+
+def test_dir_lists_every_public_name():
+    code = ("import lvweights; "
+            "assert set(lvweights.__all__) <= set(dir(lvweights))")
+    assert _cold_modules(code, _LATE) == "[]\n"
+    assert set(lvweights.__all__) <= set(dir(lvweights))
+
+
+@pytest.mark.parametrize("module", ["lvweights", "lvweights.core"])
+def test_an_unknown_name_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match=rf"^module '{module}' has no "
+                       "attribute 'no_such_name'$"):
+        getattr(sys.modules[module], "no_such_name")
