@@ -13,18 +13,19 @@ from 0 (``base=0``) flips the parity used by the selection and placement
 rules and is needed for the single-clump commutation argument; everything
 else is shared.
 
-``_phi_rows`` is the only placement code and ``_correct_columns`` the
-only column correction.  ``phi`` of a weight is the ``phi`` of each of its
+``_phi_rows`` is the only placement code and ``_correct_columns`` the only
+column correction.  ``phi`` of a weight is the ``phi`` of each of its
 maximal clumps, shifted; ``_template`` compiles a clump shape once, with
 both kernels, into its rows, its corrected row sums and its column sizes,
 and keeps it in a bounded cache keyed by the clump's multiplicities and
-the column base.  ``phi`` reads the rows of the templates.  ``_lv_mu`` is
-the fused map divided by p: a single-column diagram is a staircase shift,
-and any other weight takes one pass over its clumps' templates, which adds
-the cross-clump part of the column correction to the row sums.  It is
-behind ``lv``, ``lv_p``, the depth search and the enumeration's inverse,
-which compiles its cells from it; ``apply_E_inverse`` and ``kappa`` take
-any diagram.
+the column base.  Placement runs on those multiplicities alone, so a run
+of equal entries costs time linear in its length.  ``phi`` reads the rows
+of the templates.  ``_lv_mu`` is the fused map divided by p: a
+single-column diagram is a staircase shift, and any other weight takes one
+pass over its clumps' templates, which adds the cross-clump part of the
+column correction to the row sums.  It is behind ``lv``, ``lv_p``, the
+depth search and the enumeration's inverse, which compiles its cells from
+it; ``apply_E_inverse`` and ``kappa`` take any diagram.
 
 ``apply_E``, the entrywise inverse correction, runs the same kernel on
 each column sorted by value; with ``phi_inverse`` it supports round-trip
@@ -87,56 +88,53 @@ def maximal_clumps(w) -> tuple[Weight, ...]:
     return tuple(clumps)
 
 
-def _select_column(remaining: list[int], r: int) -> list[int]:
-    """Values entering column ``r``: per clump, every other distinct value.
+def _select_column(left: list[int], r: int) -> list[int]:
+    """Indices i whose value -i enters column ``r``, in increasing order,
+    where ``left[i]`` copies of -i are still to place: every other index
+    of each maximal clump, a run of nonzero counts.
 
     For a clump with distinct values (b_1, b_2, ...) the selection starts
     at b_2 when both the column number ``r`` and the count of distinct
-    values are even, and at b_1 otherwise.  One copy of each selected value
-    is returned, in decreasing order.
+    values are even, and at b_1 otherwise.
     """
     out: list[int] = []
-    i, n = 0, len(remaining)
+    i, n = 0, len(left)
     r_even = r % 2 == 0
     while i < n:
-        distinct = [remaining[i]]
-        j = i + 1
-        while j < n:
-            gap = distinct[-1] - remaining[j]
-            if gap > 1:
-                break
-            if gap == 1:
-                distinct.append(remaining[j])
+        j = i
+        while j < n and left[j]:
             j += 1
-        start = 1 if (r_even and len(distinct) % 2 == 0) else 0
-        out.extend(distinct[start::2])
-        i = j
+        out += range(i + (r_even and (j - i) % 2 == 0), j, 2)  # run [i, j)
+        i = j + 1
     return out
 
 
-def _phi_rows(w, base: int) -> list[list[int]]:
-    remaining = list(w)
+def _phi_rows(mults, base: int) -> list[list[int]]:
+    """``phi`` of the canonical clump with multiplicities ``mults``: the
+    value -i occurs ``mults[i]`` times."""
+    left = list(mults)
     rows: list[list[int]] = []
     r = base
-    while remaining:
-        z = _select_column(remaining, r)
+    while any(left):
+        z = _select_column(left, r)
         if not rows:
             # First column: one new row per value, decreasing top to bottom.
-            rows = [[v] for v in z]
+            rows = [[-i] for i in z]
         else:
             need = r - base  # a row is open iff its last entry sits in column r-1
             sign = 1 if r % 2 == 0 else -1
-            for v in z:
+            for i in z:
                 for row in rows:
-                    if len(row) == need and (row[-1] == v or row[-1] == v + sign):
-                        row.append(v)
+                    if len(row) == need and row[-1] + i in (0, sign):
+                        row.append(-i)
                         break
                 else:
                     raise PlacementError(
-                        f"no eligible row for value {v} in column {r}; "
-                        f"rows={rows}, remaining={remaining}")
-        for v in z:
-            remaining.remove(v)
+                        f"no eligible row for value {-i} in column {r}; "
+                        f"rows={rows}, remaining="
+                        f"{[-j for j, m in enumerate(left) for _ in range(m)]}")
+        for i in z:
+            left[i] -= 1
         r += 1
     return rows
 
@@ -163,8 +161,7 @@ def _template(mults: tuple[int, ...], base: int):
     raised here, once per template, on the canonical values; gaps across a
     clump boundary are at least 2.
     """
-    rows = tuple(map(tuple, _phi_rows(
-        [-i for i, m in enumerate(mults) for _ in range(m)], base)))
+    rows = tuple(map(tuple, _phi_rows(mults, base)))
     width = max(map(len, rows))
     return (rows, tuple(map(sum, _correct_columns(rows))),
             tuple(sum(len(row) > j for row in rows) for j in range(width)))

@@ -29,7 +29,7 @@ from lvweights import (
     write_scatter_csv,
     write_scatter_svg,
 )
-from lvweights.lv_algorithm import _correct_columns, _phi_rows, maximal_clumps
+from lvweights.lv_algorithm import _correct_columns, maximal_clumps, phi
 
 
 class TestDefaultBound:
@@ -525,7 +525,7 @@ def raw_compile_cell(weight):
         m = len(clumps) - 1 - j
         owner = (j, 1) if j < m else (m, -1) if j > m else (None, 0)
         owner_of.update(dict.fromkeys(clump, owner))
-    rows = _phi_rows(weight, 1)
+    rows = phi(weight, 1)
     firsts = [row[0] for row in rows]
     rows = _correct_columns(rows)
     shape = [0] * max(map(len, rows))

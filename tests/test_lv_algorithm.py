@@ -1,6 +1,10 @@
 import copy
+import itertools
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +33,6 @@ from lvweights.lv_algorithm import (
     PlacementError,
     _correct_columns,
     _lv_mu,
-    _phi_rows,
     _template,
 )
 
@@ -130,6 +133,15 @@ def single_column(w):
     return all(a - b >= 2 for a, b in zip(w, w[1:]))
 
 
+def multiplicity_vectors(n):
+    """Every vector of positive multiplicities summing to ``n``: the
+    2^(n-1) compositions of ``n``, one per set of cuts in 1..n-1."""
+    for k in range(n):
+        for cuts in itertools.combinations(range(1, n), k):
+            ends = (0, *cuts, n)
+            yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
 def clump_weights():
     # Single maximal clump: consecutive distinct values, multiplicities >= 1.
     return st.tuples(
@@ -201,6 +213,18 @@ class TestPhi:
     @settings(max_examples=300)
     def test_matches_reference(self, w, base):
         assert phi(w, base) == reference_phi(w, base)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_canonical_clump_matches_reference(self, n):
+        # The clump with distinct values 0, -1, -2, ... and multiplicities
+        # mults, for all 4,095 vectors of 1 to 12 entries, both bases.
+        count = 0
+        for mults in multiplicity_vectors(n):
+            w = tuple(-i for i, m in enumerate(mults) for _ in range(m))
+            for base in (0, 1):
+                assert phi(w, base) == reference_phi(w, base), (mults, base)
+            count += 1
+        assert count == 2 ** (n - 1)
 
     def test_all_zeros_single_row(self):
         for n in (1, 2, 5):
@@ -343,7 +367,7 @@ class TestKappa:
     @settings(max_examples=300)
     def test_phi_rows_of_one_length_come_sorted(self, w, base):
         # The enumeration's inverse pairs rows with sorted entries on this.
-        rows = _correct_columns(_phi_rows(w, base))
+        rows = _correct_columns(phi(w, base))
         for length in {len(row) for row in rows}:
             sums = [sum(row) for row in rows if len(row) == length]
             assert sums == sorted(sums, reverse=True), (w, base)
@@ -359,6 +383,14 @@ class TestLv:
 
     def test_small_staircase(self):
         assert lv((1, 0, -1)).mu == ((0,), (0,))
+
+    def test_a_long_run_of_equal_entries_costs_linear_time(self):
+        # Placing k equal entries costs O(k); at O(k^2) this takes ~20 s.
+        src = str(Path(lv_algorithm.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "from lvweights import lv; "
+                "assert lv((0,) * 20000).mu == ((),) * 19999 + ((0,),)")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=10)
 
     @pytest.mark.parametrize(
         "w, expected",
@@ -677,7 +709,8 @@ class TestTemplateErrors:
         # Taking the smallest value first leaves -1 nothing to follow in
         # the canonical clump (0, -1, -2).
         monkeypatch.setattr(lv_algorithm, "_select_column",
-                            lambda remaining, r: [remaining[-1]])
+                            lambda left, r: [max(i for i, m in enumerate(left)
+                                                 if m)])
         message = (r"^no eligible row for value -1 in column 2; "
                    r"rows=\[\[-2\]\], remaining=\[0, -1\]$")
         for _ in range(2):
@@ -688,8 +721,8 @@ class TestTemplateErrors:
     def test_column_gap(self, monkeypatch):
         # Taking every distinct value puts 0 over -1 in the first column.
         monkeypatch.setattr(lv_algorithm, "_select_column",
-                            lambda remaining, r: sorted(set(remaining),
-                                                        reverse=True))
+                            lambda left, r: [i for i, m in enumerate(left)
+                                             if m])
         for _ in range(2):
             with pytest.raises(ValueError,
                                match=re.escape("column 1 gap below 2")):
