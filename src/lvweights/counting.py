@@ -41,6 +41,7 @@ from functools import cache
 from math import comb, factorial, gcd
 from operator import add
 
+from . import core
 from .core import PartitionMult, _int_arg
 
 __all__ = [
@@ -148,7 +149,7 @@ def telephone(i: int) -> int:
     return a if i == 0 else b
 
 
-def leading_coefficient(n: int) -> Rational:  # core.Rational
+def leading_coefficient(n: int) -> core.Rational:
     """The k^floor(n/2) growth law's coefficient, ``_leading_terms`` as a
     ``fractions.Fraction``."""
     from fractions import Fraction

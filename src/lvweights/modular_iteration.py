@@ -119,15 +119,10 @@ class IterationTrace(_Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is not b:
-                if (a.seq, a.status, a.depth, len(a.children)) != (
-                        b.seq, b.status, b.depth, len(b.children)):
-                    return False
-                stack.extend(zip(a.children, b.children))
-        return True
+        # The walks align: equal child counts so far give them one shape.
+        return all((a.seq, a.status, a.depth, len(a.children)) ==
+                   (b.seq, b.status, b.depth, len(b.children))
+                   for a, b in zip(self._preorder(), other._preorder()))
 
     def __hash__(self):
         # Equal traces write the same JSON.
@@ -140,15 +135,19 @@ class IterationTrace(_Value):
                 f"depth={self.depth!r}, children=({', '.join(inner)}"
                 f"{',' * (len(inner) == 1)}))")
 
-    def leaves(self):
-        """The unexpanded nodes, left to right, read on an explicit stack."""
+    def _preorder(self):
+        """Every node, each before its children, left to right, read on an
+        explicit stack."""
         stack = [self]
         while stack:
             node = stack.pop()
-            if node.status != STATUS_EXPANDED:
-                yield node
-            else:
-                stack.extend(reversed(node.children))
+            yield node
+            stack.extend(reversed(node.children))
+
+    def leaves(self):
+        """The unexpanded nodes, left to right."""
+        return (node for node in self._preorder()
+                if node.status != STATUS_EXPANDED)
 
 
 class RefinementChain(_Value):
@@ -194,7 +193,7 @@ def _build(seq: Weight, cap: int, p: int) -> IterationTrace:
     stack so a deep chain does not hit the interpreter's recursion limit."""
     # Expanded nodes whose children are not all built yet, above a holder
     # for the root: (seq, the children still to build, the children built).
-    stack: list[tuple[Weight, Iterator[Weight], list]] = [((), iter(()), [])]
+    stack = [((), iter(()), [])]
     while True:
         depth = len(stack) - 1
         divided = None

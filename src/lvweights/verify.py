@@ -20,14 +20,14 @@ __all__ = [
 ]
 
 
-def random_weight(rng: random.Random, max_n: int = 8, lo: int = -50, hi: int = 50):
+def random_weight(rng, max_n: int = 8, lo: int = -50, hi: int = 50):
+    """Up to ``max_n`` entries in [lo, hi], drawn by ``rng``, a
+    ``random.Random`` (unannotated, so that ``random`` loads late)."""
     n = rng.randint(0, max_n)
     return dom(rng.randint(lo, hi) for _ in range(n))
 
 
-def random_clump_weight(
-    rng: random.Random, max_n: int = 8, lo: int = -20, hi: int = 20
-):
+def random_clump_weight(rng, max_n: int = 8, lo: int = -20, hi: int = 20):
     """A weight forming a single maximal clump: consecutive distinct values,
     each with multiplicity >= 1."""
     n = rng.randint(1, max_n)

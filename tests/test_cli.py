@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import typing
 from pathlib import Path
 
 import pytest
@@ -986,3 +988,22 @@ def test_an_unknown_name_raises_attribute_error(module):
     with pytest.raises(AttributeError, match=rf"^module '{module}' has no "
                        "attribute 'no_such_name'$"):
         getattr(sys.modules[module], "no_such_name")
+
+
+@pytest.mark.parametrize("module", [
+    "lvweights.core", "lvweights.counting", "lvweights.enumeration",
+    "lvweights.lv_algorithm", "lvweights.modular_iteration",
+    "lvweights.verify", "lvweights.cli"])
+def test_every_public_annotation_resolves(module):
+    # Annotations are strings until read; a name each module loads late
+    # (Rational) resolves when it is read.
+    module = importlib.import_module(module)
+    for name in module.__all__:
+        value = getattr(module, name)
+        if inspect.isclass(value):
+            functions = [f for f in vars(value).values()
+                         if inspect.isfunction(f)]
+        else:
+            functions = [value] if inspect.isfunction(value) else []
+        for function in functions:
+            typing.get_type_hints(function)
