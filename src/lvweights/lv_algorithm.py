@@ -101,7 +101,10 @@ def _select_column(left: list[int], r: int) -> list[int]:
     i, n = 0, len(left)
     r_even = r % 2 == 0
     while i < n:
-        j = i
+        if not left[i]:
+            i += 1
+            continue
+        j = i + 1
         while j < n and left[j]:
             j += 1
         out += range(i + (r_even and (j - i) % 2 == 0), j, 2)  # run [i, j)
@@ -109,13 +112,14 @@ def _select_column(left: list[int], r: int) -> list[int]:
     return out
 
 
-def _phi_rows(mults, base: int) -> list[list[int]]:
-    """``phi`` of the canonical clump with multiplicities ``mults``: the
-    value -i occurs ``mults[i]`` times."""
+def _phi_rows(mults, base: int) -> tuple[list[list[int]], list[int]]:
+    """The rows and column sizes of ``phi`` of the canonical clump with
+    multiplicities ``mults``: the value -i occurs ``mults[i]`` times."""
     left = list(mults)
     rows: list[list[int]] = []
-    r = base
+    cols: list[int] = []
     while any(left):
+        r = base + len(cols)
         z = _select_column(left, r)
         if not rows:
             # First column: one new row per value, decreasing top to bottom.
@@ -135,8 +139,8 @@ def _phi_rows(mults, base: int) -> list[list[int]]:
                         f"{[-j for j, m in enumerate(left) for _ in range(m)]}")
         for i in z:
             left[i] -= 1
-        r += 1
-    return rows
+        cols.append(len(z))
+    return rows, cols
 
 
 # Templates kept, at about 1 kB each.  6,000 clumpy weights with n <= 16
@@ -161,10 +165,9 @@ def _template(mults: tuple[int, ...], base: int):
     raised here, once per template, on the canonical values; gaps across a
     clump boundary are at least 2.
     """
-    rows = tuple(map(tuple, _phi_rows(mults, base)))
-    width = max(map(len, rows))
-    return (rows, tuple(map(sum, _correct_columns(rows))),
-            tuple(sum(len(row) > j for row in rows) for j in range(width)))
+    rows, cols = _phi_rows(mults, base)
+    rows = tuple(map(tuple, rows))
+    return rows, tuple(map(sum, _correct_columns(rows))), tuple(cols)
 
 
 def _clump_plan(w: Weight, base: int) -> list:

@@ -21,8 +21,7 @@ __all__ = [
 
 
 def random_weight(rng, max_n: int = 8, lo: int = -50, hi: int = 50):
-    """Up to ``max_n`` entries in [lo, hi], drawn by ``rng``, a
-    ``random.Random`` (unannotated, so that ``random`` loads late)."""
+    """Up to ``max_n`` entries in [lo, hi]; ``rng`` is a ``random.Random``."""
     n = rng.randint(0, max_n)
     return dom(rng.randint(lo, hi) for _ in range(n))
 
