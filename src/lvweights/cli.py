@@ -20,9 +20,9 @@ from types import SimpleNamespace
 from .core import (_int_arg, _printable, format_weight, omega_to_json,
                    parse_weight)
 from .counting import _leading_terms, count_distinguished
-from .enumeration import (FAMILY_IDS, ScatterRecord, SearchBox, _MAX_MEMBERS,
-                          _check_size, _enumerate_depths, _family_depths,
-                          default_bound, write_scatter_csv, write_scatter_svg)
+from .enumeration import (FAMILY_IDS, ScatterRecord, SearchBox, _check_size,
+                          _enumerate_depths, _family_depths, default_bound,
+                          write_scatter_csv, write_scatter_svg)
 from .lv_algorithm import lv
 from .modular_iteration import (ModularContext, distinguished_depth, iterate,
                                 trace_to_json)
@@ -210,8 +210,7 @@ def run(argv) -> int:
             print(f"{num}/{den}")
         elif args.command == "families":
             ctx = ModularContext(args.prime)
-            _check_size(args.n, args.max_k, args.prime, _MAX_MEMBERS,
-                        "family members")  # before a power of p
+            _check_size(args.n, args.max_k, args.prime)  # before a power of p
             _emit_weights(_family_depths(args.n, ctx, args.max_k), args, ctx.p)
         elif args.command == "verify":
             _int_arg("--samples", args.samples, 1)

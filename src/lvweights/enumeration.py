@@ -158,7 +158,7 @@ def _cells(n: int) -> dict[tuple[int, ...], list]:
     in {0, 1, 2}, and its bottom coordinate x_h is 0 or 1 for even n
     (middle gap 2*x_h) and 0, 1 or 2 for odd n; the bottom coordinate
     varies slowest and the top gap fastest.  Only levels >= 2 use the
-    index, and the weight limit of ``_check_size`` keeps those runs to
+    index, and the cell limit of ``_check_size`` keeps those runs to
     n <= 20: 39,366 cells, compiled in about 2 s."""
     cells: dict[tuple[int, ...], list] = {}
     bottoms = (0, 1, 2) if n % 2 else (0, 1)
@@ -252,36 +252,40 @@ def enumerate_distinguished(box: SearchBox, jobs: int = 1) -> list[Weight]:
     return sorted(_enumerate_depths(box), reverse=True)
 
 
-# The limits of ``_check_size``, in the README: D(n, k) and, for ``families``,
-# which builds all of D(n, max_k), its members; the other check is the
-# interpreter's digit limit.  count(n, k) does not fall as k grows, and
-# count(37, 1) = 21,637 and count(21, 2) = 21,077, so every run allowed has
-# n <= 36 at k = 1 and n <= 20 at k >= 2; (14, 3) has 7,382 weights.  n = 4
-# has 40,601 members to max_k = 200, 50,399 to 223.
-_MAX_WEIGHTS = 20_000
-_MAX_MEMBERS = 50_000
+# The limits of ``_check_size``, in the README.  count(n, k) does not fall as
+# k grows, so they allow n <= 41 at k = 1 (count(42, 1) = 53,174), n <= 17 at
+# k = 3 and k <= 222 at n = 4.  The index of length n has 2 * 3^(h-1) cells
+# for even n and 3^h for odd n (h = n // 2): n = 20's 39,366 stop k = 2 there.
+_MAX_WEIGHTS = 50_000
+_MAX_CELLS = 39_366
+_MAX_TEXT = 2**27
 
 
-def _check_size(n: int, k: int, p: int | None = None,
-                limit: int = _MAX_WEIGHTS,
-                what: str = "distinguished weights") -> int:
-    """Refuse, before any work, a run that builds D(n, k): when count(n,
-    k) is over ``limit``, or, given p, as the CLI that prints the weights
-    does, when ``default_bound(n, k, p)``, the largest entry of D(n, k),
-    has more decimal digits than the interpreter converts to text.  Return
-    count(n, k), which the construction must match.  k = 0 and n < 2 build
-    nothing and have one weight.  The bound is at least p^(k-1), so only a
-    bound near the limit is computed.
+def _check_size(n: int, k: int, p: int | None = None) -> int:
+    """Refuse, before any work, a run that builds D(n, k): when count(n, k)
+    is over ``_MAX_WEIGHTS``, when k >= 2 and the cell index of length n is
+    over ``_MAX_CELLS``, or, given p, as the CLI that prints the weights
+    does, when ``default_bound(n, k, p)``, the largest entry, has more
+    decimal digits d than the interpreter converts to text or the text of
+    count(n, k) weights, n * (d + 2) bytes each at most, is over
+    ``_MAX_TEXT`` bytes.  Return count(n, k), which the construction must
+    match; k = 0 and n < 2 build nothing and have one weight.  The bound
+    is at least p^(k-1), so only a bound near the digit limit is computed.
     """
     if k < 1 or n < 2:
         return 1
-    count = count_distinguished(n, k)
-    if count > limit:
-        raise ValueError(f"more than {limit} {what} at n = {n}, k = {k}")
+    count, at = count_distinguished(n, k), f" at n = {n}, k = {k}"
+    if count > _MAX_WEIGHTS:
+        raise ValueError(f"more than {_MAX_WEIGHTS} distinguished weights{at}")
+    if k > 1 and (3 if n % 2 else 2) * 3 ** (n // 2 - 1) > _MAX_CELLS:
+        raise ValueError(f"more than {_MAX_CELLS} index cells{at}")
     if p is not None:
         top = f"the largest entry of D(n = {n}, k = {k}) at p = {p}"
         _printable(None, top, (k - 1) * math.log10(p))
-        _printable(default_bound(n, k, p), top)
+        digits = math.log10(_printable(default_bound(n, k, p), top)) + 1
+        if count * n * (digits + 2) > _MAX_TEXT:
+            raise ValueError(f"more than {_MAX_TEXT} bytes of text{at}, "
+                             f"p = {p}")
     return count
 
 
@@ -302,6 +306,12 @@ def _enumerate_depths(box: SearchBox) -> dict[Weight, int]:
 
 FAMILY_IDS = {2: ("A",), 3: ("A", "B"), 4: ("F1", "F2", "F3", "F4")}
 _FAMILY_ARITY = {"A": 1, "B": 1, "F1": 1, "F2": 1, "F3": 2, "F4": 2}
+
+
+def _family_ids(n: int) -> tuple[str, ...]:
+    if _int_arg("n", n) not in FAMILY_IDS:
+        raise ValueError("closed families exist only for n in {2, 3, 4}")
+    return FAMILY_IDS[n]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -352,11 +362,9 @@ def closed_family(
     equal the stated count for its parameters; parameters that fail are
     rejected rather than guessed around.
     """
-    if _int_arg("n", n) not in FAMILY_IDS:
-        raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
-    params = tuple(params)
-    if family_id not in FAMILY_IDS[n]:
+    if family_id not in _family_ids(n):
         raise ValueError(f"unknown family {family_id!r} for n={n}")
+    params = tuple(params)
     arity = _FAMILY_ARITY[family_id]
     if len(params) != arity:
         raise ValueError(f"family {family_id} takes {arity} parameter(s), "
@@ -408,8 +416,7 @@ def _family_depths(
     confirmed depth is therefore the one ``scatter_records`` gives at cap
     ``max_k``.
     """
-    if _int_arg("n", n) not in FAMILY_IDS:
-        raise ValueError(f"closed families exist only for n in {{2, 3, 4}}")
+    _family_ids(n)
     ctx.check_length(n)
     _int_arg("max_k", max_k)
     memo: dict = {}

@@ -418,15 +418,24 @@ class TestEnumerateCommand:
         assert code == 2
         assert "exceed" in err
 
+    # Cases refused under the earlier 20,000-weight limit keep their ids.
     @pytest.mark.parametrize("n,k,p,match", [
-        (37, 1, 41, "more than 20000 distinguished weights"),
-        (21, 2, 23, "more than 20000 distinguished weights"),
-        (8, 1000, 11, "more than 20000 distinguished weights"),
-        (2, 10**9, 3, "more than 20000 distinguished weights"),
+        (42, 1, 43, "more than 50000 distinguished weights"),
+        (18, 3, 19, "more than 50000 distinguished weights"),
+        pytest.param(21, 2, 23, "more than 39366 index cells",
+                     id="21-2-23-more than 20000 distinguished weights"),
+        (22, 2, 23, "more than 39366 index cells"),
+        pytest.param(8, 1000, 11, "more than 50000 distinguished weights",
+                     id="8-1000-11-more than 20000 distinguished weights"),
+        pytest.param(2, 10**9, 3, "more than 50000 distinguished weights",
+                     id="2-1000000000-3-more than 20000 distinguished "
+                        "weights"),
+        (4, 139, 20000000000000000011,
+         "more than 134217728 bytes of text at n = 4, k = 139"),
     ])
     def test_size_guards(self, capout, monkeypatch, n, k, p, match):
         # Refused before the cell index is built, any cell is compiled or
-        # p**k computed.
+        # p**k computed; (4, 139) at a 20-digit prime would print 122 MB.
         def build(*args):
             raise AssertionError("work was done before the refusal")
 
@@ -632,7 +641,8 @@ class TestFamiliesCommand:
     @pytest.mark.parametrize("max_k", [223, 400, 10**9])
     def test_member_count_guard(self, capout, monkeypatch, max_k):
         # n = 4 has 50,399 members to depth 223 and 161,201 to depth 400:
-        # refused before any member is built, a huge --max-k at once.
+        # refused by the weight limit ``enumerate`` has too, before any
+        # member is built, a huge --max-k at once.
         def family_depths(*args):
             raise AssertionError("a family member was built")
 
@@ -642,10 +652,25 @@ class TestFamiliesCommand:
                                 "--max-k", str(max_k))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert "more than 50000 family members" in err
+        assert "more than 50000 distinguished weights" in err
+
+    def test_text_size_guard(self, capout, monkeypatch):
+        # 49,951 members, allowed at p = 5, but at a 20-digit prime their
+        # entries reach 4,267 digits, about 853 MB of text: refused before
+        # any member is built.
+        def family_depths(*args):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(cli, "_family_depths", family_depths)
+        start = time.perf_counter()
+        code, out, err = capout("families", "--n", "4", "--prime",
+                                "20000000000000000011", "--max-k", "222")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "more than 134217728 bytes of text at n = 4, k = 222" in err
 
     @pytest.mark.parametrize("n,p,k", [(2, 3, 12), (3, 7, 30), (4, 5, 20),
-                                       (4, 11, 40)])
+                                       (4, 11, 40), (4, 5, 200)])
     def test_csv_matches_enumerate(self, capout, tmp_path, n, p, k):
         # The closed families and the construction through the cells are
         # two routes to D(n, k) for n <= 4; their CSV files agree byte for

@@ -374,11 +374,11 @@ def partition_number(n):
 class TestLevelOne:
     # D(n, 1) = {h_lambda : lambda |- n}, whatever p: lv(h_lambda) is the
     # zero omega of shape lambda'.  The size guard lets a k = 1 run reach
-    # n = 36 (count(37, 1) is over the limit) and a run with k >= 2 reach
-    # n = 20, so level 1 is checked at every length to 36, on every alpha
-    # for n <= 24 and n = 36 and on a seeded sample in between.
+    # n = 41 (count(42, 1) is over the limit) and a run with k >= 2 reach
+    # n = 20, so level 1 is checked at every length to 41, on every alpha
+    # for n <= 24 and n = 36 and on a seeded sample of 200 at the others.
 
-    @pytest.mark.parametrize("n", range(37))
+    @pytest.mark.parametrize("n", range(42))
     def test_neutral_elements_map_to_zero_of_the_conjugate_shape(self, n):
         # ``_neutral`` inverts the zero target of every shape alpha, (n)
         # too, whose inverse is the zero weight: h_lambda for lambda = alpha'.
@@ -387,7 +387,7 @@ class TestLevelOne:
         hs = list(map(enumeration._neutral, targets))
         assert len(set(hs)) == len(hs) and hs[0] == (0,) * n
         checked = range(len(hs))
-        if 24 < n < 36:
+        if n > 24 and n != 36:
             checked = random.Random(n).sample(checked, 200)
         for i in checked:
             parts = alphas[i].parts
@@ -585,14 +585,21 @@ class TestCellTable:
 
 
 class TestSizeGuards:
-    """``enumerate`` refuses, before any work, a D(n, k) over its
-    documented limit."""
+    """``enumerate`` and ``families`` refuse, before any work, a D(n, k)
+    over one of the documented limits of ``_check_size``."""
 
+    # Cases refused under the earlier 20,000-weight limit keep their ids.
     @pytest.mark.parametrize("n,k,p,match", [
-        (37, 1, 41, "more than 20000 distinguished weights"),
-        (21, 2, 23, "more than 20000 distinguished weights"),
-        (8, 1000, 11, "more than 20000 distinguished weights"),
-        (2, 10**9, 3, "more than 20000 distinguished weights"),
+        (42, 1, 43, "more than 50000 distinguished weights"),
+        (18, 3, 19, "more than 50000 distinguished weights"),
+        pytest.param(21, 2, 23, "more than 39366 index cells",
+                     id="21-2-23-more than 20000 distinguished weights"),
+        (22, 2, 23, "more than 39366 index cells"),
+        pytest.param(8, 1000, 11, "more than 50000 distinguished weights",
+                     id="8-1000-11-more than 20000 distinguished weights"),
+        pytest.param(2, 10**9, 3, "more than 50000 distinguished weights",
+                     id="2-1000000000-3-more than 20000 distinguished "
+                        "weights"),
     ])
     def test_refuses_before_building(self, monkeypatch, n, k, p, match):
         def build(*args):
@@ -608,34 +615,51 @@ class TestSizeGuards:
         assert cells.cache_info().currsize == before
 
     def test_limits_are_tight(self):
-        # n = 36 is the longest length allowed at k = 1 and n = 20 at
-        # k = 2; D(n, k) may hold exactly the limit.  The guard returns the
-        # count the construction is checked against.
+        # n = 41 is the longest length allowed at k = 1, n = 20 at k = 2
+        # (by the cell limit) and n = 17 at k = 3, and k = 222 the deepest
+        # at n = 4; D(n, k) may hold exactly the weight limit.  The guard
+        # returns the count the construction is checked against.
         limit = enumeration._MAX_WEIGHTS
-        for n, k in [(36, 1), (20, 2), (2, 19_999)]:
+        for n, k in [(41, 1), (20, 2), (17, 3), (4, 222), (2, 49_999)]:
             assert enumeration._check_size(n, k) == count_distinguished(n, k)
-        assert count_distinguished(2, 19_999) == limit
-        for n, k in [(37, 1), (21, 2), (2, 20_000)]:
+        assert count_distinguished(2, 49_999) == limit
+        for n, k in [(42, 1), (21, 2), (22, 2), (18, 3), (4, 223),
+                     (2, 50_000)]:
             with pytest.raises(ValueError):
                 enumeration._check_size(n, k)
+        assert count_distinguished(21, 2) < limit
         assert enumeration._check_size(40, 0) == 1
         assert enumeration._check_size(1, 10**9) == 1
 
-    def test_the_cell_index_stays_within_length_20(self):
+    def test_the_cell_index_stays_within_length_20(self, monkeypatch):
         # count(n, k) does not fall as k grows, so every length past 20 is
         # refused at each k >= 2, the only runs that build ``_cells``; past
-        # 36 every k >= 1 is, and past 64 ``count_distinguished`` refuses.
-        limit = enumeration._MAX_WEIGHTS
+        # 41 every k >= 1 is, and past 64 ``count_distinguished`` refuses.
         for n in range(2, 65):
-            assert (count_distinguished(n, 2) > limit) == (n > 20), n
-            assert (count_distinguished(n, 1) > limit) == (n > 36), n
-        assert sum(map(len, enumeration._cells(20).values())) == 39_366
+            for k, longest in [(1, 41), (2, 20), (3, 17)]:
+                try:
+                    enumeration._check_size(n, k)
+                except ValueError:
+                    assert n > longest, (n, k)
+                else:
+                    assert n <= longest, (n, k)
+        # The guard's closed form counts the cells ``_cells`` builds: a
+        # limit of exactly that many passes, one fewer refuses.
+        for n in [*range(2, 17), 20]:
+            cells = sum(map(len, enumeration._cells(n).values()))
+            monkeypatch.setattr(enumeration, "_MAX_CELLS", cells)
+            enumeration._check_size(n, 2)
+            monkeypatch.setattr(enumeration, "_MAX_CELLS", cells - 1)
+            with pytest.raises(ValueError, match="index cells"):
+                enumeration._check_size(n, 2)
+        assert cells == 39_366
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 7)])
     def test_entry_size_limit_is_tight(self, n, p):
         # The last k whose largest entry converts to text passes and the
         # next does not; without p (the library prints nothing) neither is
-        # checked.
+        # checked.  Each passes the text limit too: (3, 5088, 7) prints at
+        # most 131 MB.
         top = 10 ** sys.get_int_max_str_digits()
         k = int(math.log(top, p))
         while default_bound(n, k, p) >= top:
@@ -649,7 +673,7 @@ class TestSizeGuards:
         enumeration._check_size(n, k + 1)
 
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 7), (4, 5)])
-    def test_family_entry_limit_is_tight(self, n, p):
+    def test_family_entry_limit_is_tight(self, monkeypatch, n, p):
         # The largest family member of depth <= max_k, A (n = 2, 3) or F1
         # (n = 4) at m = max_k, is default_bound(n, max_k, p): it prints at
         # the last max_k the limit lets through, and the next is refused.
@@ -663,29 +687,55 @@ class TestSizeGuards:
         w, _ = enumeration._family_weight(n, family, (max_k,), p)
         assert w[0] == default_bound(n, max_k, p)
         str(w[0])
-        # At n = 4 the member limit refuses first; lift it past the
-        # boundary so that the digit check decides.
-        limit = max(enumeration._MAX_MEMBERS,
-                    count_distinguished(n, max_k + 1))
-        enumeration._check_size(n, max_k, p, limit, "family members")
+        # At n = 4 the weight and text limits refuse first; lift them so
+        # that the digit check decides.
+        monkeypatch.setattr(enumeration, "_MAX_WEIGHTS", math.inf)
+        monkeypatch.setattr(enumeration, "_MAX_TEXT", math.inf)
+        enumeration._check_size(n, max_k, p)
         with pytest.raises(ValueError, match="decimal digits"):
-            enumeration._check_size(n, max_k + 1, p, limit, "family members")
+            enumeration._check_size(n, max_k + 1, p)
 
     def test_family_member_limit_is_tight(self):
         # n = 4 has k^2 + 3k + 1 members to depth k: 40,601 at k = 200, and
-        # the limit falls between k = 222 and 223.  For n = 2 and 3 (at
-        # most 2k + 1 members) the entry limit refuses first at every p.
-        limit = enumeration._MAX_MEMBERS
+        # the weight limit, the same as ``enumerate``'s, falls between
+        # k = 222 and 223.  For n = 2 and 3 (at most 2k + 1 members) the
+        # entry limit refuses first at every p.
+        limit = enumeration._MAX_WEIGHTS
         assert (count_distinguished(4, 222) <= limit
                 < count_distinguished(4, 223))
-        enumeration._check_size(4, 200, 5, limit, "family members")
-        enumeration._check_size(4, 222, 5, limit, "family members")
-        with pytest.raises(ValueError, match="more than 50000 family members"):
-            enumeration._check_size(4, 223, 5, limit, "family members")
+        enumeration._check_size(4, 200, 5)
+        enumeration._check_size(4, 222, 5)
+        with pytest.raises(ValueError,
+                           match="more than 50000 distinguished weights"):
+            enumeration._check_size(4, 223, 5)
         for n, p in [(2, 3), (3, 5)]:
             with pytest.raises(ValueError, match="decimal digits"):
-                enumeration._check_size(n, limit // n, p, limit,
-                                        "family members")
+                enumeration._check_size(n, limit // n, p)
+
+    @pytest.mark.parametrize("n,k,p", [(4, 222, 20000000000000000011),
+                                       (4, 139, 20000000000000000011),
+                                       (3, 5088, 7), (41, 1, 43),
+                                       (20, 2, 23)])
+    def test_text_limit_is_tight(self, monkeypatch, n, k, p):
+        # The guard bounds the text by count(n, k) * n * (digits + 2),
+        # counting digits from the largest entry's log10, so it refuses a
+        # limit one byte below that figure and passes one with one more
+        # digit per entry.  At 2^27 bytes it refuses the huge-prime runs,
+        # 853 and 211 MB, and passes the others.
+        size = count_distinguished(n, k) * n
+        digits = len(str(default_bound(n, k, p)))
+        monkeypatch.setattr(enumeration, "_MAX_TEXT", size * (digits + 2) - 1)
+        with pytest.raises(ValueError, match="bytes of text at n = "):
+            enumeration._check_size(n, k, p)
+        monkeypatch.setattr(enumeration, "_MAX_TEXT", size * (digits + 3))
+        enumeration._check_size(n, k, p)
+        monkeypatch.undo()
+        assert (size * (digits + 2) > 2**27) == (p > 10**19)
+        if p > 10**19:
+            with pytest.raises(ValueError, match="bytes of text"):
+                enumeration._check_size(n, k, p)
+        else:
+            enumeration._check_size(n, k, p)
 
     @pytest.mark.parametrize("n,k", [(14, 3), (8, 6), (4, 20), (4, 4),
                                      (14, 1)])
