@@ -21,8 +21,8 @@ from .core import (_int_arg, _printable, format_weight, omega_to_json,
                    parse_weight)
 from .counting import _leading_terms, count_distinguished
 from .enumeration import (FAMILY_IDS, ScatterRecord, SearchBox, _check_size,
-                          _enumerate_depths, _family_depths, default_bound,
-                          write_scatter_csv, write_scatter_svg)
+                          _enumerate_depths, _family_depths, _write_csv,
+                          _write_lines, default_bound, write_scatter_svg)
 from .lv_algorithm import lv
 from .modular_iteration import (ModularContext, distinguished_depth, iterate,
                                 trace_to_json)
@@ -159,19 +159,19 @@ def _coeff_log10_at_least(n: int) -> float:
 
 def _emit_weights(depths, args, p) -> None:
     """Print the weights of ``{weight: depth}`` sorted descending, or with
-    --csv/--svg write their scatter records.  The weights are built valid
-    and anti-symmetric and each depth is exact within the command's cap,
-    so the records, built unchecked, are those ``scatter_records`` gives."""
+    --csv/--svg write their scatter files.  The weights are valid, distinct
+    and anti-symmetric, so sorted by their leading coordinates too, and each
+    depth is exact within the command's cap: the CSV rows, written straight
+    from the map, are those of ``scatter_records``."""
     weights = sorted(depths, reverse=True)
-    if args.csv is not None or args.svg is not None:
-        h = args.n // 2
-        records = [ScatterRecord._of(w[:h], depths[w]) for w in weights]
-        if args.csv is not None:
-            write_scatter_csv(records, args.csv, ncoords=h)
-        if args.svg is not None:
-            write_scatter_svg(records, args.svg, p)
-    else:
-        sys.stdout.write("".join([f"{format_weight(w)}\n" for w in weights]))
+    h = args.n // 2
+    if args.csv is not None:
+        _write_csv(args.csv, h, ((w[:h], depths[w]) for w in weights))
+    if args.svg is not None:
+        write_scatter_svg([ScatterRecord(w[:h], depths[w])
+                           for w in weights], args.svg, p)
+    if args.csv is None and args.svg is None:
+        _write_lines(sys.stdout, (f"{format_weight(w)}\n" for w in weights))
 
 
 def run(argv) -> int:

@@ -44,16 +44,15 @@ order and each argument's type before its sign: ``default_bound``, the
 prime), ``enumerate_distinguished``'s ``jobs`` (>= 1), ``closed_family``,
 the ``ScatterRecord`` constructor, ``scatter_records``,
 ``write_scatter_csv``'s coordinate count and ``write_scatter_svg``'s prime.
-The family members ``_family_params`` lists and the CLI's records
-(``ScatterRecord._of``) are built valid and skip the checks; every
-member's depth is still confirmed by iteration.
+The family members and the CLI's CSV rows are built valid and skip the
+checks; every member's depth is still confirmed by iteration.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
-from itertools import accumulate, product
+from functools import cache, partial
+from itertools import accumulate, islice, product
 from operator import attrgetter
 
 from .core import Weight, _int_arg, _printable, _Value, dom, validate_weight
@@ -110,14 +109,6 @@ class ScatterRecord(_Value):
             raise ValueError(f"coords must end >= 0: {coords}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "depth", _int_arg("depth", depth))
-
-    @classmethod
-    def _of(cls, coords: tuple[int, ...], depth: int) -> "ScatterRecord":
-        """Wrap a record the library built as valid, without checking."""
-        rec = object.__new__(cls)
-        object.__setattr__(rec, "coords", coords)
-        object.__setattr__(rec, "depth", depth)
-        return rec
 
 
 def _mirror(coords: tuple[int, ...], n: int) -> Weight:
@@ -314,42 +305,38 @@ def _family_ids(n: int) -> tuple[str, ...]:
     return FAMILY_IDS[n]
 
 
-def _exact_div(num: int, den: int) -> int:
-    d, r = divmod(num, den)
-    if r:
-        raise ValueError(f"non-integral closed-form value {num}/{den}")
-    return d
-
-
-def _family_weight(n: int, family_id: str, params: tuple[int, ...], p: int):
-    """Weight and stated iteration depth of a member with checked params.
-    A (n = 2, 3) and F1 (n = 4) are ``rho_family``'s staircase of depth m;
-    the others are written with ``_geom``, the staircase's scale."""
+def _family_member(n: int, family_id: str, params: tuple[int, ...], g):
+    """Weight and stated iteration depth of a member with checked params,
+    from g(j) = ``_geom(p, j)`` for j up to that depth.  A (n = 2, 3) and
+    F1 (n = 4) are ``rho_family``'s staircase of depth m, scaled by g(m)."""
     m = params[0]
     if family_id in ("A", "F1"):
-        return _rho(n, m, p), m
+        return _rho(n, g(m)), m
     if family_id == "B":
-        x = _geom(p, m + 1) + _geom(p, m)
+        x = g(m + 1) + g(m)
         return (x, 0, -x), m + 1
     if family_id == "F2":
-        x = _geom(p, m + 1) + 2 * _geom(p, m)
-        y = _geom(p, m)
+        y = g(m)
+        x = g(m + 1) + 2 * y
         return (x, y, -y, -x), m + 1
     k = params[1]
     if family_id == "F3":
-        x = _geom(p, m + k + 1) + _geom(p, k + 1) + _geom(p, k)
-        y = _geom(p, k)
+        y = g(k)
+        x = g(m + k + 1) + g(k + 1) + y
         return (x, y, -y, -x), m + k + 1
     # F4: requires m >= 1; the closed form, in powers of p over 2(p - 1),
     # splits on the parity of m; p^j = (p - 1) _geom(p, j) + 1 leaves halves.
     if m < 1:
         raise ValueError("F4 requires m >= 1")
-    top, g1, g0 = _geom(p, m + k), _geom(p, k + 1), _geom(p, k)
+    top, g1, g0 = g(m + k), g(k + 1), g(k)
     if m % 2 == 0:
         x, y = top + 2 * g1 + 3 * g0, top + g0
     else:
         x, y = top + g1 + 4 * g0, top + g1
-    x, y = _exact_div(x, 2), _exact_div(y, 2)
+    if x & 1 or y & 1:
+        raise ValueError("non-integral closed-form value "
+                         f"{x if x & 1 else y}/2")
+    x, y = x >> 1, y >> 1
     return (x, y, -y, -x), m + k
 
 
@@ -371,10 +358,9 @@ def closed_family(
                          f"got {params}")
     for x in params:
         _int_arg(f"family {family_id} parameter", x)
-    w, depth = _family_weight(n, family_id, params, ctx.p)
-    _check_family_depth(
-        family_id, params, depth, distinguished_depth(w, ctx, cap=depth)
-    )
+    w, depth = _family_member(n, family_id, params, partial(_geom, ctx.p))
+    _check_family_depth(family_id, params, depth,
+                        distinguished_depth(w, ctx, cap=depth))
     return w
 
 
@@ -394,13 +380,11 @@ def _family_params(n: int, max_k: int):
     if n > 2:
         for m in range(max_k):
             yield FAMILY_IDS[n][1], (m,)
-    if n == 4:
-        for total in range(1, max_k + 1):  # depth m + k + 1 = total
+    if n == 4:  # depth m + k + 1 = total for F3, m + k = total for F4
+        for total in range(1, max_k + 1):
             for k in range(total):
                 yield "F3", (total - 1 - k, k)
-        for total in range(1, max_k + 1):  # depth m + k = total, m >= 1
-            for m in range(1, total + 1):
-                yield "F4", (m, total - m)
+                yield "F4", (total - k, k)
 
 
 def _family_depths(
@@ -409,20 +393,21 @@ def _family_depths(
     """Every family member whose stated depth is <= max_k, mapped to that
     depth once iteration has confirmed it.
 
-    Each member is forward-verified as in ``closed_family``, but against one
-    depth memo for the whole call at cap ``max_k``: a stated depth d <= max_k
-    is confirmed at cap max_k exactly when it is at cap d, and every member
-    divides down to smaller members, so each chain is walked once.  The
-    confirmed depth is therefore the one ``scatter_records`` gives at cap
-    ``max_k``.
+    Members come from ``closed_family``'s kernel and one table of the sums
+    ``_geom(p, j)``, and are forward-verified against one depth memo at cap
+    ``max_k``: a stated depth d <= max_k is confirmed at cap max_k exactly
+    when it is at cap d, and every member divides down to smaller members,
+    met first, so it settles from the memo.  The confirmed depth is the
+    one ``scatter_records`` gives at cap ``max_k``.
     """
     _family_ids(n)
     ctx.check_length(n)
-    _int_arg("max_k", max_k)
+    g = list(accumulate(range(_int_arg("max_k", max_k)),  # g[j] = _geom(p, j)
+                        lambda s, _: s * ctx.p + 1, initial=0)).__getitem__
     memo: dict = {}
     depths: dict[Weight, int] = {}
     for family_id, params in _family_params(n, max_k):
-        w, depth = _family_weight(n, family_id, params, ctx.p)
+        w, depth = _family_member(n, family_id, params, g)
         _check_family_depth(family_id, params, depth,
                             _bounded_depth(w, max_k, ctx.p, memo))
         depths[w] = depth
@@ -463,23 +448,37 @@ def scatter_records(
 
 def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
     """Canonical CSV: header x1,...,xh,depth; rows sorted descending by
-    coordinates; decimal integers."""
+    coordinates; decimal integers; every record checked before writing."""
     records = list(records)
     if ncoords is None:
         if not records:
             raise ValueError("ncoords is required for an empty record list")
         ncoords = len(records[0].coords)
     _int_arg("ncoords", ncoords)
-    header = ",".join([f"x{i + 1}" for i in range(ncoords)] + ["depth"])
-    lines = [header]
-    for rec in sorted(records, key=attrgetter("coords"), reverse=True):
+    records.sort(key=attrgetter("coords"), reverse=True)
+    for rec in records:
         if len(rec.coords) != ncoords:
-            raise ValueError(
-                f"record has {len(rec.coords)} coordinates, expected {ncoords}"
-            )
-        lines.append(",".join(map(str, (*rec.coords, rec.depth))))
+            raise ValueError(f"record has {len(rec.coords)} coordinates, "
+                             f"expected {ncoords}")
+    _write_csv(path, ncoords, ((rec.coords, rec.depth) for rec in records))
+
+
+_CHUNK = 4096  # lines per write, so that no text is held whole
+
+
+def _write_lines(fh, lines) -> None:
+    """Write an iterator of lines, each ending in "\\n", a chunk at a time."""
+    while chunk := list(islice(lines, _CHUNK)):
+        fh.write("".join(chunk))
+
+
+def _write_csv(path, ncoords: int, rows) -> None:
+    """The scatter CSV of an iterator of unchecked (coords, depth) rows of
+    ``ncoords`` coordinates, in its order: one line of integers per row."""
+    row = ",".join(["%d"] * ncoords + ["%d\n"])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join([f"x{i + 1}" for i in range(ncoords)] + ["depth\n"]))
+        _write_lines(fh, (row % (*coords, depth) for coords, depth in rows))
 
 
 def write_scatter_svg(records, path, p: int) -> None:

@@ -290,17 +290,19 @@ def _lv_mu(entries: Weight, base: int = 1,
     singleton, the diagram is a single column, and the whole map collapses
     to subtracting the staircase (n-1, n-3, ..., 1-n).  This case dominates
     weights with widely spread entries; it is independent of ``base``
-    because a one-element clump is selected under either parity.
+    because a one-element clump is selected under either parity.  One pass
+    tests each gap and subtracts; after a remainder it only reads the gaps.
 
-    General path: the diagram is the clumps' templates shifted by their
-    tops (see ``_template``), and a row of length L gets the correction
+    General path: ``lv`` keeps the total, so None unless p divides it.  The
+    diagram is the clumps' templates shifted by their tops (see
+    ``_template``), and a row of length L gets the correction
     sum_{j<L} (2*above_j - (c_j - 1)), where c_j counts column j's entries
-    and above_j those above the row.  Split above_j and c_j into the
-    row's own clump, which the template's sum already corrects, and the
-    clumps above and below it: a clump's rows then all get the prefix sums
-    of one column vector, sum_{j<L} (2*A_j + C_j - c_j) with A_j the
-    entries of earlier clumps in column j and C_j the clump's own, plus L
-    times the clump's top.
+    and above_j those above the row.  Split above_j and c_j into the row's
+    own clump, which the template's sum already corrects, and the clumps
+    above and below it: a clump's rows then all get the prefix sums of one
+    column vector, sum_{j<L} (2*A_j + C_j - c_j) with A_j the entries of
+    earlier clumps in column j and C_j the clump's own, plus L times the
+    clump's top.
 
     Rows of one length come in descending order of sum, so no sort is
     needed: rows fill columns from the first, and the correction leaves
@@ -310,22 +312,34 @@ def _lv_mu(entries: Weight, base: int = 1,
     n = len(entries)
     if n == 0:
         return ()
-    prev = entries[0]
-    for v in entries[1:]:
-        if prev - v < 2:
-            break
-        prev = v
-    else:
-        top, out = n - 1, []
+    top, prev, out = n - 1, entries[0] + 2, []
+    if p == 1:
         for v in entries:
-            q = v - top
-            if p != 1:
-                q, r = divmod(q, p)
-                if r:
+            if prev - v < 2:
+                break
+            out.append(v - top)
+            top, prev = top - 2, v
+        else:
+            return (tuple(out),)
+    else:
+        for v in (rest := iter(entries)):
+            if prev - v < 2:
+                break
+            q, r = divmod(v - top, p)
+            if r:  # None, unless a later gap is below 2
+                for u in rest:
+                    if v - u < 2:
+                        break
+                    v = u
+                else:
                     return None
+                break
             out.append(q)
-            top -= 2
-        return (tuple(out),)
+            top, prev = top - 2, v
+        else:
+            return (tuple(out),)
+        if sum(entries) % p:
+            return None
     plan = _clump_plan(entries, base)
     total = [0] * n  # column sizes; the columns past the last stay 0
     for (_, _, cols), _ in plan:

@@ -229,10 +229,10 @@ def _bounded_depth(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
     singleton, or a longer chain).
 
     Every sequence is evaluated against the same ``cap`` and ``p``, so memo
-    entries are exact whenever they are <= cap.  A sequence on the stack is
-    memoized as a provisional None, which breaks cycles (a cycle never
-    reaches all zeros).  The search keeps its own stack, so a deep chain
-    does not hit the interpreter's recursion limit.
+    entries are exact whenever they are <= cap.  A sequence whose divided
+    components the memo all settles below cap is settled at once.  Any
+    other goes on the search's own stack, so that no chain meets the
+    recursion limit, as a provisional None, which breaks cycles.
     """
     v = memo.get(seq, _MISS)
     if v is not _MISS:
@@ -247,9 +247,17 @@ def _bounded_depth(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
               or (mu := _lv_mu(seq, 1, p)) is None):
             v = memo[seq] = None
         else:
-            memo[seq] = None
-            stack.append([seq, iter(mu), 0])
-            v = 0
+            v = 0  # the deepest component read: below cap, so a push folds it
+            for c in mu:
+                u = memo.get(c, _MISS)
+                if u is _MISS or u is None or u >= cap:
+                    memo[seq] = None
+                    stack.append([seq, iter(mu), 0])
+                    break
+                if u > v:
+                    v = u
+            else:
+                v = memo[seq] = v + 1
         # Fold v into the innermost expanded sequence and read on through
         # its settled children; settle it once a child fails or none is
         # left, and stop at an unsettled child.
@@ -324,9 +332,8 @@ def _geom(p: int, m: int) -> int:
     return (p**m - 1) // (p - 1)
 
 
-def _rho(n: int, m: int, p: int) -> Weight:
-    """``rho_family`` on checked arguments."""
-    scale = _geom(p, m)
+def _rho(n: int, scale: int) -> Weight:
+    """The staircase (n-1, n-3, ..., 1-n) times ``scale``."""
     return tuple([v * scale for v in range(n - 1, -n, -2)])
 
 
@@ -336,7 +343,7 @@ def rho_family(n: int, m: int, ctx: ModularContext) -> Weight:
     Iterating division-by-p on the result peels one scale factor per level,
     so its distinguished depth is exactly m.
     """
-    return _rho(_int_arg("n", n), _int_arg("m", m), ctx.p)
+    return _rho(_int_arg("n", n), _geom(ctx.p, _int_arg("m", m)))
 
 
 # JSON trace form ------------------------------------------------------------

@@ -141,23 +141,6 @@ def capout(capsys):
     return invoke
 
 
-@pytest.fixture()
-def trusted_records(monkeypatch):
-    """Every record ``ScatterRecord._of`` builds during the test, each
-    checked against the validating constructor: ``_of`` trusts its caller,
-    so this is its differential oracle."""
-    of, seen = ScatterRecord._of, []
-
-    def check(coords, depth):
-        rec = of(coords, depth)
-        assert rec == ScatterRecord(rec.coords, rec.depth), rec
-        seen.append(rec)
-        return rec
-
-    monkeypatch.setattr(ScatterRecord, "_of", check)
-    return seen
-
-
 class TestLvCommand:
     def test_golden_json(self, capout):
         code, out, _ = capout("lv", "--weight", "46,46,45,1,-1,-45,-46,-46")
@@ -521,11 +504,10 @@ class TestEnumerateCommand:
         (6, 1, 12, 7),
     ])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_files_match_scatter_records(self, capout, tmp_path,
-                                         trusted_records, n, k, bound, p,
-                                         jobs):
-        # The CLI writes the depths its construction found, in records it
-        # builds trusted; the public path recomputes every depth with
+    def test_files_match_scatter_records(self, capout, tmp_path, n, k,
+                                         bound, p, jobs):
+        # The CLI writes the depths its construction found, its CSV rows
+        # unchecked; the public path recomputes every depth with
         # scatter_records, and validates every record.
         csv, svg = tmp_path / "pts.csv", tmp_path / "pts.svg"
         code, out, _ = capout(
@@ -543,7 +525,6 @@ class TestEnumerateCommand:
         write_scatter_svg(records, tmp_path / "ref.svg", p)
         assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
-        assert trusted_records == records
 
 
 class TestFamiliesCommand:
@@ -589,18 +570,60 @@ class TestFamiliesCommand:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_trusted_records_pass_the_constructor(self, capout, tmp_path,
-                                                  trusted_records, n, p):
-        # Every record the CLI builds unchecked is one the validating
-        # constructor accepts unchanged (the fixture's check).
-        csv = tmp_path / "fam.csv"
+                                                  n, p):
+        # Every row the CLI writes unchecked, straight from its depth map,
+        # is a record the validating constructor accepts unchanged, and
+        # write_scatter_csv writes those records to the same bytes.
+        csv, ref = tmp_path / "fam.csv", tmp_path / "ref.csv"
         for max_k in range(13):
-            trusted_records.clear()
             code, out, _ = capout(
                 "families", "--n", str(n), "--prime", str(p),
                 "--max-k", str(max_k), "--csv", str(csv),
             )
             assert (code, out) == (0, "")
-            assert len(trusted_records) == count_distinguished(n, max_k)
+            records = []
+            for row in csv.read_text().splitlines()[1:]:
+                *coords, depth = map(int, row.split(","))
+                rec = ScatterRecord(tuple(coords), depth)
+                assert (rec.coords, rec.depth) == (tuple(coords), depth)
+                records.append(rec)
+            assert len(records) == count_distinguished(n, max_k)
+            write_scatter_csv(records, ref, ncoords=n // 2)
+            assert ref.read_bytes() == csv.read_bytes()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunked_writes_give_the_same_bytes(self, capout, monkeypatch,
+                                                tmp_path, chunk):
+        # Stdout and the CSV go out a chunk of lines per write, 19 lines
+        # here; the chunk size, whether it divides that or not, never shows.
+        listing = ("families", "--n", "4", "--prime", "5", "--max-k", "3")
+        csv = tmp_path / "fam.csv"
+        whole = capout(*listing)
+        assert len(whole[1].splitlines()) == 19
+        assert capout(*listing, "--csv", str(csv)) == (0, "", "")
+        whole_csv = csv.read_bytes()
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        assert capout(*listing) == whole
+        assert capout(*listing, "--csv", str(csv)) == (0, "", "")
+        assert csv.read_bytes() == whole_csv
+
+    def test_stdout_is_written_a_chunk_at_a_time(self, monkeypatch):
+        # 19 lines in chunks of 4: four writes of 4 lines and one of 3.
+        class Writes(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.lines = []
+
+            def write(self, text):
+                self.lines.append(text.count("\n"))
+                return super().write(text)
+
+        out = Writes()
+        monkeypatch.setattr(enumeration, "_CHUNK", 4)
+        with contextlib.redirect_stdout(out):
+            assert run(["families", "--n", "4", "--prime", "5",
+                        "--max-k", "3"]) == 0
+        assert out.lines == [4, 4, 4, 4, 3]
 
     @pytest.mark.parametrize("svg", [False, True])
     def test_entry_size_guard(self, capout, monkeypatch, tmp_path, svg):
@@ -624,13 +647,13 @@ class TestFamiliesCommand:
     def test_wrong_stated_depth_is_refused(self, capout, monkeypatch):
         # A member whose stated depth iteration does not confirm fails
         # both the CLI and closed_family.
-        family_weight = enumeration._family_weight
+        family_member = enumeration._family_member
 
-        def wrong(n, family_id, params, p):
-            w, depth = family_weight(n, family_id, params, p)
+        def wrong(n, family_id, params, g):
+            w, depth = family_member(n, family_id, params, g)
             return w, depth + ((family_id, params) == ("F1", (1,)))
 
-        monkeypatch.setattr(enumeration, "_family_weight", wrong)
+        monkeypatch.setattr(enumeration, "_family_member", wrong)
         code, out, err = capout("families", "--n", "4", "--prime", "5",
                                 "--max-k", "3")
         assert (code, out) == (2, "")

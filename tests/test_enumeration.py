@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -30,6 +31,13 @@ from lvweights import (
     write_scatter_svg,
 )
 from lvweights.lv_algorithm import _correct_columns, maximal_clumps, phi
+from lvweights.modular_iteration import _bounded_depth, _geom
+
+
+def family_member(n, family_id, params, p):
+    """``enumeration._family_member`` with its sums read from ``_geom``."""
+    return enumeration._family_member(n, family_id, params,
+                                      functools.partial(_geom, p))
 
 
 class TestDefaultBound:
@@ -684,7 +692,7 @@ class TestSizeGuards:
         while default_bound(n, max_k + 1, p) < top:
             max_k += 1
         family = "F1" if n == 4 else "A"
-        w, _ = enumeration._family_weight(n, family, (max_k,), p)
+        w, _ = family_member(n, family, (max_k,), p)
         assert w[0] == default_bound(n, max_k, p)
         str(w[0])
         # At n = 4 the weight and text limits refuse first; lift them so
@@ -844,7 +852,7 @@ class TestClosedFamily:
             literal = {2: (c, -c), 3: (2 * c, 0, -2 * c),
                        4: (3 * c, c, -c, -3 * c)}
             for n, family_id in ((2, "A"), (3, "A"), (4, "F1")):
-                w, depth = enumeration._family_weight(n, family_id, (m,), p)
+                w, depth = family_member(n, family_id, (m,), p)
                 assert w == rho_family(n, m, ctx) == literal[n], (n, m)
                 assert depth == m
 
@@ -869,11 +877,28 @@ class TestClosedFamily:
                 y = p ** (m + k) + p ** (k + 1) - 2
             if x % den or y % den:
                 with pytest.raises(ValueError, match="non-integral"):
-                    enumeration._family_weight(4, "F4", (m, k), p)
+                    family_member(4, "F4", (m, k), p)
             else:
                 x, y = x // den, y // den
-                assert enumeration._family_weight(4, "F4", (m, k), p) == (
+                assert family_member(4, "F4", (m, k), p) == (
                     (x, y, -y, -x), m + k), (m, k)
+
+
+class TestFamilyMemberTable:
+    """``_family_depths`` reads every member from one table of ``_geom``;
+    ``closed_family`` writes each from ``_geom`` and confirms it alone."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_members_match_closed_family(self, n, p):
+        ctx = ModularContext(p)
+        for max_k in (0, 1, 2, 7, 30):
+            depths = enumeration._family_depths(n, ctx, max_k)
+            for family_id, params in enumeration._family_params(n, max_k):
+                w, depth = family_member(n, family_id, params, p)
+                assert closed_family(n, family_id, params, ctx) == w
+                assert depths.pop(w) == depth, (family_id, params)
+            assert not depths
 
 
 class TestGenerateFamilySet:
@@ -960,6 +985,32 @@ class TestSharedDepthMemo:
             assert generate_family_set(n, ctx, max_k) == sorted(
                 expected, reverse=True
             ), (n, p, max_k)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_settled_from_the_memo_as_by_a_fresh_memo(self, p):
+        # A sequence whose divided components the shared memo holds is
+        # settled from them, with no stack entry: each answer must be the
+        # one a fresh memo gives, whichever components were seen first,
+        # with a component that fails, or that is settled at the cap.
+        ctx = ModularContext(p)
+        members = [w for n in (2, 3, 4)
+                   for w in generate_family_set(n, ctx, 5)]
+        others = [(w[0] + 1, *w[1:-1], w[-1] - 1) for w in members if any(w)]
+        rng = random.Random(p)
+        others += [tuple(sorted((rng.randint(-60, 60) for _ in range(4)),
+                                reverse=True)) for _ in range(200)]
+        weights, seen = members + others, set()
+        for cap in (0, 1, 2, 3, 5, 7):
+            fresh = [_bounded_depth(w, cap, p, {}) for w in weights]
+            seen.update(fresh)
+            shuffled = list(range(len(weights)))
+            rng.shuffle(shuffled)
+            for order in (range(len(weights)), reversed(range(len(weights))),
+                          shuffled):
+                memo: dict = {}
+                for i in order:
+                    assert _bounded_depth(weights[i], cap, p, memo) == fresh[i]
+        assert seen == {None, 0, 1, 2, 3, 4, 5}
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -695,6 +695,110 @@ class TestTemplatedKernel:
         assert _template.cache_info().misses == misses
 
 
+def staged_lv_p(w, base, p):
+    """The staged map ``kappa(apply_E_inverse(phi(w, base)))`` divided by
+    p by hand, or None."""
+    mu = kappa(apply_E_inverse(phi(w, base))).mu
+    if any(e % p for part in mu for e in part):
+        return None
+    return tuple(tuple(e // p for e in part) for part in mu)
+
+
+def bench_forward_weights(seed, count):
+    """The seeded clumpy weights of the bench's ``forward`` workload."""
+    import importlib.util
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:  # its dataclass looks the module up while it is built
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads.forward_weights(seed, count, 16)
+
+
+def spread_weights():
+    # Every gap >= 2 except, when the flag is set, a last gap of 1.
+    def build(spec):
+        top, gaps, last_one = spec
+        w = [top]
+        for g in gaps:
+            w.append(w[-1] - g)
+        if last_one and w:
+            w.append(w[-1] - 1)
+        return tuple(w)
+
+    return st.tuples(st.integers(-40, 40),
+                     st.lists(st.integers(2, 7), max_size=7), st.booleans()
+                     ).map(build)
+
+
+class TestSingleColumnKernel:
+    """``_lv_mu``'s one-pass single-column path, and the general path's
+    sum test, against the staged map divided by hand."""
+
+    CASES = [
+        (), (0,), (7,), (-3,),  # empty and one-entry weights
+        (4, 2, 0, -2, -4), (6, 4, 2), (-1, -3, -5),  # every gap exactly 2
+        (9, 5, 2, 1), (3, 0, -1), (8, 6, 4, 3),  # a single 1 at the end
+        (-2, -5, -9), (5, 2, -1), (12, 5, -2), (7, 2, -3),  # negatives
+        (2, 0, 0, -2),  # not divisible at the top, integral in general
+        (13, 8, 3, 2), (23, 6, -11), (40, 17, -6, -29),
+    ]
+
+    @pytest.mark.parametrize("p", [1, 5, 17])
+    @pytest.mark.parametrize("base", [0, 1])
+    @pytest.mark.parametrize("w", CASES)
+    def test_cases_match_the_staged_map(self, w, base, p):
+        assert _lv_mu(w, base, p) == staged_lv_p(w, base, p)
+
+    def test_cases_cover_both_outcomes_on_both_paths(self):
+        outcomes = {(single_column(w), staged_lv_p(w, 1, p) is None)
+                    for w in self.CASES for p in (5, 17)}
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+        # p divides some entries but not all: the first, or a later one.
+        assert staged_lv_p((12, 5, -2), 1, 5) == ((2, 1, 0),)
+        assert staged_lv_p((7, 2, -3), 1, 5) is None  # 5 but not 2
+        assert staged_lv_p((23, 6, -11), 1, 17) is None  # 17 and 6, not -9
+
+    @given(spread_weights(), st.sampled_from([0, 1]),
+           st.sampled_from([1, 5, 17]))
+    @settings(max_examples=300)
+    def test_spread_weights_match_the_staged_map(self, w, base, p):
+        assert _lv_mu(w, base, p) == staged_lv_p(w, base, p)
+
+    def test_sum_test_on_the_forward_weights(self, monkeypatch):
+        # Against the full computation (the map divided by hand); then
+        # every weight of the general path whose sum 17 does not divide
+        # gives None without reading a template.
+        weights = bench_forward_weights(1, 600)
+        general = [w for w in weights if not single_column(w)]
+        failing = [w for w in general if sum(w) % 17]
+        assert len(failing) > len(general) // 2
+        for w in weights:
+            assert _lv_mu(w, 1, 17) == staged_lv_p(w, 1, 17), w
+
+        def plan(*args):
+            raise AssertionError("the sum test let a weight through")
+
+        monkeypatch.setattr(lv_algorithm, "_clump_plan", plan)
+        assert all(_lv_mu(w, 1, 17) is None for w in failing)
+
+    @given(multi_clump_weights(), st.sampled_from([0, 1]),
+           st.sampled_from([2, 5, 17]))
+    @settings(max_examples=300)
+    def test_sum_test_matches_the_full_map(self, w, base, p):
+        # The undivided map, divided by hand, takes no shortcut.
+        full = _lv_mu(w, base)
+        if any(e % p for part in full for e in part):
+            assert _lv_mu(w, base, p) is None
+        else:
+            assert sum(w) % p == 0
+            assert _lv_mu(w, base, p) == tuple(
+                tuple(e // p for e in part) for part in full)
+
+
 class TestTemplateErrors:
     """A kernel error raised while compiling a template reaches every
     caller, and nothing of the failed template is kept."""
