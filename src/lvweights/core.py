@@ -36,7 +36,7 @@ and a slice or sum of it is a plain tuple, checked again.
 from __future__ import annotations
 
 import sys
-from operator import attrgetter
+from operator import attrgetter, neg
 
 __all__ = [
     "Weight",
@@ -128,7 +128,7 @@ def reverse_negate(w) -> Weight:
     An involution on weights; the image of a weakly decreasing sequence is
     again weakly decreasing.
     """
-    return tuple(-v for v in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 class _BuiltDiagram(tuple):
@@ -243,7 +243,7 @@ class OmegaElement(_Value):
 
 def reverse_negate_omega(o: OmegaElement) -> OmegaElement:
     """Apply reverse_negate to each component, preserving s and all lengths."""
-    return OmegaElement._of(tuple(reverse_negate(m) for m in o.mu))
+    return OmegaElement._of(tuple(map(reverse_negate, o.mu)))
 
 
 class PartitionMult(_Value):

@@ -460,6 +460,9 @@ def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
         if len(rec.coords) != ncoords:
             raise ValueError(f"record has {len(rec.coords)} coordinates, "
                              f"expected {ncoords}")
+    if records:  # entries are >= 0 and the largest comes first
+        _printable(max(records[0].coords, default=0), "the largest coordinate")
+        _printable(max(map(attrgetter("depth"), records)), "the largest depth")
     _write_csv(path, ncoords, ((rec.coords, rec.depth) for rec in records))
 
 

@@ -16,10 +16,11 @@ else is shared.
 ``_phi_rows`` is the only placement code and ``_correct_columns`` the only
 column correction.  ``phi`` of a weight is the ``phi`` of each of its
 maximal clumps, shifted; ``_template`` compiles a clump shape once, with
-both kernels, into its rows, its corrected row sums and its column sizes,
-and keeps it in a bounded cache keyed by the clump's multiplicities and
-the column base.  Placement runs on those multiplicities alone, so a run
-of equal entries costs time linear in its length.  ``phi`` reads the rows
+both kernels, into its rows, their lengths and corrected sums and its
+column sizes, and keeps it in a bounded cache keyed by the clump's
+multiplicities and the column base.  Placement runs on those
+multiplicities alone, so a run of equal entries costs time linear in its
+length.  ``phi`` reads the rows
 of the templates.  ``_lv_mu`` is the fused map divided by p: a
 single-column diagram is a staircase shift, and any other weight takes one
 pass over its clumps' templates, which adds the cross-clump part of the
@@ -152,8 +153,8 @@ _MAX_TEMPLATES = 1 << 13
 def _template(mults: tuple[int, ...], base: int):
     """``phi`` of the canonical clump -- distinct values 0, -1, -2, ...
     with multiplicities ``mults`` -- as ``(rows, sums, cols)``: its rows;
-    each row's sum after the column correction of the clump alone; and its
-    column sizes.
+    each row's length less one and its sum after the column correction of
+    the clump alone; and its column sizes.
 
     ``phi`` of a weight is each maximal clump's rows shifted by the clump's
     top, in clump order.  Selection reads only column parity and counts of
@@ -167,7 +168,8 @@ def _template(mults: tuple[int, ...], base: int):
     """
     rows, cols = _phi_rows(mults, base)
     rows = tuple(map(tuple, rows))
-    return rows, tuple(map(sum, _correct_columns(rows))), tuple(cols)
+    sums = tuple((len(row) - 1, sum(row)) for row in _correct_columns(rows))
+    return rows, sums, tuple(cols)
 
 
 def _clump_plan(w: Weight, base: int) -> list:
@@ -238,23 +240,26 @@ def _correct_columns(x: Diagram, sign: int = 1) -> Diagram:
     the t-th of a column's c entries, by value from the largest and ties top
     row first, gains sign * (2t - (c-1)).  ``apply_E`` sorts each column;
     ``apply_E_inverse`` needs each entry at least 2 below the one above it
-    and raises, quoting the entries as given."""
+    and raises, quoting the entries as given; a sorted column needs no
+    test."""
     rows = list(map(list, x))
-    fall, step = 1 + sign, 2 * sign
     col, j = rows, 0
     while col := [row for row in col if len(row) > j]:
-        order, shift = col, sign * (1 - len(col))
+        shift = sign * (1 - len(col))
         if sign < 0:  # a stable sort: ties keep the top row first
-            order = sorted(col, key=itemgetter(j), reverse=True)
-        above = order[0][j] + fall
-        for row in order:
-            v = row[j]
-            if above - v < fall:
-                raise ValueError(
-                    f"column {j + 1} gap below 2: {above} then {v}")
-            row[j] = v + shift
-            above = v
-            shift += step
+            for row in sorted(col, key=itemgetter(j), reverse=True):
+                row[j] += shift
+                shift -= 2
+        else:
+            above = col[0][j] + 2
+            for row in col:
+                v = row[j]
+                if above - v < 2:
+                    raise ValueError(
+                        f"column {j + 1} gap below 2: {above} then {v}")
+                row[j] = v + shift
+                above = v
+                shift += 2
         j += 1
     return _BuiltDiagram(map(tuple, rows))
 
@@ -348,17 +353,17 @@ def _lv_mu(entries: Weight, base: int = 1,
     above = [0] * n
     buckets: list[list[int]] = [[] for _ in range(n - total.count(0))]
     for (rows, sums, cols), top in plan:
-        lift = [0]  # lift[L]: what a length-L row adds to its template sum
+        lift = []  # lift[i]: what a row of length i + 1 adds to its sum
         s = 0
         for j, c in enumerate(cols):
             s += top + 2 * above[j] + c - total[j]
             above[j] += c
             lift.append(s)
-        for row, own in zip(rows, sums):
-            q = own + lift[len(row)]
+        for i, own in sums:
+            q = own + lift[i]
             if p != 1:
                 q, r = divmod(q, p)
                 if r:
                     return None
-            buckets[len(row) - 1].append(q)
+            buckets[i].append(q)
     return tuple(map(tuple, buckets))

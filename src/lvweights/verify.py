@@ -67,12 +67,19 @@ def round_trip_failures(samples: int, seed: int):
 
 
 def _round_trips(w) -> bool:
-    held = []
+    """Every identity of ``round_trip_failures`` for both column bases.
+    Those of the diagram x = phi(w, base) alone are pure in x, so they are
+    checked once per distinct x (phi(w, 0) = phi(w, 1) whenever every gap
+    is at least 2); ``lv(w, base)`` is checked against x's staged form for
+    both bases.  Every check runs, so one that raises still raises."""
+    held, seen = [], None
     for base in (0, 1):
         x = phi(w, base)
-        corrected = apply_E_inverse(x)
-        staged = kappa(corrected)
-        held += [phi_inverse(x) == w, apply_E(corrected) == x,
-                 apply_E_inverse(apply_E(x)) == x, lv(w, base) == staged,
-                 staged.entry_sum == sum(w)]
+        if x != seen:
+            seen, corrected = x, apply_E_inverse(x)
+            staged = kappa(corrected)
+            held += [phi_inverse(x) == w, apply_E(corrected) == x,
+                     apply_E_inverse(apply_E(x)) == x,
+                     staged.entry_sum == sum(w)]
+        held.append(lv(w, base) == staged)
     return all(held)

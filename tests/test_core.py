@@ -69,6 +69,12 @@ class TestReverseNegate:
     def test_output_weakly_decreasing(self, w):
         assert validate_weight(reverse_negate(w)) == reverse_negate(w)
 
+    @given(st.lists(st.integers(-10**30, 10**30), max_size=8))
+    def test_negates_each_entry_in_reverse(self, xs):
+        # Any sequence, sorted or not, as a list or a tuple.
+        expected = tuple(-v for v in reversed(xs))
+        assert reverse_negate(xs) == reverse_negate(tuple(xs)) == expected
+
 
 class TestReverseNegateOmega:
     def test_fixed_point(self):
@@ -86,6 +92,13 @@ class TestReverseNegateOmega:
     def test_involution(self):
         o = OmegaElement(((9, 2), (3,), (), (1, 1)))
         assert reverse_negate_omega(reverse_negate_omega(o)) == o
+
+    @given(st.lists(weights, max_size=5).filter(lambda mu: not mu or mu[-1]))
+    def test_negates_each_component_in_reverse(self, mu):
+        o = reverse_negate_omega(OmegaElement(tuple(mu)))
+        assert o == OmegaElement(tuple(tuple(-v for v in reversed(m))
+                                       for m in mu))
+        assert type(o.mu) is tuple and all(type(m) is tuple for m in o.mu)
 
 
 class TestOmegaElement:

@@ -1127,6 +1127,19 @@ class TestScatter:
             write_scatter_csv(recs, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("coords, depth, what", [
+        pytest.param((10 ** 5000, 1), 1, "the largest coordinate", id="x1"),
+        pytest.param((3, 1), 10 ** 5000, "the largest depth", id="depth"),
+    ])
+    def test_csv_refuses_an_unprintable_integer_before_opening(
+            self, tmp_path, coords, depth, what):
+        # Checked after the sort, so a file is made only if it is whole.
+        path = tmp_path / "huge.csv"
+        recs = [ScatterRecord((2, 0), 0), ScatterRecord(coords, depth)]
+        with pytest.raises(ValueError, match=f"^{what} has more than "):
+            write_scatter_csv(recs, path)
+        assert not path.exists()
+
     def test_svg_deterministic(self, tmp_path):
         ctx = ModularContext(5)
         recs = scatter_records(
