@@ -16,11 +16,10 @@ else is shared.
 ``_phi_rows`` is the only placement code and ``_correct_columns`` the only
 column correction.  ``phi`` of a weight is the ``phi`` of each of its
 maximal clumps, shifted; ``_template`` compiles a clump shape once, with
-both kernels, into its rows, their lengths and corrected sums and its
-column sizes, and keeps it in a bounded cache keyed by the clump's
-multiplicities and the column base.  Placement runs on those
-multiplicities alone, so a run of equal entries costs time linear in its
-length.  ``phi`` reads the rows
+both kernels, into its rows, its corrected row sums and its column sizes,
+and keeps it in a bounded cache keyed by the clump's multiplicities and
+the column base.  Placement runs on those multiplicities alone, so a run
+of equal entries costs time linear in its length.  ``phi`` reads the rows
 of the templates.  ``_lv_mu`` is the fused map divided by p: a
 single-column diagram is a staircase shift, and any other weight takes one
 pass over its clumps' templates, which adds the cross-clump part of the
@@ -153,8 +152,8 @@ _MAX_TEMPLATES = 1 << 13
 def _template(mults: tuple[int, ...], base: int):
     """``phi`` of the canonical clump -- distinct values 0, -1, -2, ...
     with multiplicities ``mults`` -- as ``(rows, sums, cols)``: its rows;
-    each row's length less one and its sum after the column correction of
-    the clump alone; and its column sizes.
+    each row's sum after the column correction of the clump alone; and its
+    column sizes.
 
     ``phi`` of a weight is each maximal clump's rows shifted by the clump's
     top, in clump order.  Selection reads only column parity and counts of
@@ -168,8 +167,7 @@ def _template(mults: tuple[int, ...], base: int):
     """
     rows, cols = _phi_rows(mults, base)
     rows = tuple(map(tuple, rows))
-    sums = tuple((len(row) - 1, sum(row)) for row in _correct_columns(rows))
-    return rows, sums, tuple(cols)
+    return rows, tuple(map(sum, _correct_columns(rows))), tuple(cols)
 
 
 def _clump_plan(w: Weight, base: int) -> list:
@@ -353,17 +351,17 @@ def _lv_mu(entries: Weight, base: int = 1,
     above = [0] * n
     buckets: list[list[int]] = [[] for _ in range(n - total.count(0))]
     for (rows, sums, cols), top in plan:
-        lift = []  # lift[i]: what a row of length i + 1 adds to its sum
+        lift = [0]  # lift[L]: what a length-L row adds to its template sum
         s = 0
         for j, c in enumerate(cols):
             s += top + 2 * above[j] + c - total[j]
             above[j] += c
             lift.append(s)
-        for i, own in sums:
-            q = own + lift[i]
+        for row, own in zip(rows, sums):
+            q = own + lift[len(row)]
             if p != 1:
                 q, r = divmod(q, p)
                 if r:
                     return None
-            buckets[i].append(q)
+            buckets[len(row) - 1].append(q)
     return tuple(map(tuple, buckets))

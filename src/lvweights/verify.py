@@ -3,7 +3,9 @@
 Reused by the ``verify`` CLI subcommand and by the test suite.  Each check
 returns a list of counterexamples (empty means the property held on every
 sample); sampling is driven by a caller-supplied seed so runs are
-reproducible byte for byte.
+reproducible byte for byte.  The round trips check the identities of a
+diagram x = phi(w, base) alone once per distinct x, and ``lv(w, base)``
+against x's staged form for both column bases.
 """
 
 from __future__ import annotations
