@@ -18,14 +18,15 @@ column correction.  ``phi`` of a weight is the ``phi`` of each of its
 maximal clumps, shifted; ``_template`` compiles a clump shape once, with
 both kernels, into its rows, its corrected row sums and its column sizes,
 and keeps it in a bounded cache keyed by the clump's multiplicities and
-the column base.  Placement runs on those multiplicities alone, so a run
-of equal entries costs time linear in its length.  ``phi`` reads the rows
-of the templates.  ``_lv_mu`` is the fused map divided by p: a
-single-column diagram is a staircase shift, and any other weight takes one
-pass over its clumps' templates, which adds the cross-clump part of the
-column correction to the row sums.  It is behind ``lv``, ``lv_p``, the
-depth search and the enumeration's inverse, which compiles its cells from
-it; ``apply_E_inverse`` and ``kappa`` take any diagram.
+the column base.  Placement runs on those multiplicities alone and finds
+each value's row by lookup, so a clump costs time linear in its length,
+whether its entries are equal or distinct.  ``phi`` reads the rows of the
+templates.  ``_lv_mu`` is the fused map divided by p: a single-column
+diagram is a staircase shift, and any other weight takes one pass over its
+clumps' templates, which adds the cross-clump part of the column
+correction to the row sums.  It is behind ``lv``, ``lv_p``, the depth
+search and the enumeration's inverse, which compiles its cells from it;
+``apply_E_inverse`` and ``kappa`` take any diagram.
 
 ``apply_E``, the entrywise inverse correction, runs the same kernel on
 each column sorted by value; with ``phi_inverse`` it supports round-trip
@@ -88,57 +89,55 @@ def maximal_clumps(w) -> tuple[Weight, ...]:
     return tuple(clumps)
 
 
-def _select_column(left: list[int], r: int) -> list[int]:
+def _select_column(live: list[int], r: int) -> list[int]:
     """Indices i whose value -i enters column ``r``, in increasing order,
-    where ``left[i]`` copies of -i are still to place: every other index
-    of each maximal clump, a run of nonzero counts.
+    among ``live``, the increasing indices of values still to place: every
+    other index of each maximal clump, a run of consecutive live indices.
 
     For a clump with distinct values (b_1, b_2, ...) the selection starts
     at b_2 when both the column number ``r`` and the count of distinct
     values are even, and at b_1 otherwise.
     """
     out: list[int] = []
-    i, n = 0, len(left)
-    r_even = r % 2 == 0
-    while i < n:
-        if not left[i]:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and left[j]:
-            j += 1
-        out += range(i + (r_even and (j - i) % 2 == 0), j, 2)  # run [i, j)
-        i = j + 1
+    a, n = 0, len(live)
+    for b in range(1, n + 1):
+        if b == n or live[b] != live[b - 1] + 1:  # live[a:b] is a clump
+            out += live[a + (r % 2 == 0 and (b - a) % 2 == 0):b:2]
+            a = b
     return out
 
 
 def _phi_rows(mults, base: int) -> tuple[list[list[int]], list[int]]:
     """The rows and column sizes of ``phi`` of the canonical clump with
-    multiplicities ``mults``: the value -i occurs ``mults[i]`` times."""
+    multiplicities ``mults``: the value -i occurs ``mults[i]`` times.
+
+    Column r's value z ends the one row that ends in column r - 1 with z
+    or z + (-1)^r: a column's values are at least 2 apart, so ``ends``,
+    the last column's rows by last entry, holds at most one such row, and
+    no two values of column r want the same one.
+    """
     left = list(mults)
+    live = [i for i, m in enumerate(left) if m]
     rows: list[list[int]] = []
     cols: list[int] = []
-    while any(left):
+    ends: dict[int, list[int]] = {}
+    while live:
         r = base + len(cols)
-        z = _select_column(left, r)
-        if not rows:
-            # First column: one new row per value, decreasing top to bottom.
-            rows = [[-i] for i in z]
-        else:
-            need = r - base  # a row is open iff its last entry sits in column r-1
-            sign = 1 if r % 2 == 0 else -1
-            for i in z:
-                for row in rows:
-                    if len(row) == need and row[-1] + i in (0, sign):
-                        row.append(-i)
-                        break
-                else:
-                    raise PlacementError(
-                        f"no eligible row for value {-i} in column {r}; "
-                        f"rows={rows}, remaining="
-                        f"{[-j for j, m in enumerate(left) for _ in range(m)]}")
+        z = _select_column(live, r)
+        last, ends, sign = ends, {}, (-1) ** r
+        for i in z:
+            if not cols:  # the first column starts one row per value
+                rows.append(row := [])
+            elif (row := last.get(-i) or last.get(sign - i)) is None:
+                raise PlacementError(
+                    f"no eligible row for value {-i} in column {r}; "
+                    f"rows={rows}, remaining="
+                    f"{[-j for j, m in enumerate(left) for _ in range(m)]}")
+            row.append(-i)
+            ends[-i] = row
         for i in z:
             left[i] -= 1
+        live = [i for i in live if left[i]]  # each column takes half or more
         cols.append(len(z))
     return rows, cols
 
@@ -199,7 +198,7 @@ def phi(w, base: int = 1) -> Diagram:
     topmost open row whose previous entry is z or z + (-1)^r, where r is
     the externally visible column number.
     """
-    if base not in (0, 1):
+    if type(base) is not int or base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
     return _BuiltDiagram([tuple([v + top for v in row]) for (rows, _, _), top
@@ -278,7 +277,7 @@ def lv(w, base: int = 1) -> OmegaElement:
     Preserves the total entry sum: the column correction is zero-sum per
     column, the diagram permutes entries, and the final stage only sums.
     """
-    if base not in (0, 1):
+    if type(base) is not int or base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
     return OmegaElement._of(_lv_mu(w, base))

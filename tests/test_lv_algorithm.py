@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 import re
 import subprocess
 import sys
@@ -214,17 +215,22 @@ class TestPhi:
     def test_matches_reference(self, w, base):
         assert phi(w, base) == reference_phi(w, base)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), "random"])
     def test_every_canonical_clump_matches_reference(self, n):
         # The clump with distinct values 0, -1, -2, ... and multiplicities
-        # mults, for all 4,095 vectors of 1 to 12 entries, both bases.
-        count = 0
-        for mults in multiplicity_vectors(n):
+        # mults, for all 4,095 vectors of 1 to 12 entries, and for 3,000
+        # seeded vectors of up to 25 entries from 1 to 9; both bases.
+        if n == "random":
+            rng = random.Random(1)
+            vectors = [[rng.randint(1, 9) for _ in range(rng.randint(1, 25))]
+                       for _ in range(3000)]
+        else:
+            vectors = list(multiplicity_vectors(n))
+            assert len(vectors) == 2 ** (n - 1)
+        for mults in vectors:
             w = tuple(-i for i, m in enumerate(mults) for _ in range(m))
             for base in (0, 1):
                 assert phi(w, base) == reference_phi(w, base), (mults, base)
-            count += 1
-        assert count == 2 ** (n - 1)
 
     def test_all_zeros_single_row(self):
         for n in (1, 2, 5):
@@ -240,11 +246,12 @@ class TestPhi:
         assert phi((1, 0), base=1) == ((1, 0),)
 
     def test_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            phi((1, 0), base=2)
-        with pytest.raises(ValueError, match="^column base must be 0 or 1, "
-                                             "got 2$"):
-            lv((1, 0), base=2)
+        # A bool or float would reach the templates as a column index.
+        for base in (2, True, 0.0, 1.0):
+            for call in (phi, lv):
+                with pytest.raises(ValueError, match="^column base must be "
+                                   f"0 or 1, got {base}$"):
+                    call((1, 0), base=base)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -385,12 +392,25 @@ class TestLv:
         assert lv((1, 0, -1)).mu == ((0,), (0,))
 
     def test_a_long_run_of_equal_entries_costs_linear_time(self):
-        # Placing k equal entries costs O(k); at O(k^2) this takes ~20 s.
+        # Placing a clump of k entries costs O(k): k equal entries, k
+        # distinct values, or both.  At O(k^2) each run takes over 10 s.
         src = str(Path(lv_algorithm.__file__).resolve().parents[1])
-        code = (f"import sys; sys.path.insert(0, {src!r}); "
-                "from lvweights import lv; "
-                "assert lv((0,) * 20000).mu == ((),) * 19999 + ((0,),)")
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=10)
+        # The output digest as the earlier search over all rows gave it.
+        digest = ("19644f0c501d6b9e5f74026979ac183e"
+                  "e6b2a9bcd1587e519c2003146bebdcb6")
+        for check in (
+                "lv((0,) * 20000).mu == ((),) * 19999 + ((0,),)",
+                "all(lv(tuple(range(60000, 0, -1)), base).mu"
+                " == ((), (60001,) * 30000) for base in (0, 1))",
+                "sha256(omega_to_json(lv((*range(16000, 0, -1), *(0,) * 16000))"
+                f").encode()).hexdigest() == {digest!r}"):
+            code = (f"import sys; sys.path.insert(0, {src!r}); "
+                    "from hashlib import sha256; "
+                    "from lvweights import lv; "
+                    "from lvweights.core import omega_to_json; "
+                    f"assert {check}")
+            subprocess.run([sys.executable, "-c", code], check=True,
+                           timeout=10)
 
     @pytest.mark.parametrize(
         "w, expected",
@@ -813,8 +833,7 @@ class TestTemplateErrors:
         # Taking the smallest value first leaves -1 nothing to follow in
         # the canonical clump (0, -1, -2).
         monkeypatch.setattr(lv_algorithm, "_select_column",
-                            lambda left, r: [max(i for i, m in enumerate(left)
-                                                 if m)])
+                            lambda live, r: [live[-1]])
         message = (r"^no eligible row for value -1 in column 2; "
                    r"rows=\[\[-2\]\], remaining=\[0, -1\]$")
         for _ in range(2):
@@ -825,8 +844,7 @@ class TestTemplateErrors:
     def test_column_gap(self, monkeypatch):
         # Taking every distinct value puts 0 over -1 in the first column.
         monkeypatch.setattr(lv_algorithm, "_select_column",
-                            lambda left, r: [i for i, m in enumerate(left)
-                                             if m])
+                            lambda live, r: list(live))
         for _ in range(2):
             with pytest.raises(ValueError,
                                match=re.escape("column 1 gap below 2")):
