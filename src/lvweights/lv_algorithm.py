@@ -290,10 +290,10 @@ def _lv_mu(entries: Weight, base: int = 1,
 
     Fast path: when all consecutive gaps are >= 2 every clump is a
     singleton, the diagram is a single column, and the whole map collapses
-    to subtracting the staircase (n-1, n-3, ..., 1-n).  This case dominates
-    weights with widely spread entries; it is independent of ``base``
-    because a one-element clump is selected under either parity.  One pass
-    tests each gap and subtracts; after a remainder it only reads the gaps.
+    to subtracting the staircase (n-1, n-3, ..., 1-n), for either ``base``
+    (a one-element clump is selected under either parity).  One pass, for
+    every p, tests each gap, subtracts, and divides only when p != 1; after
+    a remainder it reads on: a later gap below 2 means the general path.
 
     General path: ``lv`` keeps the total, so None unless p divides it.  The
     diagram is the clumps' templates shifted by their tops (see
@@ -315,19 +315,12 @@ def _lv_mu(entries: Weight, base: int = 1,
     if n == 0:
         return ()
     top, prev, out = n - 1, entries[0] + 2, []
-    if p == 1:
-        for v in entries:
-            if prev - v < 2:
-                break
-            out.append(v - top)
-            top, prev = top - 2, v
-        else:
-            return (tuple(out),)
-    else:
-        for v in (rest := iter(entries)):
-            if prev - v < 2:
-                break
-            q, r = divmod(v - top, p)
+    for v in (rest := iter(entries)):
+        if prev - v < 2:
+            break
+        q = v - top
+        if p != 1:
+            q, r = divmod(q, p)
             if r:  # None, unless a later gap is below 2
                 for u in rest:
                     if v - u < 2:
@@ -336,12 +329,12 @@ def _lv_mu(entries: Weight, base: int = 1,
                 else:
                     return None
                 break
-            out.append(q)
-            top, prev = top - 2, v
-        else:
-            return (tuple(out),)
-        if sum(entries) % p:
-            return None
+        out.append(q)
+        top, prev = top - 2, v
+    else:
+        return (tuple(out),)
+    if p != 1 and sum(entries) % p:
+        return None
     plan = _clump_plan(entries, base)
     total = [0] * n  # column sizes; the columns past the last stay 0
     for (_, _, cols), _ in plan:

@@ -18,8 +18,6 @@ the result gives that text back.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import (_WEIGHT, OmegaElement, PartitionMult, Weight, _int_arg,
                    _Value, validate_weight)
 from .lv_algorithm import _lv_mu
@@ -326,7 +324,6 @@ def refinement_chain(trace: IterationTrace) -> RefinementChain:
         frontier = nxt
 
 
-@lru_cache(maxsize=1 << 10)  # bounded: any number of scales may be asked
 def _geom(p: int, m: int) -> int:
     """1 + p + ... + p^(m-1) = (p^m - 1)/(p - 1)."""
     return (p**m - 1) // (p - 1)

@@ -34,6 +34,7 @@ from lvweights.lv_algorithm import (
     PlacementError,
     _correct_columns,
     _lv_mu,
+    _select_column,
     _template,
 )
 
@@ -817,6 +818,28 @@ class TestSingleColumnKernel:
             assert sum(w) % p == 0
             assert _lv_mu(w, base, p) == tuple(
                 tuple(e // p for e in part) for part in full)
+
+
+class TestSelectColumn:
+    """What ``_phi_rows`` rests on: each column takes an increasing set of
+    live indices at least 2 apart, and half or more of every clump, so
+    placement always moves on.  The selector is called directly, so that a
+    broken one fails here instead of looping in ``_phi_rows``."""
+
+    def test_every_live_set_of_twelve_indices(self):
+        for size in range(1, 13):
+            for live in itertools.combinations(range(12), size):
+                runs = [[i for _, i in run] for _, run in itertools.groupby(
+                    enumerate(live), lambda t: t[1] - t[0])]
+                for r in range(4):
+                    out = _select_column(list(live), r)
+                    assert set(out) <= set(live), (live, r)
+                    assert all(b - a >= 2 for a, b in zip(out, out[1:])), \
+                        (live, r, out)
+                    for run in runs:
+                        taken = [i for i in out if run[0] <= i <= run[-1]]
+                        assert len(taken) == (len(run) + 1) // 2, \
+                            (live, r, out)
 
 
 class TestTemplateErrors:
