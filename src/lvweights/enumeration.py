@@ -76,8 +76,11 @@ __all__ = [
 
 def default_bound(n: int, k: int, p: int) -> int:
     """(n-1)(p^k - 1)/(p - 1), the top entry of ``rho_family(n, k)`` (0 for
-    n <= 1): the default bound of ``enumerate``.  The tests check that it
-    is the largest entry of D(n, k) on every case they construct."""
+    n <= 1): the default bound of ``enumerate``.  It is the largest entry
+    of D(n, k), by induction on the depth d, as lv(w) = p * omega with
+    omega_i in D(l_i, d - 1), if some entry of lv(w) is at least
+    w[0] - (n - 1) for every anti-symmetric w of length n: a lemma the
+    tests observe, and find tight, but not a proven one."""
     _int_arg("n", n)
     _int_arg("k", k)
     _int_arg("p", p, 2)
@@ -517,34 +520,20 @@ def write_scatter_svg(records, path, p: int) -> None:
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{size - margin}" stroke="black"/>',
     ]
-    e = 0
-    while e <= top:
-        t = pos(float(e))
-        x = margin + t
-        y = size - margin - t
-        parts.append(
+    for e in range(math.floor(top) + 1):  # a tick at each power p^e
+        x, y = margin + pos(e), size - margin - pos(e)
+        parts += [
             f'<line x1="{x:.2f}" y1="{size - margin}" x2="{x:.2f}" '
-            f'y2="{size - margin + 5}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{size - margin + 5}" stroke="black"/>',
             f'<text x="{x:.2f}" y="{size - margin + 18}" font-size="10" '
-            f'text-anchor="middle">{p}^{e}</text>'
-        )
-        parts.append(
+            f'text-anchor="middle">{p}^{e}</text>',
             f'<line x1="{margin - 5}" y1="{y:.2f}" x2="{margin}" '
-            f'y2="{y:.2f}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{y:.2f}" stroke="black"/>',
             f'<text x="{margin - 8}" y="{y + 3:.2f}" font-size="10" '
-            f'text-anchor="end">{p}^{e}</text>'
-        )
-        e += 1
-    for rx, ry in zip(xs, ys):
-        cx = margin + pos(rx)
-        cy = size - margin - pos(ry)
-        parts.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="steelblue"/>'
-        )
+            f'text-anchor="end">{p}^{e}</text>']
+    parts += [f'<circle cx="{margin + pos(rx):.2f}" '
+              f'cy="{size - margin - pos(ry):.2f}" r="2" fill="steelblue"/>'
+              for rx, ry in zip(xs, ys)]
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -10,8 +10,9 @@ The map factors into three stages:
 
 ``lv = kappa . apply_E_inverse . phi``.  The variant with columns indexed
 from 0 (``base=0``) flips the parity used by the selection and placement
-rules and is needed for the single-clump commutation argument; everything
-else is shared.
+rules and is needed for the single-clump commutation argument.  It
+changes the diagram but not ``lv``, up to the checked clump size (see
+``_lv_mu``), so ``lv`` is computed once for both bases.
 
 ``_phi_rows`` is the only placement code and ``_correct_columns`` the only
 column correction.  ``phi`` of a weight is the ``phi`` of each of its
@@ -78,15 +79,8 @@ def maximal_clumps(w) -> tuple[Weight, ...]:
     what makes the splitting unique and minimal.
     """
     w = validate_weight(w)
-    clumps: list[Weight] = []
-    i, n = 0, len(w)
-    while i < n:
-        j = i + 1
-        while j < n and w[j - 1] - w[j] <= 1:
-            j += 1
-        clumps.append(w[i:j])
-        i = j
-    return tuple(clumps)
+    cuts = [i for i in range(1, len(w)) if w[i - 1] - w[i] > 1]
+    return tuple(w[a:b] for a, b in zip([0, *cuts], [*cuts, len(w)]) if w)
 
 
 def _select_column(live: list[int], r: int) -> list[int]:
@@ -143,8 +137,10 @@ def _phi_rows(mults, base: int) -> tuple[list[list[int]], list[int]]:
 
 
 # Templates kept, at about 1 kB each.  6,000 clumpy weights with n <= 16
-# need 1,122 under both bases; clumps of up to 16 entries have 2^16 - 1.
+# need 570 for ``lv`` and as many for ``phi`` at base 0; clumps of up to
+# 16 entries have 2^16 - 1.
 _MAX_TEMPLATES = 1 << 13
+_BASE_FREE_CLUMP = 16  # the longest clump checked; see ``_lv_mu``
 
 
 @lru_cache(maxsize=_MAX_TEMPLATES)
@@ -276,22 +272,24 @@ def lv(w, base: int = 1) -> OmegaElement:
 
     Preserves the total entry sum: the column correction is zero-sum per
     column, the diagram permutes entries, and the final stage only sums.
+    Base 0 runs the staged map on a clump past the checked size.
     """
     if type(base) is not int or base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
-    return OmegaElement._of(_lv_mu(w, base))
+    if base == 0 and len(w) > _BASE_FREE_CLUMP and max(
+            map(len, maximal_clumps(w))) > _BASE_FREE_CLUMP:
+        return kappa(apply_E_inverse(phi(w, 0)))
+    return OmegaElement._of(_lv_mu(w))
 
 
-def _lv_mu(entries: Weight, base: int = 1,
-           p: int = 1) -> tuple[Weight, ...] | None:
+def _lv_mu(entries: Weight, p: int = 1) -> tuple[Weight, ...] | None:
     """Components of ``lv`` divided by p, without validation or wrapping;
     None when some entry is not divisible by p.
 
     Fast path: when all consecutive gaps are >= 2 every clump is a
     singleton, the diagram is a single column, and the whole map collapses
-    to subtracting the staircase (n-1, n-3, ..., 1-n), for either ``base``
-    (a one-element clump is selected under either parity).  One pass, for
+    to subtracting the staircase (n-1, n-3, ..., 1-n).  One pass, for
     every p, tests each gap, subtracts, and divides only when p != 1; after
     a remainder it reads on: a later gap below 2 means the general path.
 
@@ -310,6 +308,11 @@ def _lv_mu(entries: Weight, base: int = 1,
     needed: rows fill columns from the first, and the correction leaves
     every column non-increasing down the rows (or raises), so the upper of
     two rows of one length is entrywise at least the lower.
+
+    It plans with base 1 for both bases: of a clump it reads the top, the
+    column sizes and the (row length, corrected sum) multiset, which the
+    tests find equal under both bases for all 2^16 - 1 shapes of up to
+    ``_BASE_FREE_CLUMP`` entries, and a one-entry clump is one column.
     """
     n = len(entries)
     if n == 0:
@@ -335,7 +338,7 @@ def _lv_mu(entries: Weight, base: int = 1,
         return (tuple(out),)
     if p != 1 and sum(entries) % p:
         return None
-    plan = _clump_plan(entries, base)
+    plan = _clump_plan(entries, 1)
     total = [0] * n  # column sizes; the columns past the last stay 0
     for (_, _, cols), _ in plan:
         for j, c in enumerate(cols):

@@ -169,7 +169,7 @@ def lv_p(w, ctx: ModularContext) -> OmegaElement | None:
     """
     w = validate_weight(w)
     ctx.check_length(len(w))
-    divided = _lv_mu(w, 1, ctx.p)
+    divided = _lv_mu(w, ctx.p)
     return None if divided is None else OmegaElement._of(divided)
 
 
@@ -201,7 +201,7 @@ def _build(seq: Weight, cap: int, p: int) -> IterationTrace:
             status = STATUS_TERMINAL_SHORT
         elif depth == cap:
             status = STATUS_EXHAUSTED
-        elif (divided := _lv_mu(seq, 1, p)) is None:
+        elif (divided := _lv_mu(seq, p)) is None:
             status = STATUS_NONINTEGRAL
         if divided is None:
             stack[-1][2].append(IterationTrace(seq, status, depth))
@@ -242,7 +242,7 @@ def _bounded_depth(seq: Weight, cap: int, p: int, memo: dict) -> int | None:
         if not any(seq):  # settle seq at once or expand it
             v = memo[seq] = 0
         elif (len(seq) == 1 or cap <= 0
-              or (mu := _lv_mu(seq, 1, p)) is None):
+              or (mu := _lv_mu(seq, p)) is None):
             v = memo[seq] = None
         else:
             v = 0  # the deepest component read: below cap, so a push folds it

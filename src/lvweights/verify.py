@@ -56,7 +56,8 @@ def r_commutation_failures(samples: int, seed: int):
 
 def clump_commutation_failures(samples: int, seed: int):
     """Single-clump weights where the 0-indexed variant fails to commute
-    with reverse-negate."""
+    with reverse-negate: the base-1 map, as ``lv`` does not depend on the
+    base on these clumps of at most 8 entries."""
     return _failures(samples, seed, random_clump_weight, lambda w: lv(
         reverse_negate(w), base=0) == reverse_negate_omega(lv(w, base=0)))
 

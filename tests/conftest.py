@@ -25,7 +25,7 @@ def forward_checked():
         def check(target, n, p):
             w = preimage(target, n, p)
             assert list(w) == sorted(w, reverse=True), (target, p, w)
-            assert enumeration._lv_mu(w, 1, p) == target, (target, p, w)
+            assert enumeration._lv_mu(w, p) == target, (target, p, w)
             seen.append(w)
             return w
 

@@ -5,6 +5,7 @@ live).  The heavy enumeration grid runs once in a module fixture and is
 shared by the criteria that consume it.
 """
 
+import itertools
 import os
 import random
 import time
@@ -37,6 +38,7 @@ from lvweights import (
     telephone,
     write_scatter_csv,
 )
+from lvweights.enumeration import _construct
 from lvweights.modular_iteration import STATUS_EXPANDED, STATUS_ZEROS
 from lvweights.verify import random_clump_weight, random_weight
 
@@ -187,6 +189,26 @@ def test_criterion_06_antisymmetry(grid_results):
                 assert reverse_negate(w) == w, (n, k, p, w)
                 checked += 1
         assert checked > 0
+
+
+@pytest.mark.parametrize("n, k, p, bound", [
+    (6, 1, 7, 10), (5, 1, 7, 8), (3, 2, 5, 24)])
+def test_full_boxes_find_exactly_the_construction(n, k, p, bound):
+    # Criterion 6 reads built weights, anti-symmetric by construction, so it
+    # cannot fail.  Here every weakly decreasing weight with entries in
+    # [-bound, bound], twice the default bound, is iterated: the
+    # distinguished ones are exactly D(n, k) with its depths, so each is
+    # anti-symmetric and none is missed, and lv is injective on the box.
+    assert bound == 2 * default_bound(n, k, p)
+    ctx = ModularContext(p)
+    found, images = {}, set()
+    for size, w in enumerate(itertools.combinations_with_replacement(
+            range(bound, -bound - 1, -1), n), 1):
+        images.add(lv(w).mu)
+        if (depth := distinguished_depth(w, ctx, k)) is not None:
+            found[w] = depth
+    assert len(images) == size
+    assert found == _construct(n, k, p)
 
 
 def test_criterion_07_r_commutation(random_corpus):

@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lvweights.enumeration as enumeration
 from lvweights import (
@@ -21,6 +23,7 @@ from lvweights import (
     distinguished_depth,
     enumerate_distinguished,
     generate_family_set,
+    lv,
     lv_p,
     partitions_mult,
     reverse_negate,
@@ -52,6 +55,39 @@ class TestDefaultBound:
         for n, k, p in [(4, 2, 5), (5, 3, 7), (8, 2, 11)]:
             w = rho_family(n, k, ModularContext(p))
             assert default_bound(n, k, p) == w[0]
+
+
+def anti_symmetric(coords, odd):
+    """The anti-symmetric weight with free coordinates ``coords``, which
+    must be weakly decreasing and >= 0, and a middle 0 when ``odd``."""
+    return (*coords, *(0,) * odd, *(-c for c in reversed(coords)))
+
+
+def top_slack(w):
+    """How far lv(w)'s largest entry lies above w[0] - (len(w) - 1)."""
+    return max(v for part in lv(w).mu for v in part) - w[0] + len(w) - 1
+
+
+class TestTopEntryLemma:
+    # ``default_bound``'s docstring rests on it: some entry of lv(w) is at
+    # least w[0] - (n - 1) for an anti-symmetric w of length n.  The
+    # exhaustive boxes also find weights where it is tight, so it holds
+    # with no smaller slack.
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_exhaustive_boxes(self, n):
+        slacks = [top_slack(anti_symmetric(x, n % 2)) for x in
+                  itertools.combinations_with_replacement(range(12, -1, -1),
+                                                          n // 2)]
+        assert min(slacks) == 0, n
+
+    @given(st.sampled_from([3, 10**6]).flatmap(lambda top: st.lists(
+        st.integers(0, top), min_size=1, max_size=11)), st.booleans())
+    @settings(max_examples=500)
+    def test_random_weights(self, coords, odd):
+        # Clumpy free coordinates, each at most 3, and spread ones.
+        w = anti_symmetric(tuple(sorted(coords, reverse=True)), odd)
+        assert top_slack(w) >= 0
 
 
 class TestSearchBox:
@@ -352,7 +388,7 @@ class TestConstruction:
         assert move_clumps(least, moves) == proposal
         assert not moves[0] >= moves[1] >= 0
         assert proposal != preimage
-        assert enumeration._lv_mu(preimage, 1, p) == target
+        assert enumeration._lv_mu(preimage, p) == target
         monkeypatch.setattr(enumeration, "_cells",
                             lambda n: {(2, 2): [cell, *cells]})
         assert enumeration._preimage(target, 6, p) == preimage

@@ -31,6 +31,7 @@ from lvweights import (
 from lvweights import lv_algorithm
 from lvweights.core import _BuiltDiagram, dom, validate_diagram
 from lvweights.lv_algorithm import (
+    _BASE_FREE_CLUMP,
     PlacementError,
     _correct_columns,
     _lv_mu,
@@ -694,7 +695,8 @@ class TestTemplatedKernel:
            st.sampled_from([1, 17]))
     @settings(max_examples=300)
     def test_lv_mu_matches_reference(self, w, base, p):
-        assert _lv_mu(w, base, p) == reference_lv_p(w, p, base)
+        # One kernel for both bases: the reference at either.
+        assert _lv_mu(w, p) == reference_lv_p(w, p, base)
 
     @given(multi_clump_weights(), st.sampled_from([0, 1]),
            st.integers(-17**40, 17**40))
@@ -707,7 +709,7 @@ class TestTemplatedKernel:
     @given(multi_clump_weights(), st.sampled_from([0, 1]))
     def test_cold_cache_equals_warm(self, w, base):
         def outputs():
-            return phi(w, base), _lv_mu(w, base), _lv_mu(w, base, 17)
+            return phi(w, base), lv(w, base), _lv_mu(w), _lv_mu(w, 17)
 
         _template.cache_clear()
         cold = outputs()
@@ -723,6 +725,96 @@ def staged_lv_p(w, base, p):
     if any(e % p for part in mu for e in part):
         return None
     return tuple(tuple(e // p for e in part) for part in mu)
+
+
+def base_dependent_vectors(sizes, compile_template):
+    """The multiplicity vectors of each size in ``sizes`` whose base-0 and
+    base-1 templates differ in their column sizes or in their multiset of
+    (row length, corrected row sum), which is all ``_lv_mu`` reads of a
+    clump besides its top; and the number of vectors compared."""
+    def read(mults, base):
+        rows, sums, cols = compile_template(mults, base)
+        return cols, sorted(zip(map(len, rows), sums))
+
+    found, checked = [], 0
+    for size in sizes:
+        for mults in multiplicity_vectors(size):
+            checked += 1
+            if read(mults, 0) != read(mults, 1):
+                found.append(mults)
+    return found, checked
+
+
+def one_clump(mults, top=0):
+    """The clump with top ``top`` and multiplicities ``mults``."""
+    return tuple(top - i for i, m in enumerate(mults) for _ in range(m))
+
+
+class TestBaseIndependence:
+    """``lv`` is one map for both column bases: exact on every weight whose
+    maximal clumps have at most ``_BASE_FREE_CLUMP`` entries, by the
+    exhaustive template check below, while a base-0 weight with a longer
+    clump takes the staged map."""
+
+    def test_templates_agree_on_every_checked_clump(self):
+        # Compiled past the cache, which 2^17 templates would only flush.
+        found, checked = base_dependent_vectors(
+            range(1, _BASE_FREE_CLUMP + 1), _template.__wrapped__)
+        assert found == []
+        assert checked == 2 ** _BASE_FREE_CLUMP - 1  # every vector
+
+    def test_a_changed_base_0_template_is_found(self):
+        # Swapping the sums of the rows of lengths 1 and 3 of the base-0
+        # template of (1, 2, 1) keeps its column sizes and its sums.
+        compile_template = _template.__wrapped__
+
+        def changed(mults, base):
+            rows, sums, cols = compile_template(mults, base)
+            return rows, sums[::-1] if (mults, base) == ((1, 2, 1), 0) \
+                else sums, cols
+
+        assert [len(row) for row in changed((1, 2, 1), 0)[0]] == [1, 3]
+        assert base_dependent_vectors(range(1, 6), changed) == (
+            [(1, 2, 1)], 31)
+
+    @pytest.mark.parametrize("size", range(_BASE_FREE_CLUMP + 1, 41))
+    def test_a_longer_clump_takes_the_staged_map_at_base_0(
+            self, monkeypatch, size):
+        # Equal entries, distinct values and seeded multiplicities, alone
+        # and between two short clumps.
+        rng = random.Random(size)
+        cuts = sorted(rng.sample(range(1, size), rng.randrange(1, size)))
+        clumps = [(7,) * size, one_clump((1,) * size, 50),
+                  one_clump(tuple(b - a for a, b in zip(
+                      (0, *cuts), (*cuts, size))), -3)]
+        weights = clumps + [(90, 89, *c, -60, -60) for c in clumps]
+        staged = [kappa(apply_E_inverse(phi(w, 0))) for w in weights]
+        fused = [lv(w, 1) for w in weights]
+
+        def fused_map(*args):
+            raise AssertionError("a longer clump reached _lv_mu at base 0")
+
+        monkeypatch.setattr(lv_algorithm, "_lv_mu", fused_map)
+        assert [lv(w, 0) for w in weights] == staged
+        # Observed, not relied on: both bases still agree here.
+        assert staged == fused
+
+    def test_checked_clumps_take_the_fused_map_at_base_0(self, monkeypatch):
+        # The longest checked clump, alone and twice over, and 36 entries
+        # in clumps of at most 16.
+        weights = [(0,) * _BASE_FREE_CLUMP, one_clump((1,) * 16, 40) + (
+            (0,) * 16), tuple(range(100, 0, -5)) + one_clump((2,) * 8)]
+        expected = [kappa(apply_E_inverse(phi(w, 0))) for w in weights]
+        calls = []
+
+        def fused_map(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = lv_algorithm._lv_mu
+        monkeypatch.setattr(lv_algorithm, "_lv_mu", fused_map)
+        assert [lv(w, 0) for w in weights] == expected
+        assert calls == [(w,) for w in weights]
 
 
 def bench_forward_weights(seed, count):
@@ -771,7 +863,7 @@ class TestSingleColumnKernel:
     @pytest.mark.parametrize("base", [0, 1])
     @pytest.mark.parametrize("w", CASES)
     def test_cases_match_the_staged_map(self, w, base, p):
-        assert _lv_mu(w, base, p) == staged_lv_p(w, base, p)
+        assert _lv_mu(w, p) == staged_lv_p(w, base, p)
 
     def test_cases_cover_both_outcomes_on_both_paths(self):
         outcomes = {(single_column(w), staged_lv_p(w, 1, p) is None)
@@ -787,7 +879,7 @@ class TestSingleColumnKernel:
            st.sampled_from([1, 5, 17]))
     @settings(max_examples=300)
     def test_spread_weights_match_the_staged_map(self, w, base, p):
-        assert _lv_mu(w, base, p) == staged_lv_p(w, base, p)
+        assert _lv_mu(w, p) == staged_lv_p(w, base, p)
 
     def test_sum_test_on_the_forward_weights(self, monkeypatch):
         # Against the full computation (the map divided by hand); then
@@ -798,25 +890,24 @@ class TestSingleColumnKernel:
         failing = [w for w in general if sum(w) % 17]
         assert len(failing) > len(general) // 2
         for w in weights:
-            assert _lv_mu(w, 1, 17) == staged_lv_p(w, 1, 17), w
+            assert _lv_mu(w, 17) == staged_lv_p(w, 1, 17), w
 
         def plan(*args):
             raise AssertionError("the sum test let a weight through")
 
         monkeypatch.setattr(lv_algorithm, "_clump_plan", plan)
-        assert all(_lv_mu(w, 1, 17) is None for w in failing)
+        assert all(_lv_mu(w, 17) is None for w in failing)
 
-    @given(multi_clump_weights(), st.sampled_from([0, 1]),
-           st.sampled_from([2, 5, 17]))
+    @given(multi_clump_weights(), st.sampled_from([2, 5, 17]))
     @settings(max_examples=300)
-    def test_sum_test_matches_the_full_map(self, w, base, p):
+    def test_sum_test_matches_the_full_map(self, w, p):
         # The undivided map, divided by hand, takes no shortcut.
-        full = _lv_mu(w, base)
+        full = _lv_mu(w)
         if any(e % p for part in full for e in part):
-            assert _lv_mu(w, base, p) is None
+            assert _lv_mu(w, p) is None
         else:
             assert sum(w) % p == 0
-            assert _lv_mu(w, base, p) == tuple(
+            assert _lv_mu(w, p) == tuple(
                 tuple(e // p for e in part) for part in full)
 
 
