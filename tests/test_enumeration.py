@@ -57,12 +57,6 @@ class TestDefaultBound:
             assert default_bound(n, k, p) == w[0]
 
 
-def anti_symmetric(coords, odd):
-    """The anti-symmetric weight with free coordinates ``coords``, which
-    must be weakly decreasing and >= 0, and a middle 0 when ``odd``."""
-    return (*coords, *(0,) * odd, *(-c for c in reversed(coords)))
-
-
 def top_slack(w):
     """How far lv(w)'s largest entry lies above w[0] - (len(w) - 1)."""
     return max(v for part in lv(w).mu for v in part) - w[0] + len(w) - 1
@@ -76,7 +70,7 @@ class TestTopEntryLemma:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_exhaustive_boxes(self, n):
-        slacks = [top_slack(anti_symmetric(x, n % 2)) for x in
+        slacks = [top_slack(enumeration._mirror(x, n)) for x in
                   itertools.combinations_with_replacement(range(12, -1, -1),
                                                           n // 2)]
         assert min(slacks) == 0, n
@@ -86,7 +80,8 @@ class TestTopEntryLemma:
     @settings(max_examples=500)
     def test_random_weights(self, coords, odd):
         # Clumpy free coordinates, each at most 3, and spread ones.
-        w = anti_symmetric(tuple(sorted(coords, reverse=True)), odd)
+        n = 2 * len(coords) + odd
+        w = enumeration._mirror(tuple(sorted(coords, reverse=True)), n)
         assert top_slack(w) >= 0
 
 

@@ -765,7 +765,8 @@ class TestBaseIndependence:
 
     def test_a_changed_base_0_template_is_found(self):
         # Swapping the sums of the rows of lengths 1 and 3 of the base-0
-        # template of (1, 2, 1) keeps its column sizes and its sums.
+        # template of (1, 2, 1) keeps its column sizes and the multiset of
+        # its sums; the check names that vector alone.
         compile_template = _template.__wrapped__
 
         def changed(mults, base):
@@ -802,8 +803,9 @@ class TestBaseIndependence:
     def test_checked_clumps_take_the_fused_map_at_base_0(self, monkeypatch):
         # The longest checked clump, alone and twice over, and 36 entries
         # in clumps of at most 16.
-        weights = [(0,) * _BASE_FREE_CLUMP, one_clump((1,) * 16, 40) + (
-            (0,) * 16), tuple(range(100, 0, -5)) + one_clump((2,) * 8)]
+        most = _BASE_FREE_CLUMP
+        weights = [(0,) * most, one_clump((1,) * most, 40) + (0,) * most,
+                   tuple(range(100, 0, -5)) + one_clump((2,) * (most // 2))]
         expected = [kappa(apply_E_inverse(phi(w, 0))) for w in weights]
         calls = []
 
