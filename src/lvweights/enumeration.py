@@ -9,11 +9,13 @@ multiplicity of part i in alpha, and depth <= k - 1.  So D(n, k) holds the
 zero weight and lv^-1(p * omega) for every alpha != (n) and omega_i in
 D(l_i, k - 1).  The count recursion says each such preimage exists, so
 |D(n, k)| = ``count_distinguished(n, k)`` holds by construction; a target
-without an anti-symmetric preimage raises instead of being dropped, and
-``enumerate_distinguished`` checks the count on every call.  No search
-bound is involved: it then keeps the weights whose largest entry is within
-its bound.  Which omega a level inverts does not depend on p
-(``_targets``); level 1's are zero and invert in closed form (``_neutral``).
+without an anti-symmetric preimage raises instead of being dropped.  The
+test ``test_full_boxes_find_exactly_the_construction`` checks anti-symmetry
+and injectivity on full boxes, ``_enumerate_depths`` the count on every
+call, and ``TestTopEntryLemma`` the lemma behind ``default_bound``.  No
+search bound is involved: the weights within the bound are then kept.
+Which omega a level inverts does not depend on p (``_targets``); level 1's
+are zero and invert in closed form (``_neutral``).
 
 The inverse takes two steps.  First, a cell proposes a candidate.  The
 free coordinates x_1 >= ... >= x_h >= 0 (h = floor(n/2)) split into cells
@@ -130,7 +132,7 @@ def _compile_cell(least: Weight):
     coef 1.  A weight of the cell has the same clump templates in the same
     order, so its rows keep their positions and each row sum moves by
     len(row) times its clump's move."""
-    plan = _clump_plan(least, 1)
+    plan = _clump_plan(least)
     mu = _lv_mu(least)
     owned = [[] for _ in mu]  # the (clump, sign) of each row, by length
     for j, ((rows, _, _), _) in enumerate(plan):
@@ -219,17 +221,19 @@ def _construct(n: int, k: int, p: int) -> dict[Weight, int]:
     """D(n, k), every distinguished weight of length n and depth <= k,
     mapped to its depth: level d inverts the targets of weights of depth
     below d (``_targets``), level 1's zero targets by ``_neutral`` and the
-    deeper ones by ``_preimage``.  The order does not depend on p."""
+    deeper ones by ``_preimage``.  The order does not depend on p.  No
+    shape alpha != (l) has a multiplicity l - 1, so n - 1 is not built."""
     depths = {(0,) * n: 0}
     if n < 2:  # the zero weight alone
         return depths
-    older = {l: [] for l in range(n + 1)}  # per length: depth below d - 1
-    last = {l: [(0,) * l] for l in range(n + 1)}  # and depth d - 1
+    lengths = (*range(n - 1), n)
+    older = {l: [] for l in lengths}  # per length: depth below d - 1
+    last = {l: [(0,) * l] for l in lengths}  # and depth d - 1
     for d in range(1, k + 1):
         every = {l: older[l] + last[l] for l in last}
         last = {l: [_neutral(omega) if d == 1 else _preimage(omega, l, p)
                     for omega in _targets(l, older, last, every)]
-                for l in (range(n + 1) if d < k else (n,))}
+                for l in (lengths if d < k else (n,))}
         older = every
         depths.update(dict.fromkeys(last[n], d))
     return depths

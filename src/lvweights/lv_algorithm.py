@@ -9,25 +9,27 @@ The map factors into three stages:
   * ``kappa``    -- groups rows by length and records sorted row sums.
 
 ``lv = kappa . apply_E_inverse . phi``.  The variant with columns indexed
-from 0 (``base=0``) flips the parity used by the selection and placement
-rules and is needed for the single-clump commutation argument.  It
-changes the diagram but not ``lv``, up to the checked clump size (see
-``_lv_mu``), so ``lv`` is computed once for both bases.
+from 0 (``base=0``), used by the single-clump commutation argument, is a
+mirror: phi(w, 0) is phi(R w, 1), R = ``reverse_negate``, with its rows in
+reverse order and every entry negated.  Negation swaps which alternates an
+even run gives up and turns z + (-1)^r into z - (-1)^r, as the parity flip
+does, and reverses the rows, which open only in the first column.  A
+column read bottom up and negated has its correction reversed and negated,
+and ``kappa`` sorts, so lv(w, 0) = R lv(R w, 1) for every weight.
 
 ``_phi_rows`` is the only placement code and ``_correct_columns`` the only
 column correction.  ``phi`` of a weight is the ``phi`` of each of its
 maximal clumps, shifted; ``_template`` compiles a clump shape once, with
 both kernels, into its rows, its corrected row sums and its column sizes,
-and keeps it in a bounded cache keyed by the clump's multiplicities and
-the column base.  Placement runs on those multiplicities alone and finds
-each value's row by lookup, so a clump costs time linear in its length,
-whether its entries are equal or distinct.  ``phi`` reads the rows of the
-templates.  ``_lv_mu`` is the fused map divided by p: a single-column
-diagram is a staircase shift, and any other weight takes one pass over its
-clumps' templates, which adds the cross-clump part of the column
-correction to the row sums.  It is behind ``lv``, ``lv_p``, the depth
-search and the enumeration's inverse, which compiles its cells from it;
-``apply_E_inverse`` and ``kappa`` take any diagram.
+and keeps it in a bounded cache keyed by the clump's multiplicities.
+Placement finds each value's row by lookup, so a clump costs time linear
+in its length, whether its entries are equal or distinct.  ``phi`` reads
+the rows of the templates.  ``_lv_mu`` is the fused map divided by p: a
+single-column diagram is a staircase shift, and any other weight takes one
+pass over its clumps' templates, which adds the cross-clump part of the
+column correction to the row sums.  It is behind ``lv``, ``lv_p``, the
+depth search and the enumeration's inverse, which compiles its cells from
+it; ``apply_E_inverse`` and ``kappa`` take any diagram.
 
 ``apply_E``, the entrywise inverse correction, runs the same kernel on
 each column sorted by value; with ``phi_inverse`` it supports round-trip
@@ -40,15 +42,9 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 
-from .core import (
-    Diagram,
-    OmegaElement,
-    Weight,
-    _BuiltDiagram,
-    dom,
-    validate_diagram,
-    validate_weight,
-)
+from .core import (Diagram, OmegaElement, Weight, _BuiltDiagram, dom,
+                   reverse_negate, reverse_negate_omega, validate_diagram,
+                   validate_weight)
 
 __all__ = [
     "PlacementError",
@@ -101,7 +97,7 @@ def _select_column(live: list[int], r: int) -> list[int]:
     return out
 
 
-def _phi_rows(mults, base: int) -> tuple[list[list[int]], list[int]]:
+def _phi_rows(mults) -> tuple[list[list[int]], list[int]]:
     """The rows and column sizes of ``phi`` of the canonical clump with
     multiplicities ``mults``: the value -i occurs ``mults[i]`` times.
 
@@ -116,7 +112,7 @@ def _phi_rows(mults, base: int) -> tuple[list[list[int]], list[int]]:
     cols: list[int] = []
     ends: dict[int, list[int]] = {}
     while live:
-        r = base + len(cols)
+        r = 1 + len(cols)
         z = _select_column(live, r)
         last, ends, sign = ends, {}, (-1) ** r
         for i in z:
@@ -137,14 +133,14 @@ def _phi_rows(mults, base: int) -> tuple[list[list[int]], list[int]]:
 
 
 # Templates kept, at about 1 kB each.  6,000 clumpy weights with n <= 16
-# need 570 for ``lv`` and as many for ``phi`` at base 0; clumps of up to
-# 16 entries have 2^16 - 1.
+# need 570 for ``lv`` and 258 more for ``phi`` at base 0, which reads the
+# reversed vectors; clumps of up to 16 entries have 2^16 - 1.
 _MAX_TEMPLATES = 1 << 13
 _BASE_FREE_CLUMP = 16  # the longest clump checked; see ``_lv_mu``
 
 
 @lru_cache(maxsize=_MAX_TEMPLATES)
-def _template(mults: tuple[int, ...], base: int):
+def _template(mults: tuple[int, ...]):
     """``phi`` of the canonical clump -- distinct values 0, -1, -2, ...
     with multiplicities ``mults`` -- as ``(rows, sums, cols)``: its rows;
     each row's sum after the column correction of the clump alone; and its
@@ -155,17 +151,16 @@ def _template(mults: tuple[int, ...], base: int):
     distinct values, and placement compares differences, so a shift moves
     the rows with the clump; and two maximal clumps differ by at least 2,
     while removing selected values only splits clumps, so no column joins
-    values of two clumps and no row takes values from two.  Every clump
-    starts at column ``base``.  A ``PlacementError`` or a gap below 2 is
-    raised here, once per template, on the canonical values; gaps across a
-    clump boundary are at least 2.
+    values of two clumps and no row takes values from two.  A
+    ``PlacementError`` or a gap below 2 is raised here, once per template,
+    on the canonical values; gaps across a clump boundary are at least 2.
     """
-    rows, cols = _phi_rows(mults, base)
+    rows, cols = _phi_rows(mults)
     rows = tuple(map(tuple, rows))
     return rows, tuple(map(sum, _correct_columns(rows))), tuple(cols)
 
 
-def _clump_plan(w: Weight, base: int) -> list:
+def _clump_plan(w: Weight) -> list:
     """(template, top) of each maximal clump of ``w``, in order."""
     if not w:
         return []
@@ -179,10 +174,10 @@ def _clump_plan(w: Weight, base: int) -> list:
         elif gap == 1:
             mults.append(1)
         else:
-            plan.append((_template(tuple(mults), base), top))
+            plan.append((_template(tuple(mults)), top))
             top, mults = v, [1]
         prev = v
-    plan.append((_template(tuple(mults), base), top))
+    plan.append((_template(tuple(mults)), top))
     return plan
 
 
@@ -190,15 +185,17 @@ def phi(w, base: int = 1) -> Diagram:
     """Column-by-column diagram construction.
 
     ``base`` selects the index of the first column (1 by default, 0 for the
-    parity-shifted variant).  Each selected value z is appended to the
-    topmost open row whose previous entry is z or z + (-1)^r, where r is
-    the externally visible column number.
+    parity-shifted variant, base 1's mirror).  Each selected value z is
+    appended to the topmost open row whose previous entry is z or
+    z + (-1)^r, where r is the externally visible column number.
     """
     if type(base) is not int or base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
-    return _BuiltDiagram([tuple([v + top for v in row]) for (rows, _, _), top
-                          in _clump_plan(w, base) for row in rows])
+    s = 2 * base - 1  # base 0: base 1's plan of R w, reversed and negated
+    plan = _clump_plan(w if base else reverse_negate(w))[::s]
+    return _BuiltDiagram([tuple([s * (v + top) for v in row])
+                          for (rows, _, _), top in plan for row in rows[::s]])
 
 
 def phi_inverse(x: Diagram) -> Weight:
@@ -272,14 +269,14 @@ def lv(w, base: int = 1) -> OmegaElement:
 
     Preserves the total entry sum: the column correction is zero-sum per
     column, the diagram permutes entries, and the final stage only sums.
-    Base 0 runs the staged map on a clump past the checked size.
+    Base 0 mirrors base 1 past the checked clump size (see ``_lv_mu``).
     """
     if type(base) is not int or base not in (0, 1):
         raise ValueError(f"column base must be 0 or 1, got {base}")
     w = validate_weight(w)
     if base == 0 and len(w) > _BASE_FREE_CLUMP and max(
             map(len, maximal_clumps(w))) > _BASE_FREE_CLUMP:
-        return kappa(apply_E_inverse(phi(w, 0)))
+        return reverse_negate_omega(lv(reverse_negate(w)))
     return OmegaElement._of(_lv_mu(w))
 
 
@@ -290,8 +287,8 @@ def _lv_mu(entries: Weight, p: int = 1) -> tuple[Weight, ...] | None:
     Fast path: when all consecutive gaps are >= 2 every clump is a
     singleton, the diagram is a single column, and the whole map collapses
     to subtracting the staircase (n-1, n-3, ..., 1-n).  One pass, for
-    every p, tests each gap, subtracts, and divides only when p != 1; after
-    a remainder it reads on: a later gap below 2 means the general path.
+    every p, tests each gap, subtracts, and divides only when p != 1; a
+    remainder leaves the general path to decide.
 
     General path: ``lv`` keeps the total, so None unless p divides it.  The
     diagram is the clumps' templates shifted by their tops (see
@@ -309,28 +306,22 @@ def _lv_mu(entries: Weight, p: int = 1) -> tuple[Weight, ...] | None:
     every column non-increasing down the rows (or raises), so the upper of
     two rows of one length is entrywise at least the lower.
 
-    It plans with base 1 for both bases: of a clump it reads the top, the
-    column sizes and the (row length, corrected sum) multiset, which the
-    tests find equal under both bases for all 2^16 - 1 shapes of up to
-    ``_BASE_FREE_CLUMP`` entries, and a one-entry clump is one column.
+    It plans with base 1 for both bases.  Of a clump it reads the top, the
+    column sizes and the (row length, corrected sum) multiset; base 0 reads
+    m as base 1 reads m[::-1], (L, S) as (L, -S - L*(len(m) - 1)), and the
+    tests find them equal on every shape of up to ``_BASE_FREE_CLUMP`` entries.
     """
     n = len(entries)
     if n == 0:
         return ()
     top, prev, out = n - 1, entries[0] + 2, []
-    for v in (rest := iter(entries)):
+    for v in entries:
         if prev - v < 2:
             break
         q = v - top
         if p != 1:
             q, r = divmod(q, p)
-            if r:  # None, unless a later gap is below 2
-                for u in rest:
-                    if v - u < 2:
-                        break
-                    v = u
-                else:
-                    return None
+            if r:
                 break
         out.append(q)
         top, prev = top - 2, v
@@ -338,7 +329,7 @@ def _lv_mu(entries: Weight, p: int = 1) -> tuple[Weight, ...] | None:
         return (tuple(out),)
     if p != 1 and sum(entries) % p:
         return None
-    plan = _clump_plan(entries, 1)
+    plan = _clump_plan(entries)
     total = [0] * n  # column sizes; the columns past the last stay 0
     for (_, _, cols), _ in plan:
         for j, c in enumerate(cols):

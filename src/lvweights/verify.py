@@ -3,9 +3,10 @@
 Reused by the ``verify`` CLI subcommand and by the test suite.  Each check
 returns a list of counterexamples (empty means the property held on every
 sample); sampling is driven by a caller-supplied seed so runs are
-reproducible byte for byte.  The round trips check the identities of a
-diagram x = phi(w, base) alone once per distinct x, and ``lv(w, base)``
-against x's staged form for both column bases.
+reproducible byte for byte.  As lv(R w, 0) = R lv(w, 1), R the
+reverse-negate map, the single-clump check shows that lv does not depend
+on the column base, on clumps of at most 8 entries, and the base-0 round
+trip checks that the base-1 map commutes with R.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def r_commutation_failures(samples: int, seed: int):
 
 def clump_commutation_failures(samples: int, seed: int):
     """Single-clump weights where the 0-indexed variant fails to commute
-    with reverse-negate: the base-1 map, as ``lv`` does not depend on the
-    base on these clumps of at most 8 entries."""
+    with reverse-negate: as lv(R w, 0) = R lv(w, 1), the clumps, of at most
+    8 entries, on which ``lv`` depends on the column base."""
     return _failures(samples, seed, random_clump_weight, lambda w: lv(
         reverse_negate(w), base=0) == reverse_negate_omega(lv(w, base=0)))
 
@@ -72,9 +73,8 @@ def round_trip_failures(samples: int, seed: int):
 def _round_trips(w) -> bool:
     """Every identity of ``round_trip_failures`` for both column bases.
     Those of the diagram x = phi(w, base) alone are pure in x, so they are
-    checked once per distinct x (phi(w, 0) = phi(w, 1) whenever every gap
-    is at least 2); ``lv(w, base)`` is checked against x's staged form for
-    both bases.  Every check runs, so one that raises still raises."""
+    checked once per distinct x; ``lv(w, base)`` is checked against x's
+    staged form.  Every check runs, so one that raises still raises."""
     held, seen = [], None
     for base in (0, 1):
         x = phi(w, base)

@@ -305,6 +305,26 @@ class TestConstruction:
         assert len(enumeration._construct(6, 5, 7)) == count_distinguished(6, 5)
         assert len(built) == len(set(built))
 
+    @pytest.mark.parametrize("n,k,p", [(2, 4, 5), (3, 4, 5), (6, 3, 7),
+                                       (9, 2, 11)])
+    def test_length_n_minus_one_is_never_built(self, monkeypatch, n, k, p):
+        # Length n reads no multiplicity n - 1 and shorter lengths read
+        # only lengths up to their own; every other length from 2 is built.
+        lengths = set()
+
+        def spy(build):
+            def built(*args):
+                lengths.add(len(w := build(*args)))
+                return w
+            return built
+
+        for name in ("_preimage", "_neutral"):
+            monkeypatch.setattr(enumeration, name,
+                                spy(getattr(enumeration, name)))
+        assert len(enumeration._construct(n, k, p)) == count_distinguished(
+            n, k)
+        assert lengths == {*range(2, n - 1), n}
+
     def test_level_two_preimages_at_length_20(self, forward_checked):
         # A seeded sample of the targets of D(20, 2) less D(20, 1): a shape
         # alpha != (20) and omega_i in D(l_i, 1), not all zero.

@@ -706,6 +706,16 @@ class TestTemplatedKernel:
             tuple(v + t for v in row) for row in phi(w, base)
         )
 
+    @given(multi_clump_weights())
+    def test_base_0_reads_the_templates_of_the_mirror(self, w):
+        # phi(w, 0) is phi(R w, 1) with its rows reversed and negated, and
+        # it compiles no template of its own.
+        mirror = phi(reverse_negate(w), 1)
+        misses = _template.cache_info().misses
+        assert phi(w, 0) == tuple(tuple(-v for v in row)
+                                  for row in reversed(mirror))
+        assert _template.cache_info().misses == misses
+
     @given(multi_clump_weights(), st.sampled_from([0, 1]))
     def test_cold_cache_equals_warm(self, w, base):
         def outputs():
@@ -727,21 +737,29 @@ def staged_lv_p(w, base, p):
     return tuple(tuple(e // p for e in part) for part in mu)
 
 
-def base_dependent_vectors(sizes, compile_template):
-    """The multiplicity vectors of each size in ``sizes`` whose base-0 and
-    base-1 templates differ in their column sizes or in their multiset of
-    (row length, corrected row sum), which is all ``_lv_mu`` reads of a
-    clump besides its top; and the number of vectors compared."""
-    def read(mults, base):
-        rows, sums, cols = compile_template(mults, base)
-        return cols, sorted(zip(map(len, rows), sums))
+def mirror_asymmetric_vectors(sizes, compile_template):
+    """The multiplicity vectors m of each size in ``sizes`` whose template
+    and that of m[::-1] break the mirror symmetry: equal column sizes, and
+    each (row length L, corrected row sum S) of the one matching an
+    (L, -S - L*(len(m) - 1)) of the other.  By the mirror that is the base-0
+    template of m against its base-1 one, read as ``_lv_mu`` reads a clump
+    besides its top; and the number of vectors compared.  Each vector is
+    compiled once, with its reverse."""
+    def read(mults, mirrored):
+        rows, sums, cols = compile_template(mults)
+        shift = len(mults) - 1
+        return cols, sorted((len(row), -s - len(row) * shift if mirrored
+                             else s) for row, s in zip(rows, sums))
 
     found, checked = [], 0
     for size in sizes:
         for mults in multiplicity_vectors(size):
-            checked += 1
-            if read(mults, 0) != read(mults, 1):
-                found.append(mults)
+            if mults > mults[::-1]:
+                continue  # compared with its reverse
+            pair = sorted({mults, mults[::-1]})
+            checked += len(pair)
+            if read(mults, False) != read(mults[::-1], True):
+                found += pair
     return found, checked
 
 
@@ -753,52 +771,57 @@ def one_clump(mults, top=0):
 class TestBaseIndependence:
     """``lv`` is one map for both column bases: exact on every weight whose
     maximal clumps have at most ``_BASE_FREE_CLUMP`` entries, by the
-    exhaustive template check below, while a base-0 weight with a longer
-    clump takes the staged map."""
+    exhaustive template check below, while lv(w, 0) of a weight with a
+    longer clump is R lv(R w, 1), the mirror of base 1 (R = reverse-negate),
+    which gives the staged base-0 map on every weight."""
 
     def test_templates_agree_on_every_checked_clump(self):
-        # Compiled past the cache, which 2^17 templates would only flush.
-        found, checked = base_dependent_vectors(
+        # Compiled past the cache, which 2^16 templates would only flush.
+        found, checked = mirror_asymmetric_vectors(
             range(1, _BASE_FREE_CLUMP + 1), _template.__wrapped__)
         assert found == []
         assert checked == 2 ** _BASE_FREE_CLUMP - 1  # every vector
 
     def test_a_changed_base_0_template_is_found(self):
-        # Swapping the sums of the rows of lengths 1 and 3 of the base-0
-        # template of (1, 2, 1) keeps its column sizes and the multiset of
-        # its sums; the check names that vector alone.
+        # Swapping the sums of the rows of lengths 3 and 1 of the template
+        # of (1, 2, 1), its own reverse and so its own base-0 template by
+        # the mirror, keeps its column sizes and the multiset of its sums;
+        # the check names that vector alone.
         compile_template = _template.__wrapped__
 
-        def changed(mults, base):
-            rows, sums, cols = compile_template(mults, base)
-            return rows, sums[::-1] if (mults, base) == ((1, 2, 1), 0) \
-                else sums, cols
+        def changed(mults):
+            rows, sums, cols = compile_template(mults)
+            return rows, sums[::-1] if mults == (1, 2, 1) else sums, cols
 
-        assert [len(row) for row in changed((1, 2, 1), 0)[0]] == [1, 3]
-        assert base_dependent_vectors(range(1, 6), changed) == (
+        assert [len(row) for row in changed((1, 2, 1))[0]] == [3, 1]
+        assert mirror_asymmetric_vectors(range(1, 6), changed) == (
             [(1, 2, 1)], 31)
 
     @pytest.mark.parametrize("size", range(_BASE_FREE_CLUMP + 1, 41))
     def test_a_longer_clump_takes_the_staged_map_at_base_0(
             self, monkeypatch, size):
-        # Equal entries, distinct values and seeded multiplicities, alone
-        # and between two short clumps.
+        # The staged base-0 map, as the reference gives it, from the fused
+        # map of R w alone.  Equal entries, distinct values and seeded
+        # multiplicities, alone and between two short clumps.
         rng = random.Random(size)
         cuts = sorted(rng.sample(range(1, size), rng.randrange(1, size)))
         clumps = [(7,) * size, one_clump((1,) * size, 50),
                   one_clump(tuple(b - a for a, b in zip(
                       (0, *cuts), (*cuts, size))), -3)]
         weights = clumps + [(90, 89, *c, -60, -60) for c in clumps]
-        staged = [kappa(apply_E_inverse(phi(w, 0))) for w in weights]
-        fused = [lv(w, 1) for w in weights]
+        staged = [reference_lv(w, 0) for w in weights]
+        calls = []
 
         def fused_map(*args):
-            raise AssertionError("a longer clump reached _lv_mu at base 0")
+            calls.append(args)
+            return real(*args)
 
+        real = lv_algorithm._lv_mu
         monkeypatch.setattr(lv_algorithm, "_lv_mu", fused_map)
-        assert [lv(w, 0) for w in weights] == staged
+        assert [lv(w, 0).mu for w in weights] == staged
+        assert calls == [(reverse_negate(w),) for w in weights]
         # Observed, not relied on: both bases still agree here.
-        assert staged == fused
+        assert [lv(w, 1).mu for w in weights] == staged
 
     def test_checked_clumps_take_the_fused_map_at_base_0(self, monkeypatch):
         # The longest checked clump, alone and twice over, and 36 entries
