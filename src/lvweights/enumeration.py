@@ -12,8 +12,10 @@ D(l_i, k - 1).  The count recursion says each such preimage exists, so
 without an anti-symmetric preimage raises instead of being dropped.  The
 test ``test_full_boxes_find_exactly_the_construction`` checks anti-symmetry
 and injectivity on full boxes, ``_enumerate_depths`` the count on every
-call, and ``TestTopEntryLemma`` the lemma behind ``default_bound``.  No
-search bound is involved: the weights within the bound are then kept.
+call that prunes nothing, and ``TestTopEntryLemma`` the lemma behind
+``default_bound``.  No search bound is involved: the weights within the
+bound are then kept, and a bound below the default prunes the components
+that no weight within it uses (``_construct``).
 Which omega a level inverts does not depend on p (``_targets``); level 1's
 are zero and invert in closed form (``_neutral``).
 
@@ -217,12 +219,28 @@ def _neutral(target: tuple[Weight, ...]) -> Weight:
     return dom(v - 1 - 2 * j for v in sizes for j in range(v))
 
 
-def _construct(n: int, k: int, p: int) -> dict[Weight, int]:
+def _construct(n: int, k: int, p: int, bound: int | None = None
+               ) -> dict[Weight, int]:
     """D(n, k), every distinguished weight of length n and depth <= k,
     mapped to its depth: level d inverts the targets of weights of depth
     below d (``_targets``), level 1's zero targets by ``_neutral`` and the
     deeper ones by ``_preimage``.  The order does not depend on p.  No
-    shape alpha != (l) has a multiplicity l - 1, so n - 1 is not built."""
+    shape alpha != (l) has a multiplicity l - 1, so n - 1 is not built.
+
+    Given ``bound`` B >= 0, the result holds every weight of D(n, k) whose
+    top is at most B, and some above it, as a weight of length l below
+    level k is kept as a component only when its top is at most
+    (n // l) * B / p.  Proof: if lv(w) = p * omega, every entry of omega_i
+    is at most i * w[0] / p.  The column correction adds 2t - (c - 1) to
+    the t-th of a column's c entries, and ``phi``'s columns fall by at
+    least 2 per entry, so no corrected entry is above the column's top,
+    at most w[0]; a row of length i then sums to at most i * w[0], and
+    that sum is p times an entry of omega_i.  A component omega_i of
+    length l has l parts i in a partition of n, so i <= n // l, and its
+    own components of length l' have tops at most
+    (l // l') * (n // l) * B / p^2 <= (n // l') * B / p: every weight
+    below a w with w[0] <= B, at any depth, is kept.
+    """
     depths = {(0,) * n: 0}
     if n < 2:  # the zero weight alone
         return depths
@@ -236,6 +254,9 @@ def _construct(n: int, k: int, p: int) -> dict[Weight, int]:
                 for l in (lengths if d < k else (n,))}
         older = every
         depths.update(dict.fromkeys(last[n], d))
+        if bound is not None:
+            last = {l: [w for w in ws if p * w[0] <= n // l * bound]
+                    for l, ws in last.items()}
     return depths
 
 
@@ -289,12 +310,14 @@ def _check_size(n: int, k: int, p: int | None = None) -> int:
 
 def _enumerate_depths(box: SearchBox) -> dict[Weight, int]:
     """``enumerate_distinguished``'s weights mapped to their depths, which
-    are those ``scatter_records`` gives at cap k.  Raises RuntimeError,
-    before the bound filters anything, unless the construction gives
-    count(n, k) distinct weights."""
+    are those ``scatter_records`` gives at cap k.  A bound below
+    ``default_bound`` at k >= 2 prunes the construction (``_construct``);
+    every other run builds D(n, k) and raises RuntimeError, before the
+    bound filters anything, unless it gives count(n, k) distinct weights."""
     count = _check_size(box.n, box.k)
-    depths = _construct(box.n, box.k, box.p)
-    if len(depths) != count:
+    prune = box.k > 1 and box.bound < default_bound(box.n, box.k, box.p)
+    depths = _construct(box.n, box.k, box.p, box.bound if prune else None)
+    if not prune and len(depths) != count:
         raise RuntimeError(f"D(n = {box.n}, k = {box.k}) at p = {box.p} has "
                            f"{len(depths)} weights, but count(n, k) = {count}")
     return {w: d for w, d in depths.items() if not w or w[0] <= box.bound}

@@ -38,7 +38,7 @@ from lvweights import (
     telephone,
     write_scatter_csv,
 )
-from lvweights.enumeration import _construct
+from lvweights.enumeration import _construct, _enumerate_depths
 from lvweights.modular_iteration import STATUS_EXPANDED, STATUS_ZEROS
 from lvweights.verify import random_clump_weight, random_weight
 
@@ -209,6 +209,25 @@ def test_full_boxes_find_exactly_the_construction(n, k, p, bound):
             found[w] = depth
     assert len(images) == size
     assert found == _construct(n, k, p)
+
+
+def test_a_bound_prunes_to_the_filtered_construction():
+    # Each top of D(n, k) on the grid below the default bound, and one less,
+    # taken as the bound: the pruned construction gives the weights of the
+    # full one within it, with their depths.  At a bound equal to a weight's
+    # top, a component of it can sit at the pruning threshold.
+    bounds = 0
+    for n, k, p in GRID:
+        full = _construct(n, k, p)
+        tops = {t for w in full if w for t in (w[0], w[0] - 1)}
+        for bound in sorted(t for t in tops
+                            if 0 <= t < default_bound(n, k, p)):
+            expected = {w: d for w, d in full.items()
+                        if not w or w[0] <= bound}
+            assert _enumerate_depths(SearchBox(n, k, bound, p)) == expected, (
+                n, k, p, bound)
+            bounds += 1
+    assert bounds > 500
 
 
 def test_criterion_07_r_commutation(random_corpus):

@@ -732,9 +732,7 @@ class TestVerifyCommand:
         def ran(*args):
             raise AssertionError("a check ran before the refusal")
 
-        for check in ("r_commutation_failures", "clump_commutation_failures",
-                      "round_trip_failures"):
-            monkeypatch.setattr(cli, check, ran)
+        monkeypatch.setattr(cli, "suite_failures", ran)
         code, out, err = capout("verify", "--samples", samples)
         assert (code, out) == (2, "")
         assert f"--samples must be >= 1, got {samples}" in err
@@ -743,7 +741,7 @@ class TestVerifyCommand:
         # A check with counterexamples fails the run; the others still
         # report, and stderr lists the first 5 of its 7 weights.
         bad = [(i, -i) for i in range(7)]
-        monkeypatch.setattr(cli, "round_trip_failures", lambda *args: bad)
+        monkeypatch.setattr(cli, "suite_failures", lambda *args: ([], [], bad))
         code, out, err = capout("verify", "--samples", "50", "--seed", "3")
         assert code == 2
         assert out == ("reverse-negate commutation: ok\n"

@@ -181,6 +181,10 @@ def brute_enumerate(n, k, bound, p):
     return sorted(found, reverse=True)
 
 
+def _filtered(depths, bound):
+    return {w: d for w, d in depths.items() if not w or w[0] <= bound}
+
+
 def _oracle_boxes():
     """Seeded small boxes, then fixed ones: p = n + 1, and odd n with
     distinguished weights whose last free coordinate is 0 or 1."""
@@ -213,6 +217,8 @@ class TestSieveAgainstOracle:
         box = SearchBox(n, k, bound, p)
         assert enumerate_distinguished(box, jobs=1) == expected
         assert enumerate_distinguished(box, jobs=2) == expected
+        assert enumeration._enumerate_depths(box) == _filtered(
+            enumeration._construct(n, k, p), bound)
 
     @pytest.mark.parametrize("n,k,p", [
         (2, 3, 7), (2, 4, 5), (3, 3, 5), (3, 2, 11), (4, 2, 5), (4, 2, 7),
@@ -348,13 +354,29 @@ class TestConstruction:
         lambda ts: ts[1:],
     ], ids=["duplicate", "lost"])
     def test_a_wrong_count_never_returns(self, monkeypatch, wrong, k):
-        # The count is checked on every call, before the bound filters:
-        # bound 0 keeps only the zero weight.
+        # The count is checked on every call that prunes nothing, before
+        # the bound filters: at k = 1 no level lies below k, so bound 0
+        # prunes nothing and keeps only the zero weight.  At k = 3 a bound
+        # below the default would prune, so the default is taken.
         targets = enumeration._targets
         monkeypatch.setattr(enumeration, "_targets",
                             lambda *lists: wrong(list(targets(*lists))))
+        bound = 0 if k == 1 else default_bound(6, k, 7)
         with pytest.raises(RuntimeError, match=r"but count\(n, k\) = "):
-            enumerate_distinguished(SearchBox(6, k, 0, 7))
+            enumerate_distinguished(SearchBox(6, k, bound, 7))
+
+    @pytest.mark.parametrize("n,k,p,bound", [
+        (4, 100, 5, 10), (4, 200, 5, 10), (14, 3, 17, 500), (6, 3, 7, 20)])
+    def test_a_bound_prunes_the_construction(self, n, k, p, bound):
+        # The pruned construction keeps every weight of the full one within
+        # the bound, at its depth, and builds fewer: 4,932 of the 7,382 of
+        # D(14, 3) at bound 500, and 10 of D(4, 200)'s 40,601 at bound 10.
+        pruned = enumeration._construct(n, k, p, bound)
+        full = enumeration._construct(n, k, p)
+        assert _filtered(pruned, bound) == _filtered(full, bound)
+        assert enumeration._enumerate_depths(SearchBox(n, k, bound, p)) == (
+            _filtered(full, bound))
+        assert len(pruned) < len(full)
 
     def test_longest_k1_length_the_tests_enumerate(self):
         weights = enumerate_distinguished(SearchBox(24, 1, 23, 29))

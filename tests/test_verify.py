@@ -4,9 +4,11 @@ with one fault injected at a time.
 ``round_trip_failures`` checks the identities of a diagram once per
 distinct diagram, where the reference checks them for each column base;
 the commutation checks build their reverse-negates with ``map``, where
-the references negate entry by entry.  Each fault below breaks the map
-on some of the samples, so equal lists under it show that the shortcuts
-hide no counterexample.
+the references negate entry by entry; the ``verify`` command's
+``suite_failures`` draws each weight once for the commutation check and
+the round trips and maps it once for both, where the references draw and
+map it for each.  Each fault below breaks the map on some of the samples,
+so equal lists under it show that the shortcuts hide no counterexample.
 """
 
 import random
@@ -14,7 +16,7 @@ from functools import partial
 
 import pytest
 
-from lvweights import OmegaElement, verify
+from lvweights import OmegaElement, cli, format_weight, verify
 
 SAMPLES = 400
 
@@ -80,9 +82,9 @@ FAULTS = [
 CASES = [pytest.param(name, fault, id=id_) for name, fault, id_ in FAULTS]
 
 
-def _samples(seed, draw=verify.random_weight):
+def _samples(seed, draw=verify.random_weight, samples=SAMPLES):
     rng = random.Random(seed)
-    return [draw(rng) for _ in range(SAMPLES)]
+    return [draw(rng) for _ in range(samples)]
 
 
 def reference_round_trips(w) -> bool:
@@ -111,11 +113,12 @@ def _commutes(w, base) -> bool:
         tuple(_negated(m) for m in omega.mu))
 
 
-def reference_failures(seed):
-    """The three checks' lists, in ``verify``'s order and sampling."""
+def reference_failures(seed, clumps=SAMPLES):
+    """The three checks' lists, in ``verify``'s order and sampling, with
+    ``clumps`` samples for the single-clump check."""
     return (
         [w for w in _samples(seed) if not _commutes(w, 1)],
-        [w for w in _samples(seed, verify.random_clump_weight)
+        [w for w in _samples(seed, verify.random_clump_weight, clumps)
          if not _commutes(w, 0)],
         [w for w in _samples(seed) if not reference_round_trips(w)],
     )
@@ -127,19 +130,46 @@ def failures(seed):
             verify.round_trip_failures(SAMPLES, seed))
 
 
+CHECKS = ("reverse-negate commutation", "single-clump commutation (base 0)",
+          "round trips and sum conservation")
+
+
+def command_failures(seed, capsys):
+    """``suite_failures``'s lists, after checking that the ``verify``
+    command reports them: "ok" on stdout for an empty list, else on stderr
+    the count and the first five counterexamples, and exit code 2 when
+    any list is not empty."""
+    found = verify.suite_failures(SAMPLES, seed)
+    out, err = [], []
+    for name, bad in zip(CHECKS, found):
+        if bad:
+            err += [f"{name}: FAIL ({len(bad)} counterexamples)",
+                    *(f"  {format_weight(w)}" for w in bad[:5])]
+        else:
+            out.append(f"{name}: ok")
+    code = cli.run(["verify", "--samples", str(SAMPLES), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert (code, captured.out.splitlines(), captured.err.splitlines()) == (
+        2 if any(found) else 0, out, err)
+    return found
+
+
 @pytest.mark.parametrize("seed", [0, 3])
-def test_no_fault_no_failure(seed):
+def test_no_fault_no_failure(seed, capsys):
     assert failures(seed) == reference_failures(seed) == ([], [], [])
+    assert command_failures(seed, capsys) == ([], [], [])
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name, fault", CASES)
-def test_every_fault_is_found_as_by_the_reference(monkeypatch, seed, name,
-                                                  fault):
+def test_every_fault_is_found_as_by_the_reference(monkeypatch, capsys, seed,
+                                                  name, fault):
     monkeypatch.setattr(verify, name, fault)
     found = failures(seed)
     assert found == reference_failures(seed)
     assert found[2], "the round trips miss the fault"
+    assert command_failures(seed, capsys) == reference_failures(
+        seed, SAMPLES // 10)
 
 
 def test_each_distinct_diagram_is_checked_once(monkeypatch):
