@@ -18,10 +18,10 @@ the parts it lacks), so
 
 For l >= 2, alpha = (l) gives count(1, m) = 1, the recursion's "1 +",
 alpha = (1, ..., 1) gives count(l, m), and the rest is the recursion's
-sum; for l <= 1 both sides are 1.  So count(l, m + 1) = [x^l] prod_{s=1}^{N} F_m(x^s) for every
-l <= N, and a ``CountTable`` fills each level of every length <= N with
-one truncated product.  At m = 0 every F_0 coefficient is 1, so level 1
-holds the partition numbers.
+sum; for l <= 1 both sides are 1.  So count(l, m + 1) = [x^l]
+prod_{s=1}^{N} F_m(x^s) for every l <= N, and a ``CountTable`` fills each
+level of every length <= N with one truncated product.  At m = 0 every
+F_0 coefficient is 1, so level 1 holds the partition numbers.
 
 count(l, .) is a polynomial of degree <= floor(l/2), by induction on l: a
 counted partition with parts s_i of multiplicities l_i has sum (s_i - 1)
@@ -30,9 +30,9 @@ Either way its term, and so the step count(l, m+1) - count(l, m), has
 degree sum floor(l_i/2) <= floor(l/2) - 1, and summing steps over m < k
 adds one.  So no table is filled past level floor(N/2).  Growth is
 Theta(k^floor(n/2)) with leading coefficient a_{floor((n+1)/2)} /
-floor(n/2)!, where a_i are the telephone numbers; its recursion runs on
-integers and only the result is a fraction.  Everything is exact:
-unbounded ints and reduced fractions, no floating point.
+floor(n/2)!, where a_i are the telephone numbers; both terms are
+integers, and only the result is a fraction.  Everything is exact: unbounded ints and
+reduced fractions, no floating point.
 """
 
 from __future__ import annotations
@@ -146,43 +146,20 @@ def telephone(i: int) -> int:
     a, b = 1, 1  # a_{j-1}, a_j
     for j in range(1, _int_arg("i", i) + 1):
         a, b = b, b + (j - 1) * a
-    return a if i == 0 else b
+    return b
 
 
 def leading_coefficient(n: int) -> core.Rational:
-    """The k^floor(n/2) growth law's coefficient, ``_leading_terms`` as a
-    ``fractions.Fraction``."""
+    """The k^floor(n/2) growth law's coefficient a_{floor((n+1)/2)} /
+    floor(n/2)!, ``_leading_terms`` as a ``fractions.Fraction``."""
     from fractions import Fraction
     return Fraction(*_leading_terms(n))
 
 
 def _leading_terms(n: int) -> tuple[int, int]:
     """The reduced numerator and denominator of ``leading_coefficient(n)``,
-    from integers alone, so the CLI prints them without ``fractions``.
-
-    Computed twice -- by the even/odd recursion and by the closed form
-    a_{floor((n+1)/2)} / floor(n/2)! -- and cross-checked; a mismatch would
-    mean a regression and raises.  The recursion for the coefficients b_j
-    (base values 1, 1, 1, 2, 1; b_j = 2(b_{j-2} + b_{j-4}) / j for even j,
-    2(b_{j-2} + b_{j-3} + b_{j-4}) / (j - 1) for odd j) runs on the integers
-    B_j = b_j * floor(j/2)!, where it divides nothing: B = 1, 1, 1, 2, 2,
-    then B_j = B_{j-2} + (t-1) B_{j-4} for j = 2t and B_j = B_{j-2} +
-    B_{j-3} + (t-1) B_{j-4} for j = 2t + 1.  Only the result is reduced.
-    """
-    b = [1, 1, 1, 2, 2]
-    for j in range(5, _int_arg("n", n) + 1):
-        t = j // 2
-        if j % 2 == 0:
-            b.append(b[j - 2] + (t - 1) * b[j - 4])
-        else:
-            b.append(b[j - 2] + b[j - 3] + (t - 1) * b[j - 4])
-    closed = telephone((n + 1) // 2)
-    if b[n] != closed:
-        raise RuntimeError(
-            f"leading coefficient mismatch at n={n}: "
-            f"recursion {b[n]} vs closed form {closed} "
-            f"(both over {n // 2}!)"
-        )
-    d = factorial(n // 2)
-    g = gcd(b[n], d)
-    return b[n] // g, d // g
+    the telephone number a_{floor((n+1)/2)} over floor(n/2)!, from integers
+    alone, so the CLI prints them without ``fractions``."""
+    num, den = telephone((_int_arg("n", n) + 1) // 2), factorial(n // 2)
+    g = gcd(num, den)
+    return num // g, den // g

@@ -11,6 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -327,8 +328,11 @@ def test_criterion_10_asymptotics():
     with criterion(10, "telephone values, coefficient agreement, ratios, < 5 s"):
         t0 = time.perf_counter()
         assert [telephone(i) for i in range(7)] == [1, 1, 2, 4, 10, 26, 76]
-        for n in range(61):
-            leading_coefficient(n)  # raises internally on any mismatch
+        for n in range(60, 1, -1):  # d! times the count's top difference
+            seq = [count_distinguished(n, k) for k in range(n // 2 + 1)]
+            for _ in range(n // 2):
+                seq = [b - a for a, b in zip(seq, seq[1:])]
+            assert seq == [leading_coefficient(n) * factorial(n // 2)], n
         for n in (7, 8):
             b = leading_coefficient(n)
             h = n // 2

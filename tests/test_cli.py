@@ -849,17 +849,20 @@ def _argv_id(argv):
 
 
 def _documented_argvs(paths=("README.md", ".github/workflows/tests.yml")):
-    """Each argv that the README's examples and the CI workflow (or the
-    files of ``paths``) run, a shell variable or substitution read as 7."""
+    """Each distinct argv that the README's examples and the CI workflow
+    (or the files of ``paths``) run, up to a pipe, redirection or comment,
+    a shell variable or substitution read as 7."""
     argvs = []
     for path in map(ROOT.joinpath, paths):
         for line in path.read_text().splitlines():
             m = re.search(r"(?:lvweights(?:\.cli)?|refuse|usage) ((?:lv|iterate|"
                           r"check|enumerate|count|coeff|families|verify)\b"
-                          r"[^|)#`]*)", line)
+                          r"[^|)#`<>]*)", line)
             if m:
-                argvs.append(shlex.split(
-                    re.sub(r"\$\(.*|\$\{?\w+\}?", "7", m.group(1))))
+                argv = shlex.split(
+                    re.sub(r"\$\(.*|\$\{?\w+\}?", "7", m.group(1)))
+                if argv not in argvs:
+                    argvs.append(argv)
     return argvs
 
 
