@@ -850,17 +850,27 @@ def _argv_id(argv):
 
 def _documented_argvs(paths=("README.md", ".github/workflows/tests.yml")):
     """Each distinct argv that the README's examples and the CI workflow
-    (or the files of ``paths``) run, up to a pipe, redirection or comment,
-    a shell variable or substitution read as 7."""
-    argvs = []
+    (or the files of ``paths``) run, up to a pipe, redirection or comment.
+    Inside a ``for run in "a b" ...; do read -r x y <<< "$run"`` loop the
+    argv is taken once per item, with x and y read as its fields; any other
+    shell variable or substitution is read as 7."""
+    argvs, items, runs = [], [], [{}]
     for path in map(ROOT.joinpath, paths):
         for line in path.read_text().splitlines():
+            if loop := re.search(r"\bfor \w+ in (.*); do$", line):
+                items = shlex.split(loop.group(1))
+            elif fields := re.search(r"\bread -r ([\w ]+) <<< ", line):
+                runs = [dict(zip(fields.group(1).split(), item.split()))
+                        for item in items]
+            elif re.match(r"\s*done\b", line):
+                items, runs = [], [{}]
             m = re.search(r"(?:lvweights(?:\.cli)?|refuse|usage) ((?:lv|iterate|"
                           r"check|enumerate|count|coeff|families|verify)\b"
                           r"[^|)#`<>]*)", line)
-            if m:
-                argv = shlex.split(
-                    re.sub(r"\$\(.*|\$\{?\w+\}?", "7", m.group(1)))
+            for run in runs if m else ():
+                argv = shlex.split(re.sub(
+                    r"\$\(.*|\$\{?(\w+)\}?",
+                    lambda v: run.get(v.group(1), "7"), m.group(1)))
                 if argv not in argvs:
                     argvs.append(argv)
     return argvs
