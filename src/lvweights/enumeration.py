@@ -49,7 +49,8 @@ prime), ``enumerate_distinguished``'s ``jobs`` (>= 1), ``closed_family``,
 the ``ScatterRecord`` constructor, ``scatter_records``,
 ``write_scatter_csv``'s coordinate count and ``write_scatter_svg``'s prime.
 The family members and the CLI's CSV rows are built valid and skip the
-checks; every member's depth is still confirmed by iteration.
+checks; every member's depth is still confirmed by iteration, and their
+number by the count.
 """
 
 from __future__ import annotations
@@ -313,14 +314,18 @@ def _enumerate_depths(box: SearchBox) -> dict[Weight, int]:
     are those ``scatter_records`` gives at cap k.  A bound below
     ``default_bound`` at k >= 2 prunes the construction (``_construct``);
     every other run builds D(n, k) and raises RuntimeError, before the
-    bound filters anything, unless it gives count(n, k) distinct weights."""
+    bound filters anything, unless it gives count(n, k) distinct weights.
+    The weights above the bound are then deleted from ``_construct``'s map,
+    which is returned, so no weight is held twice."""
     count = _check_size(box.n, box.k)
     prune = box.k > 1 and box.bound < default_bound(box.n, box.k, box.p)
     depths = _construct(box.n, box.k, box.p, box.bound if prune else None)
     if not prune and len(depths) != count:
         raise RuntimeError(f"D(n = {box.n}, k = {box.k}) at p = {box.p} has "
                            f"{len(depths)} weights, but count(n, k) = {count}")
-    return {w: d for w, d in depths.items() if not w or w[0] <= box.bound}
+    for w in [w for w in depths if w and w[0] > box.bound]:
+        del depths[w]
+    return depths
 
 
 # Closed-form families for n <= 4 ---------------------------------------------
@@ -428,7 +433,9 @@ def _family_depths(
     ``max_k``: a stated depth d <= max_k is confirmed at cap max_k exactly
     when it is at cap d, and every member divides down to smaller members,
     met first, so it settles from the memo.  The confirmed depth is the
-    one ``scatter_records`` gives at cap ``max_k``.
+    one ``scatter_records`` gives at cap ``max_k``.  Raises RuntimeError
+    unless the members are count(n, max_k) distinct weights, all of D(n,
+    max_k), as ``_enumerate_depths`` does for the construction.
     """
     _family_ids(n)
     ctx.check_length(n)
@@ -441,6 +448,11 @@ def _family_depths(
         _check_family_depth(family_id, params, depth,
                             _bounded_depth(w, max_k, ctx.p, memo))
         depths[w] = depth
+    count = count_distinguished(n, max_k)
+    if len(depths) != count:
+        raise RuntimeError(f"the families of n = {n}, max_k = {max_k} at "
+                           f"p = {ctx.p} give {len(depths)} weights, but "
+                           f"count(n, max_k) = {count}")
     return depths
 
 
@@ -496,13 +508,20 @@ def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
     _write_csv(path, ncoords, ((rec.coords, rec.depth) for rec in records))
 
 
-_CHUNK = 4096  # lines per write, so that no text is held whole
+_CHUNK = 1 << 16  # characters per write, about: no text is held whole
 
 
 def _write_lines(fh, lines) -> None:
-    """Write an iterator of lines, each ending in "\\n", a chunk at a time."""
-    while chunk := list(islice(lines, _CHUNK)):
-        fh.write("".join(chunk))
+    """Write an iterator of lines, each ending in "\\n", about ``_CHUNK``
+    characters at a time: a write takes as many lines as the budget holds
+    copies of its first line, and at least one.  Callers pass lines of
+    weights sorted by top, the widest entry, or SVG circles of nearly one
+    length, so the first line of a chunk is about its longest, and no
+    other line is measured."""
+    lines = iter(lines)
+    for first in lines:
+        more = islice(lines, max(_CHUNK // len(first) - 1, 0))
+        fh.write("".join([first, *more]))
 
 
 def _write_csv(path, ncoords: int, rows) -> None:
@@ -517,8 +536,11 @@ def _write_csv(path, ncoords: int, rows) -> None:
 def write_scatter_svg(records, path, p: int) -> None:
     """Scatter plot of the first two coordinates, 640 px square, with both
     axes log-scaled base p (an int >= 2).  Zero has no logarithm, so it is
-    drawn in a dedicated origin band one slot left of/below p^0.
-    Presentation plumbing only; the CSV is the canonical artifact.
+    drawn in a dedicated origin band one slot left of/below p^0; a missing
+    coordinate is drawn as zero.  The points' logarithms are held as
+    doubles, 16 bytes a record; the axes go out first, then the circles
+    through ``_write_lines``.  Presentation plumbing only; the CSV is the
+    canonical artifact.
     """
     _int_arg("p", p, 2)
     records = list(records)
@@ -528,9 +550,10 @@ def write_scatter_svg(records, path, p: int) -> None:
     def logp(v: int) -> float:
         return math.log(v, p) if v >= 1 else -1.0
 
-    xs = [logp(r.coords[0]) if r.coords else -1.0 for r in records]
-    ys = [logp(r.coords[1]) if len(r.coords) > 1 else -1.0 for r in records]
-    top = max(xs + ys + [1.0])
+    from array import array  # loaded by this path alone
+    logs = array("d", (logp(v) for r in records  # x and y of each record
+                       for v in (r.coords[:2] + (0, 0))[:2]))
+    top = max(1.0, max(logs, default=1.0))
     scale = span / (top + 1.0)
 
     def pos(v: float) -> float:
@@ -558,9 +581,10 @@ def write_scatter_svg(records, path, p: int) -> None:
             f'y2="{y:.2f}" stroke="black"/>',
             f'<text x="{margin - 8}" y="{y + 3:.2f}" font-size="10" '
             f'text-anchor="end">{p}^{e}</text>']
-    parts += [f'<circle cx="{margin + pos(rx):.2f}" '
-              f'cy="{size - margin - pos(ry):.2f}" r="2" fill="steelblue"/>'
-              for rx, ry in zip(xs, ys)]
-    parts.append("</svg>")
+    xy = iter(logs)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(parts) + "\n")
+        _write_lines(fh, (f'<circle cx="{margin + pos(rx):.2f}" '
+                          f'cy="{size - margin - pos(ry):.2f}" r="2" '
+                          'fill="steelblue"/>\n' for rx, ry in zip(xy, xy)))
+        fh.write("</svg>\n")

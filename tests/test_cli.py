@@ -591,39 +591,64 @@ class TestFamiliesCommand:
             write_scatter_csv(records, ref, ncoords=n // 2)
             assert ref.read_bytes() == csv.read_bytes()
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_a_lost_member_exits_2(self, capout, monkeypatch):
+        # The members are counted on every call: one lost raises from
+        # generate_family_set, and the CLI reports it in one error line.
+        params = enumeration._family_params
+        monkeypatch.setattr(enumeration, "_family_params",
+                            lambda n, max_k: list(params(n, max_k))[1:])
+        with pytest.raises(RuntimeError, match=r"18 weights, but count\(n, "
+                                               r"max_k\) = 19$"):
+            generate_family_set(4, ModularContext(5), 3)
+        code, out, err = capout("families", "--n", "4", "--prime", "5",
+                                "--max-k", "3")
+        assert (code, out) == (2, "")
+        assert err == ("lvweights: error: the families of n = 4, max_k = 3 "
+                       "at p = 5 give 18 weights, but count(n, max_k) = 19\n")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 100])
     def test_chunked_writes_give_the_same_bytes(self, capout, monkeypatch,
                                                 tmp_path, chunk):
-        # Stdout and the CSV go out a chunk of lines per write, 19 lines
-        # here; the chunk size, whether it divides that or not, never shows.
+        # Stdout, the CSV and the SVG go out about a budget of characters
+        # per write: here under one line, or 100, which splits the 212
+        # characters of stdout mid-way; the budget never shows.
         listing = ("families", "--n", "4", "--prime", "5", "--max-k", "3")
-        csv = tmp_path / "fam.csv"
+        csv, svg = tmp_path / "fam.csv", tmp_path / "fam.svg"
+        files = ("--csv", str(csv), "--svg", str(svg))
         whole = capout(*listing)
-        assert len(whole[1].splitlines()) == 19
-        assert capout(*listing, "--csv", str(csv)) == (0, "", "")
-        whole_csv = csv.read_bytes()
+        assert (len(whole[1]), len(whole[1].splitlines())) == (212, 19)
+        assert capout(*listing, *files) == (0, "", "")
+        whole_files = csv.read_bytes(), svg.read_bytes()
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         assert capout(*listing) == whole
-        assert capout(*listing, "--csv", str(csv)) == (0, "", "")
-        assert csv.read_bytes() == whole_csv
+        assert capout(*listing, *files) == (0, "", "")
+        assert (csv.read_bytes(), svg.read_bytes()) == whole_files
 
     def test_stdout_is_written_a_chunk_at_a_time(self, monkeypatch):
-        # 19 lines in chunks of 4: four writes of 4 lines and one of 3.
+        # 19 lines of 8 to 14 characters: one line a write while the budget
+        # is under a line, at 100 as many lines as it holds copies of each
+        # write's first, and all at once at the default; no write is over
+        # the budget by more than one line.
         class Writes(io.StringIO):
             def __init__(self):
                 super().__init__()
-                self.lines = []
+                self.sizes = []
 
             def write(self, text):
-                self.lines.append(text.count("\n"))
+                self.sizes.append(len(text))
                 return super().write(text)
 
-        out = Writes()
-        monkeypatch.setattr(enumeration, "_CHUNK", 4)
-        with contextlib.redirect_stdout(out):
-            assert run(["families", "--n", "4", "--prime", "5",
-                        "--max-k", "3"]) == 0
-        assert out.lines == [4, 4, 4, 4, 3]
+        for chunk, sizes in [(1, None), (2, None), (7, None),
+                             (100, [89, 87, 36]), (enumeration._CHUNK, [212])]:
+            out = Writes()
+            monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+            with contextlib.redirect_stdout(out):
+                assert run(["families", "--n", "4", "--prime", "5",
+                            "--max-k", "3"]) == 0
+            lines = list(map(len, out.getvalue().splitlines(True)))
+            assert (len(lines), sum(lines)) == (19, 212)
+            assert out.sizes == (sizes or lines)
+            assert max(out.sizes) <= chunk + max(lines)
 
     @pytest.mark.parametrize("svg", [False, True])
     def test_entry_size_guard(self, capout, monkeypatch, tmp_path, svg):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -186,8 +187,10 @@ def _filtered(depths, bound):
 
 
 def _oracle_boxes():
-    """Seeded small boxes, then fixed ones: p = n + 1, and odd n with
-    distinguished weights whose last free coordinate is 0 or 1."""
+    """Seeded small boxes, then fixed ones: p = n + 1, odd n with
+    distinguished weights whose last free coordinate is 0 or 1, and k = 1
+    below the default bound, which builds D(n, 1) whole and then deletes
+    the weights over the bound from its map."""
     rng = random.Random(20250519)
     boxes = []
     while len(boxes) < 24:
@@ -203,7 +206,8 @@ def _oracle_boxes():
         if (n, k, bound, p) not in boxes:
             boxes.append((n, k, bound, p))
     boxes += [(2, 3, default_bound(2, 3, 3), 3), (4, 2, 18, 5),
-              (6, 1, 5, 7), (3, 3, 60, 5), (5, 2, 10, 7), (7, 2, 8, 11)]
+              (6, 1, 5, 7), (3, 3, 60, 5), (5, 2, 10, 7), (7, 2, 8, 11),
+              (6, 1, 3, 7), (8, 1, 4, 13)]
     return boxes
 
 
@@ -1226,3 +1230,23 @@ class TestScatter:
         assert text.startswith("<svg")
         assert "log base 5" in text
         assert text.count("<circle") == len(recs)
+
+    @pytest.mark.parametrize("n,p,max_k,digest", [
+        (4, 5, 4,
+         "1815011fef3570d2ab537f99537032570e7d54e3a7897d11598690f60837e797"),
+        (3, 7, 5,
+         "ad5f12913430cfe0363e77b47cf1619ed22e48eddd22a8796c18de3b3379c36b"),
+        (2, 3, 6,
+         "6340b1ecf7f8d13bdc11ddc21e5f3d6839586ec351e4fd286d6b6693f538eff0"),
+        (1, 2, 0,
+         "a34a1bebf8bfe03c3f6f7c5449c2d6692799003c8f512f8ef34bc4a3cd7d9b1e"),
+    ])
+    def test_svg_bytes_are_pinned(self, tmp_path, n, p, max_k, digest):
+        # The bytes of the SVG when it was joined whole before one write:
+        # two coordinates, one (y drawn as zero), and none at n = 1.
+        ctx = ModularContext(p)
+        recs = ([ScatterRecord((), 0)] if n == 1 else scatter_records(
+            generate_family_set(n, ctx, max_k), ctx, max_k))
+        path = tmp_path / "pts.svg"
+        write_scatter_svg(recs, path, p)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
