@@ -162,15 +162,15 @@ def _emit_weights(depths, args, p) -> None:
     and anti-symmetric, so sorted by their leading coordinates too, and each
     depth is exact within the command's cap: the CSV rows, written straight
     from the map, are those of ``scatter_records``."""
-    weights = sorted(depths, reverse=True)
-    h = args.n // 2
+    weights, h = sorted(depths, reverse=True), args.n // 2
     if args.csv is not None:
         _write_csv(args.csv, h, ((w[:h], depths[w]) for w in weights))
     if args.svg is not None:
-        write_scatter_svg([ScatterRecord(w[:h], depths[w])
-                           for w in weights], args.svg, p)
+        write_scatter_svg((ScatterRecord(w[:h], depths[w])
+                           for w in weights), args.svg, p)
     if args.csv is None and args.svg is None:
-        _write_lines(sys.stdout, (f"{format_weight(w)}\n" for w in weights))
+        row = ",".join(["%d"] * args.n) + "\n"
+        _write_lines(sys.stdout, (row % w for w in weights))
 
 
 def run(argv) -> int:

@@ -16,8 +16,8 @@ call that prunes nothing, and ``TestTopEntryLemma`` the lemma behind
 ``default_bound``.  No search bound is involved: the weights within the
 bound are then kept, and a bound below the default prunes the components
 that no weight within it uses (``_construct``).
-Which omega a level inverts does not depend on p (``_targets``); level 1's
-are zero and invert in closed form (``_neutral``).
+Which omega a level inverts does not depend on p (``_targets``); level 1
+is a closed form, h_lambda for every lambda |- n (``_level_one``).
 
 The inverse takes two steps.  First, a cell proposes a candidate.  The
 free coordinates x_1 >= ... >= x_h >= 0 (h = floor(n/2)) split into cells
@@ -57,10 +57,10 @@ from __future__ import annotations
 
 import math
 from functools import cache, partial
-from itertools import accumulate, islice, product
+from itertools import accumulate, chain, islice, product
 from operator import attrgetter
 
-from .core import Weight, _int_arg, _printable, _Value, dom, validate_weight
+from .core import Weight, _int_arg, _printable, _Value, validate_weight
 from .counting import count_distinguished, partitions_mult
 from .lv_algorithm import _clump_plan, _lv_mu
 from .modular_iteration import (ModularContext, _bounded_depth, _geom, _rho,
@@ -212,21 +212,23 @@ def _targets(l: int, older: dict, last: dict, every: dict):
                 break
 
 
-def _neutral(target: tuple[Weight, ...]) -> Weight:
-    """lv^-1 of a zero target of shape alpha != (l), at every p: h_lambda,
-    the entries lambda_i - 1 - 2j (0 <= j < lambda_i) for lambda = alpha',
-    the target's column sizes; the neutral element of Jordan type lambda."""
-    sizes = accumulate(map(len, reversed(target)))
-    return dom(v - 1 - 2 * j for v in sizes for j in range(v))
+def _level_one(l: int) -> list[Weight]:
+    """D(l, 1) less the zero weight, at every p, in ``_targets``' order: for
+    each shape alpha != (l), lv^-1 of its zero target, the neutral element
+    h_lambda of lambda = alpha' (alpha's multiplicities summed from the top),
+    whose entries are lambda_i - 1 - 2j for 0 <= j < lambda_i."""
+    return [tuple(sorted(chain.from_iterable(
+        range(v - 1, -v, -2) for v in accumulate(reversed(alpha.mult))),
+        reverse=True)) for alpha in partitions_mult(l)[1:]]
 
 
 def _construct(n: int, k: int, p: int, bound: int | None = None
                ) -> dict[Weight, int]:
     """D(n, k), every distinguished weight of length n and depth <= k,
-    mapped to its depth: level d inverts the targets of weights of depth
-    below d (``_targets``), level 1's zero targets by ``_neutral`` and the
-    deeper ones by ``_preimage``.  The order does not depend on p.  No
-    shape alpha != (l) has a multiplicity l - 1, so n - 1 is not built.
+    mapped to its depth: level 1 is ``_level_one``, and each deeper level d
+    inverts by ``_preimage`` the targets of weights of depth below d
+    (``_targets``).  The order does not depend on p.  No shape alpha != (l)
+    has a multiplicity l - 1, so n - 1 is not built.
 
     Given ``bound`` B >= 0, the result holds every weight of D(n, k) whose
     top is at most B, and some above it, as a weight of length l below
@@ -250,8 +252,8 @@ def _construct(n: int, k: int, p: int, bound: int | None = None
     last = {l: [(0,) * l] for l in lengths}  # and depth d - 1
     for d in range(1, k + 1):
         every = {l: older[l] + last[l] for l in last}
-        last = {l: [_neutral(omega) if d == 1 else _preimage(omega, l, p)
-                    for omega in _targets(l, older, last, every)]
+        last = {l: _level_one(l) if d == 1 else [_preimage(omega, l, p)
+                for omega in _targets(l, older, last, every)]
                 for l in (lengths if d < k else (n,))}
         older = every
         depths.update(dict.fromkeys(last[n], d))
@@ -538,12 +540,10 @@ def write_scatter_svg(records, path, p: int) -> None:
     axes log-scaled base p (an int >= 2).  Zero has no logarithm, so it is
     drawn in a dedicated origin band one slot left of/below p^0; a missing
     coordinate is drawn as zero.  The points' logarithms are held as
-    doubles, 16 bytes a record; the axes go out first, then the circles
-    through ``_write_lines``.  Presentation plumbing only; the CSV is the
-    canonical artifact.
-    """
+    doubles, 16 bytes a record, from one pass over ``records``; the axes go
+    out first, then the circles through ``_write_lines``.  Presentation
+    plumbing only; the CSV is the canonical artifact."""
     _int_arg("p", p, 2)
-    records = list(records)
     size, margin = 640, 48.0
     span = size - 2 * margin
 

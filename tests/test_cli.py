@@ -463,17 +463,21 @@ class TestEnumerateCommand:
         assert csv.read_bytes() == b"depth\n0\n"
 
     def test_construction_fault_exits_2(self, capout, monkeypatch):
-        # A lost weight fails the count check: a RuntimeError, reported as
-        # one error line, not a traceback with the usage-error code.
-        targets = enumeration._targets
-        monkeypatch.setattr(enumeration, "_targets",
-                            lambda *lists: list(targets(*lists))[1:])
-        code, out, err = capout("enumerate", "--n", "6", "--prime", "7",
-                                "--k", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("lvweights: error: D(n = 6, k = 1) at p = 7 ")
-        assert "but count(n, k) = 11" in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        # A lost or a duplicated level-1 weight fails the count check: a
+        # RuntimeError, reported as one error line, not a traceback with
+        # the usage-error code.
+        level_one = enumeration._level_one
+        for wrong in (lambda ws: ws[1:],
+                      lambda ws: ws[:-1] + ws[:1]):  # first twice, last lost
+            monkeypatch.setattr(enumeration, "_level_one",
+                                lambda l: wrong(level_one(l)))
+            code, out, err = capout("enumerate", "--n", "6", "--prime", "7",
+                                    "--k", "1")
+            assert (code, out) == (2, "")
+            assert err.startswith(
+                "lvweights: error: D(n = 6, k = 1) at p = 7 ")
+            assert "but count(n, k) = 11" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_rejects_nonpositive_jobs(self, capout, jobs):

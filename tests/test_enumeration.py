@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -321,16 +322,18 @@ class TestConstruction:
         # Length n reads no multiplicity n - 1 and shorter lengths read
         # only lengths up to their own; every other length from 2 is built.
         lengths = set()
+        preimage, level_one = enumeration._preimage, enumeration._level_one
 
-        def spy(build):
-            def built(*args):
-                lengths.add(len(w := build(*args)))
-                return w
-            return built
+        def spy_preimage(*args):
+            lengths.add(len(w := preimage(*args)))
+            return w
 
-        for name in ("_preimage", "_neutral"):
-            monkeypatch.setattr(enumeration, name,
-                                spy(getattr(enumeration, name)))
+        def spy_level_one(l):
+            lengths.update(map(len, ws := level_one(l)))
+            return ws
+
+        monkeypatch.setattr(enumeration, "_preimage", spy_preimage)
+        monkeypatch.setattr(enumeration, "_level_one", spy_level_one)
         assert len(enumeration._construct(n, k, p)) == count_distinguished(
             n, k)
         assert lengths == {*range(2, n - 1), n}
@@ -361,10 +364,13 @@ class TestConstruction:
         # The count is checked on every call that prunes nothing, before
         # the bound filters: at k = 1 no level lies below k, so bound 0
         # prunes nothing and keeps only the zero weight.  At k = 3 a bound
-        # below the default would prune, so the default is taken.
-        targets = enumeration._targets
-        monkeypatch.setattr(enumeration, "_targets",
-                            lambda *lists: wrong(list(targets(*lists))))
+        # below the default would prune, so the default is taken.  Level 1
+        # is a closed form, so k = 1 mutates it; k = 3 mutates the targets
+        # of the levels above it.
+        name = "_level_one" if k == 1 else "_targets"
+        build = getattr(enumeration, name)
+        monkeypatch.setattr(enumeration, name,
+                            lambda *args: wrong(list(build(*args))))
         bound = 0 if k == 1 else default_bound(6, k, 7)
         with pytest.raises(RuntimeError, match=r"but count\(n, k\) = "):
             enumerate_distinguished(SearchBox(6, k, bound, 7))
@@ -442,6 +448,23 @@ def neutral(parts):
         range(v - 1, -v, -2) for v in parts), reverse=True))
 
 
+def neutral_of_zero_target(target):
+    """h_lambda read off a zero target of shape alpha != (n): the strings
+    of the column sizes lambda = alpha', counted from its longest rows."""
+    sizes = itertools.accumulate(map(len, reversed(target)))
+    return tuple(sorted((v - 1 - 2 * j for v in sizes for j in range(v)),
+                        reverse=True))
+
+
+def checked_shapes(n, total):
+    """The indices of the shapes of length n that level 1 is checked on:
+    all of them for n <= 24 and n = 36, and a seeded sample of 200 at the
+    other lengths."""
+    if n > 24 and n != 36:
+        return random.Random(n).sample(range(total), 200)
+    return range(total)
+
+
 def conjugate(parts):
     return tuple(sum(v > j for v in parts)
                  for j in range(max(parts, default=0)))
@@ -465,19 +488,31 @@ class TestLevelOne:
 
     @pytest.mark.parametrize("n", range(42))
     def test_neutral_elements_map_to_zero_of_the_conjugate_shape(self, n):
-        # ``_neutral`` inverts the zero target of every shape alpha, (n)
-        # too, whose inverse is the zero weight: h_lambda for lambda = alpha'.
+        # ``_level_one`` inverts the zero target of every shape alpha but
+        # (n), whose inverse is the zero weight: h_lambda for lambda = alpha'.
         alphas = partitions_mult(n)
         targets = [tuple((0,) * m for m in alpha.mult) for alpha in alphas]
-        hs = list(map(enumeration._neutral, targets))
+        hs = [(0,) * n, *enumeration._level_one(n)]
+        assert len(hs) == len(alphas)
         assert len(set(hs)) == len(hs) and hs[0] == (0,) * n
-        checked = range(len(hs))
-        if n > 24 and n != 36:
-            checked = random.Random(n).sample(checked, 200)
-        for i in checked:
+        for i in checked_shapes(n, len(hs)):
             parts = alphas[i].parts
             assert hs[i] == neutral(conjugate(parts)), parts
             assert enumeration._lv_mu(hs[i]) == targets[i], parts
+
+    @pytest.mark.parametrize("n", range(42))
+    def test_closed_form_matches_the_zero_targets(self, n):
+        # The differential oracle of ``_level_one``: h_lambda read off the
+        # column sizes of each zero target that ``_targets`` gives at level
+        # 1, in that order, after alpha = (n).
+        zero = {l: [(0,) * l] for l in range(n + 1)}
+        targets = [tuple((0,) * m for m in partitions_mult(n)[0].mult),
+                   *enumeration._targets(n, dict.fromkeys(zero, []), zero,
+                                         zero)]
+        hs = [(0,) * n, *enumeration._level_one(n)]
+        assert len(hs) == len(targets) == count_distinguished(n, 1)
+        for i in checked_shapes(n, len(hs)):
+            assert hs[i] == neutral_of_zero_target(targets[i]), targets[i]
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_cells_invert_zero_targets_to_the_closed_form(self, n):
@@ -503,6 +538,27 @@ class TestLevelOne:
             partition_number(n) for n in range(20)]
         for n in range(65):
             assert count_distinguished(n, 1) == partition_number(n), n
+
+
+class TestPerShape:
+    # lv(w) = p * omega with omega_i in D(l_i, k - 1), where l_i is the
+    # multiplicity of part i in the shape alpha of lv(w), so D(n, k) holds
+    # N_alpha = prod_i count(l_i, k - 1) members of each shape alpha of n;
+    # the zero weight is the one member of alpha = (n).  Grouping by the
+    # forward map's shape does not read the cells' row equations.
+
+    @pytest.mark.parametrize("n,k,p", [
+        (5, 5, 7), (6, 3, 7), (8, 2, 11), (4, 60, 5),
+        *[(n, 1, 23) for n in range(21)]])
+    def test_members_per_shape(self, n, k, p):
+        shapes = collections.Counter(
+            tuple(map(len, enumeration._lv_mu(w)))
+            for w in enumeration._construct(n, k, p))
+        assert shapes == {alpha.mult: math.prod(
+            count_distinguished(l, k - 1) for l in alpha.mult)
+            for alpha in partitions_mult(n)}
+        if k == 1:  # one member per shape
+            assert set(shapes.values()) == {1}
 
 
 def count_to(l, d):
