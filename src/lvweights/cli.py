@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from .core import (_int_arg, _printable, format_weight, omega_to_json,
                    parse_weight)
 from .counting import _leading_terms, count_distinguished
-from .enumeration import (FAMILY_IDS, ScatterRecord, SearchBox, _check_size,
+from .enumeration import (FAMILY_IDS, SearchBox, _check_size,
                           _enumerate_depths, _family_depths, _write_csv,
                           _write_lines, default_bound, write_scatter_svg)
 from .lv_algorithm import lv
@@ -160,14 +160,13 @@ def _emit_weights(depths, args, p) -> None:
     """Print the weights of ``{weight: depth}`` sorted descending, or with
     --csv/--svg write their scatter files.  The weights are valid, distinct
     and anti-symmetric, so sorted by their leading coordinates too, and each
-    depth is exact within the command's cap: the CSV rows, written straight
-    from the map, are those of ``scatter_records``."""
+    depth is exact within the command's cap: the rows read straight from
+    the map are those of ``scatter_records``, unchecked in the CSV."""
     weights, h = sorted(depths, reverse=True), args.n // 2
     if args.csv is not None:
         _write_csv(args.csv, h, ((w[:h], depths[w]) for w in weights))
     if args.svg is not None:
-        write_scatter_svg((ScatterRecord(w[:h], depths[w])
-                           for w in weights), args.svg, p)
+        write_scatter_svg(((w[:h], depths[w]) for w in weights), args.svg, p)
     if args.csv is None and args.svg is None:
         row = ",".join(["%d"] * args.n) + "\n"
         _write_lines(sys.stdout, (row % w for w in weights))

@@ -45,12 +45,12 @@ tries the cells of the target's shape.
 Input is checked at the entry points, by ``core``'s kernels, in signature
 order and each argument's type before its sign: ``default_bound``, the
 ``SearchBox`` constructor (n, k and bound, ``int`` and >= 0, then the
-prime), ``enumerate_distinguished``'s ``jobs`` (>= 1), ``closed_family``,
-the ``ScatterRecord`` constructor, ``scatter_records``,
-``write_scatter_csv``'s coordinate count and ``write_scatter_svg``'s prime.
-The family members and the CLI's CSV rows are built valid and skip the
-checks; every member's depth is still confirmed by iteration, and their
-number by the count.
+prime), ``enumerate_distinguished``'s ``jobs`` (>= 1), ``closed_family``
+(the prime before a member), ``scatter_records``, ``write_scatter_csv``
+(each row by ``_scatter_row``, then the coordinate count) and
+``write_scatter_svg`` (the prime, then each row).  The family members and
+the CLI's CSV rows are built valid and skip the checks; every member's
+depth is still confirmed by iteration, and their number by the count.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 from itertools import accumulate, chain, islice, product
-from operator import attrgetter
+from operator import itemgetter
 
 from .core import Weight, _int_arg, _printable, _Value, validate_weight
 from .counting import count_distinguished, partitions_mult
@@ -68,7 +68,6 @@ from .modular_iteration import (ModularContext, _bounded_depth, _geom, _rho,
 
 __all__ = [
     "SearchBox",
-    "ScatterRecord",
     "default_bound",
     "enumerate_distinguished",
     "closed_family",
@@ -103,20 +102,6 @@ class SearchBox(_Value):
             object.__setattr__(self, name, _int_arg(name, v))
         ModularContext(p).check_length(n)
         object.__setattr__(self, "p", p)
-
-
-class ScatterRecord(_Value):
-    """Leading floor(n/2) coordinates of a distinguished weight plus its
-    minimal iteration depth."""
-
-    __slots__ = ("coords", "depth")
-
-    def __init__(self, coords: tuple[int, ...], depth: int):
-        coords = validate_weight(coords)
-        if coords and coords[-1] < 0:
-            raise ValueError(f"coords must end >= 0: {coords}")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "depth", _int_arg("depth", depth))
 
 
 def _mirror(coords: tuple[int, ...], n: int) -> Weight:
@@ -395,6 +380,7 @@ def closed_family(
                          f"got {params}")
     for x in params:
         _int_arg(f"family {family_id} parameter", x)
+    ctx.check_length(n)
     w, depth = _family_member(n, family_id, params, partial(_geom, ctx.p))
     _check_family_depth(family_id, params, depth,
                         distinguished_depth(w, ctx, cap=depth))
@@ -466,18 +452,29 @@ def generate_family_set(n: int, ctx: ModularContext, max_k: int) -> list[Weight]
 
 # Scatter export ---------------------------------------------------------------
 
+def _scatter_row(coords, depth) -> tuple[Weight, int]:
+    """A scatter row checked, coords as a tuple: coords a weight ending
+    >= 0, then depth an int >= 0."""
+    coords = validate_weight(coords)
+    if coords and coords[-1] < 0:
+        raise ValueError(f"coords must end >= 0: {coords}")
+    return coords, _int_arg("depth", depth)
+
+
 def scatter_records(
     weights, ctx: ModularContext, cap: int
-) -> list[ScatterRecord]:
-    """One record per weight: its leading floor(n/2) coordinates and its
-    minimal depth.  Raises if some weight is not distinguished within cap.
+) -> list[tuple[Weight, int]]:
+    """One row ``(coords, depth)`` per weight: its leading floor(n/2)
+    coordinates and its minimal depth.  Raises if some weight is not
+    distinguished within cap, or if its row fails ``_scatter_row``, whose
+    "ends >= 0" checks the anti-symmetry theorem on user input.
 
     All weights share one depth memo (one cap, one p), so a chain that
     several weights divide down to is walked once.
     """
     _int_arg("cap", cap)  # before the weights, read one at a time
     memo: dict = {}
-    records = []
+    rows = []
     for w in weights:
         w = validate_weight(w)
         ctx.check_length(len(w))
@@ -486,28 +483,29 @@ def scatter_records(
             raise ValueError(
                 f"weight {w} is not distinguished within cap {cap}"
             )
-        records.append(ScatterRecord(w[: len(w) // 2], depth))
-    return records
+        rows.append(_scatter_row(w[: len(w) // 2], depth))
+    return rows
 
 
-def write_scatter_csv(records, path, ncoords: int | None = None) -> None:
-    """Canonical CSV: header x1,...,xh,depth; rows sorted descending by
-    coordinates; decimal integers; every record checked before writing."""
-    records = list(records)
+def write_scatter_csv(rows, path, ncoords: int | None = None) -> None:
+    """Canonical CSV of ``(coords, depth)`` rows: header x1,...,xh,depth;
+    rows sorted descending by coordinates (stably); decimal integers; every
+    row checked (``_scatter_row``) before writing."""
+    rows = [_scatter_row(coords, depth) for coords, depth in rows]
     if ncoords is None:
-        if not records:
+        if not rows:
             raise ValueError("ncoords is required for an empty record list")
-        ncoords = len(records[0].coords)
+        ncoords = len(rows[0][0])
     _int_arg("ncoords", ncoords)
-    records.sort(key=attrgetter("coords"), reverse=True)
-    for rec in records:
-        if len(rec.coords) != ncoords:
-            raise ValueError(f"record has {len(rec.coords)} coordinates, "
+    rows.sort(key=itemgetter(0), reverse=True)
+    for coords, _ in rows:
+        if len(coords) != ncoords:
+            raise ValueError(f"record has {len(coords)} coordinates, "
                              f"expected {ncoords}")
-    if records:  # entries are >= 0 and the largest comes first
-        _printable(max(records[0].coords, default=0), "the largest coordinate")
-        _printable(max(map(attrgetter("depth"), records)), "the largest depth")
-    _write_csv(path, ncoords, ((rec.coords, rec.depth) for rec in records))
+    if rows:  # entries are >= 0 and the largest comes first
+        _printable(max(rows[0][0], default=0), "the largest coordinate")
+        _printable(max(map(itemgetter(1), rows)), "the largest depth")
+    _write_csv(path, ncoords, rows)
 
 
 _CHUNK = 1 << 16  # characters per write, about: no text is held whole
@@ -535,14 +533,14 @@ def _write_csv(path, ncoords: int, rows) -> None:
         _write_lines(fh, (row % (*coords, depth) for coords, depth in rows))
 
 
-def write_scatter_svg(records, path, p: int) -> None:
-    """Scatter plot of the first two coordinates, 640 px square, with both
-    axes log-scaled base p (an int >= 2).  Zero has no logarithm, so it is
-    drawn in a dedicated origin band one slot left of/below p^0; a missing
-    coordinate is drawn as zero.  The points' logarithms are held as
-    doubles, 16 bytes a record, from one pass over ``records``; the axes go
-    out first, then the circles through ``_write_lines``.  Presentation
-    plumbing only; the CSV is the canonical artifact."""
+def write_scatter_svg(rows, path, p: int) -> None:
+    """Scatter plot of the first two coordinates of ``(coords, depth)``
+    rows, 640 px square, both axes log-scaled base p (an int >= 2).  Zero
+    has no logarithm, so it is drawn in an origin band one slot left
+    of/below p^0; a missing coordinate is drawn as zero.  One pass over
+    ``rows`` checks each (``_scatter_row``) and holds the points' logarithms
+    as doubles, 16 bytes a row, before the file is opened; the axes go out
+    first, then the circles (``_write_lines``); the CSV is canonical."""
     _int_arg("p", p, 2)
     size, margin = 640, 48.0
     span = size - 2 * margin
@@ -551,8 +549,8 @@ def write_scatter_svg(records, path, p: int) -> None:
         return math.log(v, p) if v >= 1 else -1.0
 
     from array import array  # loaded by this path alone
-    logs = array("d", (logp(v) for r in records  # x and y of each record
-                       for v in (r.coords[:2] + (0, 0))[:2]))
+    logs = array("d", (logp(v) for c, d in rows  # x and y of each row
+                       for v in (_scatter_row(c, d)[0][:2] + (0, 0))[:2]))
     top = max(1.0, max(logs, default=1.0))
     scale = span / (top + 1.0)
 

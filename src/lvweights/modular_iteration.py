@@ -25,7 +25,6 @@ from .lv_algorithm import _lv_mu
 __all__ = [
     "ModularContext",
     "IterationTrace",
-    "RefinementChain",
     "STATUS_ZEROS",
     "STATUS_NONINTEGRAL",
     "STATUS_TERMINAL_SHORT",
@@ -146,19 +145,6 @@ class IterationTrace(_Value):
         """The unexpanded nodes, left to right."""
         return (node for node in self._preorder()
                 if node.status != STATUS_EXPANDED)
-
-
-class RefinementChain(_Value):
-    """Per-level partition lists read off a fully distinguished trace.
-
-    Level t+1 refines level t: each nonzero multiplicity l_i of a level-t
-    partition is partitioned by exactly one level-(t+1) entry, in order.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, levels: tuple[tuple[PartitionMult, ...], ...]):
-        object.__setattr__(self, "levels", levels)
 
 
 def lv_p(w, ctx: ModularContext) -> OmegaElement | None:
@@ -287,8 +273,11 @@ def distinguished_depth(w, ctx: ModularContext, cap: int) -> int | None:
     return _bounded_depth(w, _int_arg("cap", cap), ctx.p, {})
 
 
-def refinement_chain(trace: IterationTrace) -> RefinementChain:
-    """Read the per-level partitions off a fully distinguished trace.
+def refinement_chain(trace: IterationTrace) -> tuple:
+    """The per-level partitions read off a fully distinguished trace, one
+    tuple of ``PartitionMult`` per level.  Level t+1 refines level t: each
+    nonzero multiplicity l_i of a level-t partition is partitioned by
+    exactly one level-(t+1) entry, in order.
 
     An expanded node contributes the multiplicity vector of its divided
     output (l_i = length of component i).  An all-zero node of length l
@@ -320,7 +309,7 @@ def refinement_chain(trace: IterationTrace) -> RefinementChain:
         if contributions:
             levels.append(tuple(contributions))
         if all(node.status == STATUS_ZEROS for node in frontier):
-            return RefinementChain(tuple(levels))
+            return tuple(levels)
         frontier = nxt
 
 

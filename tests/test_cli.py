@@ -20,7 +20,6 @@ import lvweights.cli as cli
 import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
-    ScatterRecord,
     SearchBox,
     closed_family,
     count_distinguished,
@@ -512,7 +511,7 @@ class TestEnumerateCommand:
                                          bound, p, jobs):
         # The CLI writes the depths its construction found, its CSV rows
         # unchecked; the public path recomputes every depth with
-        # scatter_records, and validates every record.
+        # scatter_records, and its writers check every row.
         csv, svg = tmp_path / "pts.csv", tmp_path / "pts.svg"
         code, out, _ = capout(
             "enumerate", "--n", str(n), "--prime", str(p), "--k", str(k),
@@ -521,12 +520,12 @@ class TestEnumerateCommand:
         )
         assert (code, out) == (0, "")
         box = SearchBox(n, k, bound, p)
-        records = scatter_records(
+        rows = scatter_records(
             enumerate_distinguished(box), ModularContext(p), k
         )
-        assert len({r.depth for r in records}) > 1
-        write_scatter_csv(records, tmp_path / "ref.csv", ncoords=n // 2)
-        write_scatter_svg(records, tmp_path / "ref.svg", p)
+        assert len({depth for _, depth in rows}) > 1
+        write_scatter_csv(rows, tmp_path / "ref.csv", ncoords=n // 2)
+        write_scatter_svg(rows, tmp_path / "ref.svg", p)
         assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
@@ -553,7 +552,7 @@ class TestFamiliesCommand:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_files_match_scatter_records(self, capout, tmp_path, n, p):
-        # The CLI writes its records from the verified family depths; the
+        # The CLI writes its rows from the verified family depths; the
         # public path recomputes every depth with scatter_records.
         ctx = ModularContext(p)
         for max_k in range(7):
@@ -563,11 +562,11 @@ class TestFamiliesCommand:
                 "--max-k", str(max_k), "--csv", str(csv), "--svg", str(svg),
             )
             assert (code, out) == (0, "")
-            records = scatter_records(
+            rows = scatter_records(
                 generate_family_set(n, ctx, max_k), ctx, max_k
             )
-            write_scatter_csv(records, tmp_path / "ref.csv", ncoords=n // 2)
-            write_scatter_svg(records, tmp_path / "ref.svg", p)
+            write_scatter_csv(rows, tmp_path / "ref.csv", ncoords=n // 2)
+            write_scatter_svg(rows, tmp_path / "ref.svg", p)
             assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
             assert svg.read_bytes() == (tmp_path / "ref.svg").read_bytes()
 
@@ -576,8 +575,8 @@ class TestFamiliesCommand:
     def test_trusted_records_pass_the_constructor(self, capout, tmp_path,
                                                   n, p):
         # Every row the CLI writes unchecked, straight from its depth map,
-        # is a record the validating constructor accepts unchanged, and
-        # write_scatter_csv writes those records to the same bytes.
+        # passes write_scatter_csv's row check unchanged, and
+        # write_scatter_csv writes those rows to the same bytes.
         csv, ref = tmp_path / "fam.csv", tmp_path / "ref.csv"
         for max_k in range(13):
             code, out, _ = capout(
@@ -585,14 +584,14 @@ class TestFamiliesCommand:
                 "--max-k", str(max_k), "--csv", str(csv),
             )
             assert (code, out) == (0, "")
-            records = []
-            for row in csv.read_text().splitlines()[1:]:
-                *coords, depth = map(int, row.split(","))
-                rec = ScatterRecord(tuple(coords), depth)
-                assert (rec.coords, rec.depth) == (tuple(coords), depth)
-                records.append(rec)
-            assert len(records) == count_distinguished(n, max_k)
-            write_scatter_csv(records, ref, ncoords=n // 2)
+            rows = []
+            for line in csv.read_text().splitlines()[1:]:
+                *coords, depth = map(int, line.split(","))
+                row = enumeration._scatter_row(tuple(coords), depth)
+                assert row == (tuple(coords), depth)
+                rows.append(row)
+            assert len(rows) == count_distinguished(n, max_k)
+            write_scatter_csv(rows, ref, ncoords=n // 2)
             assert ref.read_bytes() == csv.read_bytes()
 
     def test_a_lost_member_exits_2(self, capout, monkeypatch):

@@ -11,8 +11,6 @@ from lvweights import (
     ModularContext,
     OmegaElement,
     PartitionMult,
-    RefinementChain,
-    ScatterRecord,
     SearchBox,
     dom,
     format_weight,
@@ -268,9 +266,7 @@ VALUES = [
     (PartitionMult, ((2, 0, 1),)),
     (ModularContext, (5,)),
     (IterationTrace, ((2, -2), "expanded", 0, (_LEAF, _LEAF))),
-    (RefinementChain, (((PartitionMult((2,)),), (PartitionMult((1,)),)),)),
     (SearchBox, (4, 2, 10, 5)),
-    (ScatterRecord, ((3, 1), 1)),
 ]
 
 

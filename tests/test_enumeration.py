@@ -17,7 +17,6 @@ import lvweights.enumeration as enumeration
 from lvweights import (
     ModularContext,
     PartitionMult,
-    ScatterRecord,
     SearchBox,
     closed_family,
     count_distinguished,
@@ -928,7 +927,9 @@ class TestClosedFamily:
                      id="4-F4-params7-5-family parameters must be >= 0, "
                         "got (0, -1)"),
         (4, "F4", (0, 1), 5, "F4 requires m >= 1"),
-        (4, "F4", (2, 0), 2, "non-integral closed-form value 5/2"),
+        pytest.param(4, "F4", (2, 0), 2,
+                     "prime 2 must exceed the sequence length 4",
+                     id="4-F4-params9-2-non-integral closed-form value 5/2"),
         pytest.param(2, "A", (-1.0,), 5,
                      "family A parameter must be an int, got -1.0",
                      id="2-A-params10-5-family parameters must be >= 0, "
@@ -957,17 +958,28 @@ class TestClosedFamily:
                      "family F3 parameter must be an int, got '1'",
                      id="4-F3-params16-5-family parameters must be >= 0, "
                         "got ('1', -1)"),
+        (4, "F1", (10**6,), 3, "prime 3 must exceed the sequence length 4"),
     ])
     def test_refusal_messages_in_order(self, n, family_id, params, p,
                                        message):
         # The checks run in the order n, family id, arity, each parameter's
-        # int type then sign, F4's m >= 1, integrality; a case that breaks
-        # several gets the first one's message.  Ids of cases whose message
-        # changed are fixed, as in test_core.  p = 2 is the only prime where F4's halves
-        # can be non-integral, and never with m = 0.
+        # int type then sign, the prime against n, F4's m >= 1; a case that
+        # breaks several gets the first one's message.  Ids of cases whose
+        # message changed are fixed, as in test_core.  Only p = 2 makes F4's
+        # halves non-integral, and the prime check refuses it first.
         with pytest.raises(ValueError) as exc:
             closed_family(n, family_id, params, ModularContext(p))
         assert str(exc.value) == message
+
+    def test_a_small_prime_is_refused_before_a_member_is_built(
+            self, monkeypatch):
+        def build(*args):
+            raise AssertionError(f"_family_member{args}")
+        monkeypatch.setattr(enumeration, "_family_member", build)
+        for family_id, params in (("F1", (10**6,)), ("F4", (2, 0))):
+            with pytest.raises(ValueError, match="^prime 3 must exceed the "
+                                                 "sequence length 4$"):
+                closed_family(4, family_id, params, ModularContext(3))
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError, match="parameter"):
@@ -1155,10 +1167,8 @@ class TestSharedDepthMemo:
         shuffled = list(weights)
         random.Random(n * p).shuffle(shuffled)
         for order in (sorted(weights), sorted(weights, reverse=True), shuffled):
-            records = scatter_records(order, ctx, cap=6)
-            assert records == [
-                ScatterRecord(w[: n // 2], expected[w]) for w in order
-            ]
+            rows = scatter_records(order, ctx, cap=6)
+            assert rows == [(w[: n // 2], expected[w]) for w in order]
 
     @pytest.mark.parametrize(
         "bad", [(2, 1, -1, -2), rho_family(4, 7, ModularContext(5))]
@@ -1182,29 +1192,38 @@ class TestSharedDepthMemo:
             scatter_records([(0, 0, 0, 0, 0)], ModularContext(5), cap=3)
 
 
+def scatter_writers(tmp_path):
+    """Each public scatter writer, called as write(rows, path), and a path."""
+    return [(write_scatter_csv, tmp_path / "pts.csv"),
+            (functools.partial(write_scatter_svg, p=5), tmp_path / "pts.svg")]
+
+
 class TestScatter:
     def test_single_family_member(self):
         ctx = ModularContext(5)
-        recs = scatter_records([(3, 1, -1, -3)], ctx, cap=5)
-        assert recs == [ScatterRecord((3, 1), 1)]
+        rows = scatter_records([(3, 1, -1, -3)], ctx, cap=5)
+        assert rows == [((3, 1), 1)]
 
     def test_zero_weight(self):
-        recs = scatter_records([(0, 0, 0, 0)], ModularContext(5), cap=5)
-        assert recs == [ScatterRecord((0, 0), 0)]
+        rows = scatter_records([(0, 0, 0, 0)], ModularContext(5), cap=5)
+        assert rows == [((0, 0), 0)]
 
     def test_scaled_staircase(self):
-        recs = scatter_records([(18, 6, -6, -18)], ModularContext(5), cap=5)
-        assert recs == [ScatterRecord((18, 6), 2)]
+        rows = scatter_records([(18, 6, -6, -18)], ModularContext(5), cap=5)
+        assert rows == [((18, 6), 2)]
 
     def test_rejects_non_distinguished(self):
         with pytest.raises(ValueError, match="not distinguished"):
             scatter_records([(1, 0)], ModularContext(5), cap=5)
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            ScatterRecord((1, 2), 0)
-        with pytest.raises(ValueError):
-            ScatterRecord((2, -1), 0)
+    def test_record_validation(self, tmp_path):
+        # Each writer refuses a row whose coordinates rise or end below
+        # zero, and makes no file.
+        for write, path in scatter_writers(tmp_path):
+            for coords in ((1, 2), (2, -1)):
+                with pytest.raises(ValueError):
+                    write([((3, 1), 1), (coords, 0)], path)
+                assert not path.exists()
 
     @pytest.mark.parametrize("coords, depth, message", [  # ids fixed
         ((1.5, 0.5), 1, "weight has non-integer entry 1.5"),
@@ -1223,18 +1242,26 @@ class TestScatter:
         pytest.param((3, 1), "1", "depth must be an int, got '1'",
                      id="coords8-1-depth must be an integer, got '1'"),
     ])
-    def test_record_refuses_what_is_not_an_int(self, coords, depth,
-                                               message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ScatterRecord(coords, depth)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ScatterRecord(list(coords), depth)
+    def test_record_refuses_what_is_not_an_int(self, tmp_path, coords,
+                                               depth, message):
+        # Each writer checks every row before it opens its file.
+        for write, path in scatter_writers(tmp_path):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write([(coords, depth)], path)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write([((3, 1), 1), (list(coords), depth)], path)
+            assert not path.exists()
 
     def test_csv(self, tmp_path):
         path = tmp_path / "pts.csv"
-        recs = [ScatterRecord((0, 0), 0), ScatterRecord((3, 1), 1)]
-        write_scatter_csv(recs, path)
+        write_scatter_csv([((0, 0), 0), ((3, 1), 1)], path)
         assert path.read_text() == "x1,x2,depth\n3,1,1\n0,0,0\n"
+
+    def test_csv_keeps_the_order_of_equal_coordinates(self, tmp_path):
+        # The sort by coordinates is stable.
+        path = tmp_path / "pts.csv"
+        write_scatter_csv([((1, 0), 2), ((3, 1), 1), ((1, 0), 1)], path)
+        assert path.read_text() == "x1,x2,depth\n3,1,1\n1,0,2\n1,0,1\n"
 
     def test_csv_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -1243,21 +1270,20 @@ class TestScatter:
 
     def test_csv_single_zero_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        write_scatter_csv([ScatterRecord((0, 0), 0)], path)
+        write_scatter_csv([((0, 0), 0)], path)
         assert path.read_text().splitlines()[1] == "0,0,0"
 
     def test_csv_without_coordinates(self, tmp_path):
         # n = 0 and 1 have no free coordinates: the row is the depth alone.
         path = tmp_path / "none.csv"
-        write_scatter_csv([ScatterRecord((), 0)], path)
+        write_scatter_csv([((), 0)], path)
         assert path.read_bytes() == b"depth\n0\n"
 
     def test_csv_refuses_a_record_of_another_length(self, tmp_path):
         path = tmp_path / "mixed.csv"
-        recs = [ScatterRecord((3, 1), 1), ScatterRecord((0,), 0)]
         with pytest.raises(ValueError, match="^record has 1 coordinates, "
                                              "expected 2$"):
-            write_scatter_csv(recs, path)
+            write_scatter_csv([((3, 1), 1), ((0,), 0)], path)
         assert not path.exists()
 
     @pytest.mark.parametrize("coords, depth, what", [
@@ -1268,24 +1294,23 @@ class TestScatter:
             self, tmp_path, coords, depth, what):
         # Checked after the sort, so a file is made only if it is whole.
         path = tmp_path / "huge.csv"
-        recs = [ScatterRecord((2, 0), 0), ScatterRecord(coords, depth)]
         with pytest.raises(ValueError, match=f"^{what} has more than "):
-            write_scatter_csv(recs, path)
+            write_scatter_csv([((2, 0), 0), (coords, depth)], path)
         assert not path.exists()
 
     def test_svg_deterministic(self, tmp_path):
         ctx = ModularContext(5)
-        recs = scatter_records(
+        rows = scatter_records(
             generate_family_set(4, ctx, 4), ctx, cap=4
         )
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        write_scatter_svg(recs, a, p=5)
-        write_scatter_svg(recs, b, p=5)
+        write_scatter_svg(rows, a, p=5)
+        write_scatter_svg(rows, b, p=5)
         assert a.read_bytes() == b.read_bytes()
         text = a.read_text()
         assert text.startswith("<svg")
         assert "log base 5" in text
-        assert text.count("<circle") == len(recs)
+        assert text.count("<circle") == len(rows)
 
     @pytest.mark.parametrize("n,p,max_k,digest", [
         (4, 5, 4,
@@ -1301,8 +1326,20 @@ class TestScatter:
         # The bytes of the SVG when it was joined whole before one write:
         # two coordinates, one (y drawn as zero), and none at n = 1.
         ctx = ModularContext(p)
-        recs = ([ScatterRecord((), 0)] if n == 1 else scatter_records(
+        rows = ([((), 0)] if n == 1 else scatter_records(
             generate_family_set(n, ctx, max_k), ctx, max_k))
         path = tmp_path / "pts.svg"
-        write_scatter_svg(recs, path, p)
+        write_scatter_svg(rows, path, p)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, p, max_k", [(4, 5, 4), (3, 7, 5), (2, 3, 6)])
+    def test_list_coords_write_the_bytes_of_tuple_coords(self, tmp_path, n,
+                                                         p, max_k):
+        ctx = ModularContext(p)
+        rows = scatter_records(generate_family_set(n, ctx, max_k), ctx, max_k)
+        listed = [(list(coords), depth) for coords, depth in rows]
+        for write, path in scatter_writers(tmp_path):
+            twin = path.with_name("listed" + path.suffix)
+            write(rows, path)
+            write(listed, twin)
+            assert twin.read_bytes() == path.read_bytes()

@@ -224,7 +224,7 @@ class TestIterate:
         (leaf,) = t.leaves()
         assert (leaf.seq, leaf.status, leaf.depth) == ((0, 0), STATUS_ZEROS,
                                                       3000)
-        assert refinement_chain(t).levels == ((PartitionMult((2,)),),) * 3001
+        assert refinement_chain(t) == ((PartitionMult((2,)),),) * 3001
         short = iterate(rho_family(2, 3000, ctx), ctx, 2999)
         with pytest.raises(ValueError, match="has status exhausted"):
             refinement_chain(short)
@@ -301,23 +301,23 @@ class TestDistinguishedDepth:
 class TestRefinementChain:
     def test_golden(self):
         t = iterate(GOLDEN_WEIGHT, ModularContext(11), cap=5)
-        chain = refinement_chain(t)
-        assert chain.levels[0] == (PartitionMult((2, 0, 2)),)
-        assert chain.levels[0][0].parts == (3, 3, 1, 1)
-        assert chain.levels[1] == (PartitionMult((2,)), PartitionMult((2,)))
-        assert len(chain.levels) == 4
+        levels = refinement_chain(t)
+        assert levels[0] == (PartitionMult((2, 0, 2)),)
+        assert levels[0][0].parts == (3, 3, 1, 1)
+        assert levels[1] == (PartitionMult((2,)), PartitionMult((2,)))
+        assert len(levels) == 4
 
     def test_all_zero_node(self):
         t = iterate((0, 0, 0), ModularContext(5), cap=3)
-        chain = refinement_chain(t)
-        assert chain.levels == ((PartitionMult((3,)),),)
-        assert chain.levels[0][0].parts == (1, 1, 1)
+        levels = refinement_chain(t)
+        assert levels == ((PartitionMult((3,)),),)
+        assert levels[0][0].parts == (1, 1, 1)
 
     def test_staircase(self):
         t = iterate((1, 0, -1), ModularContext(5), cap=3)
-        chain = refinement_chain(t)
-        assert chain.levels[0] == (PartitionMult((1, 1)),)
-        assert chain.levels[0][0].parts == (2, 1)
+        levels = refinement_chain(t)
+        assert levels[0] == (PartitionMult((1, 1)),)
+        assert levels[0][0].parts == (2, 1)
 
     def test_rejects_non_distinguished(self):
         t = iterate((1, 0), ModularContext(5), cap=3)
@@ -328,8 +328,8 @@ class TestRefinementChain:
         # Each nonzero multiplicity at level t is partitioned by exactly one
         # level-(t+1) entry, in frontier order.
         t = iterate(GOLDEN_WEIGHT, ModularContext(11), cap=5)
-        chain = refinement_chain(t)
-        for cur, nxt in zip(chain.levels, chain.levels[1:]):
+        levels = refinement_chain(t)
+        for cur, nxt in zip(levels, levels[1:]):
             expected_sizes = [
                 l for part in cur for l in part.mult if l > 0
             ]
@@ -345,15 +345,15 @@ class TestRefinementChain:
         assert pool
         for w in pool:
             depth = distinguished_depth(w, ctx, 2)
-            chain = refinement_chain(iterate(w, ctx, cap=depth))
-            assert len(chain.levels) == depth + 1
-            assert sum(q.n for q in chain.levels[0]) == 4
-            for cur, nxt in zip(chain.levels, chain.levels[1:]):
+            levels = refinement_chain(iterate(w, ctx, cap=depth))
+            assert len(levels) == depth + 1
+            assert sum(q.n for q in levels[0]) == 4
+            for cur, nxt in zip(levels, levels[1:]):
                 sizes = [l for part in cur for l in part.mult if l > 0]
                 assert [q.n for q in nxt] == sizes
             # The final level is all unit parts.
             assert all(
-                part.parts == (1,) * part.n for part in chain.levels[-1]
+                part.parts == (1,) * part.n for part in levels[-1]
             )
 
 
